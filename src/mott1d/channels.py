@@ -33,6 +33,7 @@ from .core import (
     QuadratureError,
     SpatialGrid,
     hermite_functions,
+    kinetic_phase,
     make_spherical_wave_1d,
 )
 
@@ -324,8 +325,7 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     inactive = np.ones(grid.n_points, dtype=bool)
     inactive[active] = False
 
-    k = grid.wavenumbers
-    kin_half = np.exp(-1j * (params.hbar * k ** 2 / (2.0 * params.M)) * (dt / 2.0))
+    kin_half = kinetic_phase(grid, params, dt / 2.0)
     kin_full = kin_half * kin_half
 
     snap_steps: dict[int, float] = {}

@@ -319,16 +319,26 @@ def _dump_fields(config: RunConfig, report: ex.ExcitationReport,
         manifest.add_output(name)
 
 
+# GridError is a ValueError but signals a numeric failure (grid too narrow);
+# any other ValueError is a bad value the config let through
+_NUMERIC_ERRORS = (QuadratureError, ch.TruncationError, ch.NormDriftError, GridError,
+                   RuntimeError)
+
+
+def _failed(manifest: _Manifest, err: Exception) -> int:
+    """Record a failed run or sweep; the exit code is the same for every command."""
+    manifest.finish("failed", error=str(err))
+    print(f"error: {err}", file=sys.stderr)
+    return EXIT_NUMERIC if isinstance(err, _NUMERIC_ERRORS) else EXIT_CONFIG
+
+
 def cmd_run(config: RunConfig, out: str) -> int:
     out_dir = _prepare_out_dir(out)
     manifest = _Manifest(out_dir, "run", config.raw)
     try:
         report = ex.run_scenario(config.spec, keep_oracle_states=True)
-    except (QuadratureError, ch.TruncationError, ch.NormDriftError,
-            GridError, RuntimeError, ValueError) as err:
-        manifest.finish("failed", error=str(err))
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except (*_NUMERIC_ERRORS, ValueError) as err:
+        return _failed(manifest, err)
 
     if "json" in config.formats:
         _write_json(out_dir / "report.json", report.to_dict())
@@ -371,15 +381,8 @@ def cmd_sweep(config: RunConfig, out: str) -> int:
     manifest = _Manifest(out_dir, "sweep", config.raw)
     try:
         fit = ex.sweep_lambda(config.spec, config.sweep_values, target=config.sweep_target)
-    except (QuadratureError, ch.TruncationError, ch.NormDriftError,
-            GridError, RuntimeError) as err:
-        manifest.finish("failed", error=str(err))
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ValueError as err:
-        manifest.finish("failed", error=str(err))
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (*_NUMERIC_ERRORS, ValueError) as err:
+        return _failed(manifest, err)
 
     scale = config.spec.params.M * config.spec.params.v0 ** 2
     if "csv" in config.formats:

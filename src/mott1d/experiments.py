@@ -317,7 +317,7 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[tupl
                 fields[(0, n)] = ComplexField(grid, run.b2[n])
             for n1 in range(1, num.n_max + 1):
                 for n2 in range(1, num.n_max + 1):
-                    fields[(n1, n2)] = ComplexField(grid, run.c12[n1, n2] + run.c21[n1, n2])
+                    fields[(n1, n2)] = ComplexField(grid, run.joint_amplitude(n1, n2))
     wall = time.perf_counter() - t0
     engine_run = EngineRun(engine="pt", probabilities=probabilities, histories=histories,
                            convergence={"dt": step, "n_max": num.n_max,

@@ -19,9 +19,13 @@ an O(dt) error in the double time integral.  Amplitudes are exactly linear
 (b) and quadratic (c) in lam, so the lam^2 / lam^4 probability laws are
 structural, independent of the step size.
 
-The two interaction orderings (oscillator 1 first vs oscillator 2 first) are
-accumulated separately; the simultaneous-kick quadratic term is split evenly
-between them.
+The two interaction orderings (oscillator 1 first vs oscillator 2 first)
+share their channel energies, so by default one joint block carries their
+sum.  On request (``split_orderings``, used by the ordering diagnostic of
+``second_order_joint_amplitude``) a leading ordering axis of length 2 keeps
+them apart, and the simultaneous-kick quadratic term is split evenly between
+them.  The kick touches only the index slabs where the bare form factors
+exceed ``KICK_FLOOR`` of their maximum, so the slabs are independent of lam.
 """
 
 from __future__ import annotations
@@ -40,16 +44,20 @@ from .core import (
     OscillatorBasis,
     QuadratureError,
     SpatialGrid,
+    kinetic_phase,
     make_spherical_wave_1d,
     suggest_grid,
 )
 
+# Kick entries whose bare form factor is below this fraction of its maximum
+# are dropped: the oracle's coupling error budget, relative to the tables
+# rather than to lam so the lam^2 / lam^4 laws stay exact.
+KICK_FLOOR = 1e-14
+
 
 def free_propagate(psi: ComplexField, dt: float, params: ModelParams) -> ComplexField:
     """Exact spectral free-particle propagation by dt (negative dt allowed)."""
-    k = psi.grid.wavenumbers
-    phase = np.exp(-1j * (params.hbar * k ** 2 / (2.0 * params.M)) * dt)
-    values = np.fft.ifft(np.fft.fft(psi.values) * phase)
+    values = np.fft.ifft(np.fft.fft(psi.values) * kinetic_phase(psi.grid, params, dt))
     return ComplexField(psi.grid, values)
 
 
@@ -113,8 +121,9 @@ class DysonResult:
     psi_free: np.ndarray = field(repr=False)
     b1: np.ndarray = field(repr=False)  # (n_max+1, n) rows 1.. used
     b2: np.ndarray = field(repr=False)
-    c12: np.ndarray = field(repr=False)  # (n_max+1, n_max+1, n) rows/cols 1.. used
-    c21: np.ndarray = field(repr=False)
+    # (orderings, n_max+1, n_max+1, n) rows/cols 1.. used; one ordering entry
+    # (their sum) by default, [1->2, 2->1] with split_orderings
+    joint: np.ndarray = field(repr=False)
     # relative changes over the last step halving, filled in by
     # converged_dyson_run: over every channel, and over the outcome sums
     # (single-left, single-right, joint) which the weak top-shell channels
@@ -141,11 +150,15 @@ class DysonResult:
             return self._norm_sq(self.b2[n2])
         raise ValueError(f"first-order target must be (n,0) or (0,n) with n>=1, got {target}")
 
+    def joint_amplitude(self, n1: int, n2: int) -> np.ndarray:
+        """Joint amplitude of channel (n1, n2), both orderings summed."""
+        return self.joint[:, n1, n2].sum(axis=0)
+
     def joint_probability(self, target: tuple[int, int]) -> float:
         n1, n2 = target
         if n1 < 1 or n2 < 1:
             raise ValueError(f"joint target needs n1, n2 >= 1, got {target}")
-        return self._norm_sq(self.c12[n1, n2] + self.c21[n1, n2])
+        return self._norm_sq(self.joint_amplitude(n1, n2))
 
     def probabilities(self) -> dict[tuple[int, int], float]:
         """Every excited channel's probability at this order of the series."""
@@ -155,16 +168,30 @@ class DysonResult:
             out[(0, n)] = self._norm_sq(self.b2[n])
         for n1 in range(1, self.n_max + 1):
             for n2 in range(1, self.n_max + 1):
-                out[(n1, n2)] = self._norm_sq(self.c12[n1, n2] + self.c21[n1, n2])
+                out[(n1, n2)] = self._norm_sq(self.joint_amplitude(n1, n2))
         return out
+
+
+def _kick_slab(g: np.ndarray) -> slice:
+    """Smallest index range holding every point where some row of the bare
+    form-factor table g exceeds KICK_FLOOR of its maximum magnitude."""
+    mag = np.abs(g).max(axis=0)
+    idx = np.flatnonzero(mag > KICK_FLOOR * mag.max())
+    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
 
 
 def dyson_run(params: ModelParams, t_final: float, form_factors: tuple[FormFactorTable, FormFactorTable] | None = None,
               grid: SpatialGrid | None = None, n_max: int = 4,
-              dt: float | None = None) -> DysonResult:
-    """One kick–propagate pass of the whole amplitude stack up to t_final."""
+              dt: float | None = None, split_orderings: bool = False) -> DysonResult:
+    """One kick–propagate pass of the whole amplitude stack up to t_final.
+
+    ``split_orderings`` keeps the 1->2 and 2->1 joint amplitudes apart
+    (a leading ordering axis of length 2 instead of 1).
+    """
     if not t_final > 0:
         raise ValueError(f"t_final must be positive, got {t_final!r}")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     if grid is None:
         grid = suggest_grid(params, t_final)
     if form_factors is None:
@@ -177,79 +204,70 @@ def dyson_run(params: ModelParams, t_final: float, form_factors: tuple[FormFacto
     n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
     dt = t_final / n_steps
 
-    hbar = params.hbar
-    g1 = ff1.values[:, 0, :]  # V1_{n 0}(R), shape (n_max+1, n)
-    g2 = ff2.values[:, 0, :]
-    energies = OscillatorBasis.for_oscillator(params, 1, n_max).energies
-    e2 = OscillatorBasis.for_oscillator(params, 2, n_max).energies
-    e0 = energies[0] + e2[0]
+    n = n_max
+    n_ord = 2 if split_orderings else 1
+    g1 = ff1.values[1:n + 1, 0, :]  # V1_{n 0}(R) for n = 1..n_max
+    g2 = ff2.values[1:n + 1, 0, :]
+    e1 = OscillatorBasis.for_oscillator(params, 1, n).energies
+    e2 = OscillatorBasis.for_oscillator(params, 2, n).energies
 
-    # stack layout: [psi, b1[1..n_max], b2[1..n_max], c12[(1,1)..], c21[...]]
-    n_pairs = n_max * n_max
-    n_entries = 1 + 2 * n_max + 2 * n_pairs
-    pair_index = {(i, j): idx for idx, (i, j) in enumerate(
-        (i, j) for i in range(1, n_max + 1) for j in range(1, n_max + 1))}
-    off_b1, off_b2 = 1, 1 + n_max
-    off_c12 = 1 + 2 * n_max
-    off_c21 = off_c12 + n_pairs
-
-    e_entry = np.empty(n_entries)
-    e_entry[0] = e0
-    for n in range(1, n_max + 1):
-        e_entry[off_b1 + n - 1] = energies[n] + e2[0]
-        e_entry[off_b2 + n - 1] = energies[0] + e2[n]
-    for (i, j), idx in pair_index.items():
-        e_entry[off_c12 + idx] = energies[i] + e2[j]
-        e_entry[off_c21 + idx] = energies[i] + e2[j]
-
-    k = grid.wavenumbers
-    kin_half = np.exp(-1j * (params.hbar * k[None, :] ** 2 / (2.0 * params.M)
-                             + e_entry[:, None]) * (dt / 2.0) / hbar)
+    # stack rows: [psi, b1[1..n], b2[1..n], joint[ordering, n1, n2]]
+    e_joint = (e1[1:, None] + e2[None, 1:]).ravel()
+    e_rows = np.concatenate(([e1[0] + e2[0]], e1[1:] + e2[0], e1[0] + e2[1:],
+                             np.tile(e_joint, n_ord)))
+    kin_half = kinetic_phase(grid, params, dt / 2.0, e_rows)
     kin_full = kin_half * kin_half
 
-    kappa = -1j * params.lam * dt / hbar
-    st = np.zeros((n_entries, grid.n_points), dtype=np.complex128)
-    st[0] = make_spherical_wave_1d(grid, params.sigma, params.P0, hbar).values
+    # the kick only touches the slabs where the bare form factors matter;
+    # joint entries need both, the simultaneous (quadratic) term the overlap
+    s1, s2 = _kick_slab(g1), _kick_slab(g2)
+    s12 = slice(max(s1.start, s2.start), min(s1.stop, s2.stop))  # empty if disjoint
+    kappa = -1j * params.lam * dt / params.hbar
+    k1 = kappa * g1[:, s1]
+    k2 = kappa * g2[:, s2]
+    k12 = (kappa * kappa / n_ord) * g1[:, None, s12] * g2[None, :, s12]
+
+    st = np.zeros((len(e_rows), grid.n_points), dtype=np.complex128)
+    st[0] = make_spherical_wave_1d(grid, params.sigma, params.P0, params.hbar).values
 
     def kick(st: np.ndarray) -> None:
-        psi = st[0].copy()
-        b1_pre = st[off_b1:off_b1 + n_max].copy()
-        b2_pre = st[off_b2:off_b2 + n_max].copy()
-        for n in range(1, n_max + 1):
-            st[off_b1 + n - 1] += kappa * g1[n] * psi
-            st[off_b2 + n - 1] += kappa * g2[n] * psi
-        for (i, j), idx in pair_index.items():
-            diag = 0.5 * kappa * kappa * g1[i] * g2[j] * psi
-            st[off_c12 + idx] += kappa * g2[j] * b1_pre[i - 1] + diag
-            st[off_c21 + idx] += kappa * g1[i] * b2_pre[j - 1] + diag
+        psi, b1, b2 = st[0], st[1:1 + n], st[1 + n:1 + 2 * n]
+        joint = st[1 + 2 * n:].reshape(n_ord, n, n, -1)
+        # joint first, so it sees the pre-kick b1 and b2 (psi is never
+        # kicked); 1->2 lands in ordering entry 0 and 2->1 in the last one,
+        # the same entry when the orderings are summed
+        joint[0, :, :, s2] += k2[None, :, :] * b1[:, None, s2]
+        joint[-1, :, :, s1] += k1[:, None, :] * b2[None, :, s1]
+        joint[:, :, :, s12] += k12 * psi[s12]
+        b1[:, s1] += k1 * psi[s1]
+        b2[:, s2] += k2 * psi[s2]
 
-    st = np.fft.ifft(np.fft.fft(st, axis=-1) * kin_half, axis=-1)
+    def propagate(st: np.ndarray, phase: np.ndarray) -> np.ndarray:
+        f = np.fft.fft(st, axis=-1)
+        f *= phase
+        return np.fft.ifft(f, axis=-1)
+
+    st = propagate(st, kin_half)
     for step in range(1, n_steps + 1):
         kick(st)
-        phase = kin_half if step == n_steps else kin_full
-        st = np.fft.ifft(np.fft.fft(st, axis=-1) * phase, axis=-1)
+        st = propagate(st, kin_half if step == n_steps else kin_full)
 
-    shape_b = (n_max + 1, grid.n_points)
-    b1 = np.zeros(shape_b, dtype=np.complex128)
-    b2 = np.zeros(shape_b, dtype=np.complex128)
-    b1[1:] = st[off_b1:off_b1 + n_max]
-    b2[1:] = st[off_b2:off_b2 + n_max]
-    shape_c = (n_max + 1, n_max + 1, grid.n_points)
-    c12 = np.zeros(shape_c, dtype=np.complex128)
-    c21 = np.zeros(shape_c, dtype=np.complex128)
-    for (i, j), idx in pair_index.items():
-        c12[i, j] = st[off_c12 + idx]
-        c21[i, j] = st[off_c21 + idx]
+    b1 = np.zeros((n + 1, grid.n_points), dtype=np.complex128)
+    b2 = np.zeros_like(b1)
+    b1[1:] = st[1:1 + n]
+    b2[1:] = st[1 + n:1 + 2 * n]
+    joint = np.zeros((n_ord, n + 1, n + 1, grid.n_points), dtype=np.complex128)
+    joint[:, 1:, 1:] = st[1 + 2 * n:].reshape(n_ord, n, n, -1)
     return DysonResult(params=params, grid=grid, t=t_final, n_max=n_max, dt=dt,
-                       psi_free=st[0], b1=b1, b2=b2, c12=c12, c21=c21)
+                       psi_free=st[0], b1=b1, b2=b2, joint=joint)
 
 
 def converged_dyson_run(params: ModelParams, t_final: float,
                         form_factors: tuple[FormFactorTable, FormFactorTable] | None = None,
                         grid: SpatialGrid | None = None, n_max: int = 4,
                         dt: float | None = None, rtol: float = 1e-3,
-                        max_halvings: int = 6,
-                        noise_floor: float = 1e-30) -> tuple[DysonResult, bool]:
+                        max_halvings: int = 6, noise_floor: float = 1e-30,
+                        split_orderings: bool = False) -> tuple[DysonResult, bool]:
     """Halve the Duhamel step until every reported probability is stable.
 
     Returns (result, converged).  Raises QuadratureError when the halving
@@ -263,14 +281,14 @@ def converged_dyson_run(params: ModelParams, t_final: float,
     if form_factors is None:
         form_factors = form_factor_pair(params, grid, n_max)
     step = dt if dt is not None else default_duhamel_step(params)
-    prev = dyson_run(params, t_final, form_factors, grid, n_max, step)
+    prev = dyson_run(params, t_final, form_factors, grid, n_max, step, split_orderings)
     if params.lam == 0.0:
         prev.halving_rel_change = 0.0
         prev.halving_obs_change = 0.0
         return prev, True
     for _ in range(max_halvings):
         step /= 2.0
-        cur = dyson_run(params, t_final, form_factors, grid, n_max, step)
+        cur = dyson_run(params, t_final, form_factors, grid, n_max, step, split_orderings)
         change = _max_rel_change(prev.probabilities(), cur.probabilities(), noise_floor)
         cur.halving_rel_change = change
         cur.halving_obs_change = _max_rel_change(prev.history_sums(), cur.history_sums(),
@@ -331,11 +349,10 @@ def second_order_joint_amplitude(target: tuple[int, int], t: float, params: Mode
         warnings.warn(f"t={t} <= tau2={params.tau2}: joint excitation still forming",
                       stacklevel=2)
     n_max = max(n1, n2)
-    run, converged = converged_dyson_run(params, t, form_factors, grid, n_max, dt, rtol)
-    dx = run.grid.dx
-    p12 = float(np.sum(np.abs(run.c12[n1, n2]) ** 2)) * dx
-    p21 = float(np.sum(np.abs(run.c21[n1, n2]) ** 2)) * dx
-    amp = ComplexField(run.grid, run.c12[n1, n2] + run.c21[n1, n2])
+    run, converged = converged_dyson_run(params, t, form_factors, grid, n_max, dt, rtol,
+                                         split_orderings=True)
+    p12, p21 = (run._norm_sq(c) for c in run.joint[:, n1, n2])
+    amp = ComplexField(run.grid, run.joint_amplitude(n1, n2))
     return PerturbativeAmplitude(
         target=target, t=t, order=DysonOrder(2, "sum"), amplitude=amp,
         probability=run.joint_probability(target),

@@ -1,13 +1,18 @@
-"""Independent analytic oracles used by the tests.
+"""Independent oracles used by the tests.
 
-Everything here is derived in closed form, separately from the code under
-test: free Gaussian evolution from the exact k-space integral, the
-two-Gaussian convolution for the ground-state form factor, the overlap
-normalization of the two-packet superposition, and high-order
-finite-difference momentum moments.
+Most are derived in closed form, separately from the code under test: free
+Gaussian evolution from the exact k-space integral, the two-Gaussian
+convolution for the ground-state form factor, the overlap normalization of
+the two-packet superposition, and high-order finite-difference momentum
+moments.  ``reference_dyson_stack`` is the plain 41-row (at n_max = 4)
+Dyson kernel with a per-pair Python kick loop and both interaction
+orderings carried separately, kept as the differential reference for the
+production engine.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -74,3 +79,62 @@ def fd_momentum_moments(values: np.ndarray, dx: float, hbar: float = 1.0
     mean_p = hbar * float(np.sum(np.imag(np.conj(values) * d)) * dx)
     p2 = hbar ** 2 * float(np.sum(np.abs(d) ** 2) * dx)
     return mean_p, float(np.sqrt(max(p2 - mean_p ** 2, 0.0)))
+
+
+def reference_dyson_stack(psi0: np.ndarray, g1: np.ndarray, g2: np.ndarray,
+                          energies: np.ndarray, dx: float, t_final: float, dt: float,
+                          lam: float, hbar: float = 1.0, M: float = 1.0) -> dict:
+    """Strang kick–propagate pass of the triangular Dyson system, entry by entry.
+
+    g1[n], g2[n] are the bare form factors V_{n 0}(R) (rows 1.. used),
+    energies[n] the oscillator levels (equal for both oscillators).  Every
+    (n1, n2) pair carries its 1->2 and 2->1 ordering separately, each with
+    half of the simultaneous-kick quadratic term.  Returns the final psi and
+    the dicts b1[n], b2[n], c12[(n1, n2)], c21[(n1, n2)].
+    """
+    n_max = g1.shape[0] - 1
+    n_points = psi0.size
+    n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
+    dt = t_final / n_steps
+    pairs = [(i, j) for i in range(1, n_max + 1) for j in range(1, n_max + 1)]
+    # rows: psi, b1[1..], b2[1..], c12[pairs], c21[pairs]
+    rows = ([("psi", 0, 0)] + [("b1", n, 0) for n in range(1, n_max + 1)]
+            + [("b2", 0, n) for n in range(1, n_max + 1)]
+            + [("c12", i, j) for i, j in pairs] + [("c21", i, j) for i, j in pairs])
+    row = {(kind, i, j): r for r, (kind, i, j) in enumerate(rows)}
+    e_row = np.array([energies[i] + energies[j] for _, i, j in rows])
+    k = 2.0 * np.pi * np.fft.fftfreq(n_points, d=dx)
+    kin_half = np.exp(-1j * (hbar * k[None, :] ** 2 / (2.0 * M)
+                             + e_row[:, None] / hbar) * (dt / 2.0))
+    kin_full = kin_half * kin_half
+    kappa = -1j * lam * dt / hbar
+
+    st = np.zeros((len(rows), n_points), dtype=np.complex128)
+    st[0] = psi0
+
+    def kick(st: np.ndarray) -> None:
+        psi = st[0].copy()
+        b1_pre = {n: st[row["b1", n, 0]].copy() for n in range(1, n_max + 1)}
+        b2_pre = {n: st[row["b2", 0, n]].copy() for n in range(1, n_max + 1)}
+        for n in range(1, n_max + 1):
+            st[row["b1", n, 0]] += kappa * g1[n] * psi
+            st[row["b2", 0, n]] += kappa * g2[n] * psi
+        for i, j in pairs:
+            diag = 0.5 * kappa * kappa * g1[i] * g2[j] * psi
+            st[row["c12", i, j]] += kappa * g2[j] * b1_pre[i] + diag
+            st[row["c21", i, j]] += kappa * g1[i] * b2_pre[j] + diag
+
+    st = np.fft.ifft(np.fft.fft(st, axis=-1) * kin_half, axis=-1)
+    for step in range(1, n_steps + 1):
+        kick(st)
+        phase = kin_half if step == n_steps else kin_full
+        st = np.fft.ifft(np.fft.fft(st, axis=-1) * phase, axis=-1)
+    out: dict = {"psi": st[0], "b1": {}, "b2": {}, "c12": {}, "c21": {}}
+    for (kind, i, j), r in row.items():
+        if kind == "b1":
+            out["b1"][i] = st[r]
+        elif kind == "b2":
+            out["b2"][j] = st[r]
+        elif kind != "psi":
+            out[kind][(i, j)] = st[r]
+    return out

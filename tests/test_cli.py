@@ -238,6 +238,21 @@ def test_run_numeric_failure_exit_and_manifest(tmp_path):
 # sweep command
 
 
+def test_bad_value_exit_code_same_for_run_and_sweep(tmp_path, capsys):
+    # n_max = 0 passes config parsing and fails before any propagation
+    cfg = write_config(tmp_path, numerics={"n_max": 0},
+                       sweep={"lambda0_values": [1e-4, 2.5e-4, 5e-4, 1e-3]})
+    for command in ("run", "sweep"):
+        for engine in ("pt", "oracle"):
+            out = tmp_path / f"{command}_{engine}"
+            code = cli.main([command, "--config", str(cfg), "--out", str(out),
+                             "--engine", engine])
+            assert code == cli.EXIT_CONFIG, (command, engine)
+            assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
+    assert "n_max" in capsys.readouterr().err
+
+
+
 def test_sweep_pt_slope(tmp_path):
     cfg = write_config(tmp_path, sweep={"lambda0_values": [1e-4, 2.5e-4, 5e-4, 1e-3],
                                         "target": [1, 1]})

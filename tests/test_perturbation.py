@@ -7,15 +7,19 @@ import numpy as np
 import pytest
 
 import mott1d.perturbation as pt
-from mott1d.channels import form_factor_pair
+from mott1d import experiments as ex
+from mott1d.channels import build_form_factors, form_factor_pair
 from mott1d.core import (
     ModelParams,
+    OscillatorBasis,
     QuadratureError,
     SpatialGrid,
     make_gaussian_packet,
+    make_spherical_wave_1d,
     free_spread,
     suggest_grid,
 )
+from oracles import free_two_packet, reference_dyson_stack
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +59,22 @@ def test_free_propagate_group_property(free_params):
     psi = make_gaussian_packet(g, 1.0, 2.0)
     out = pt.free_propagate(pt.free_propagate(psi, 3.7, free_params), -3.7, free_params)
     assert np.max(np.abs(out.values - psi.values)) <= 1e-12
+
+
+def test_dyson_free_row_honours_hbar(free_params):
+    # the unkicked row is the free two-packet state times the ground-state
+    # energy phase, for any hbar (the kinetic term carries hbar k^2 / 2M)
+    p = replace(free_params, hbar=0.5, lam=1e-3)
+    g = SpatialGrid.symmetric(64.0, 2048)
+    t = 5.0
+    run = pt.dyson_run(p, t, form_factor_pair(p, g, 1), g, n_max=1)
+    e00 = p.hbar * p.omega  # two oscillators at hbar omega / 2 each
+    exact = np.exp(-1j * e00 * t / p.hbar) * free_two_packet(g.points, t, p.sigma, p.P0,
+                                                              p.hbar, p.M)
+    assert np.max(np.abs(run.psi_free - exact)) <= 1e-10
+    psi0 = make_spherical_wave_1d(g, p.sigma, p.P0, p.hbar)
+    free = pt.free_propagate(psi0, t, p).values
+    assert np.max(np.abs(run.psi_free - np.exp(-1j * e00 * t / p.hbar) * free)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +148,19 @@ def test_second_order_lambda_fourth_power(reduced_collinear, reduced_grid):
 
 def test_second_order_ordering_dominance(reduced_collinear, reduced_grid):
     # same-side geometry: the packet passes a1 first, so the 1->2 ordering
-    # carries essentially all of the amplitude
+    # carries essentially all of the amplitude, but the 2->1 one is not empty
     p = reduced_collinear
-    amp = pt.second_order_joint_amplitude((1, 1), 1.5 * p.tau2, p, grid=reduced_grid)
+    t = 1.5 * p.tau2
+    ff = form_factor_pair(p, reduced_grid, 1)
+    amp = pt.second_order_joint_amplitude((1, 1), t, p, ff, grid=reduced_grid)
     p12 = amp.ordering_probabilities["1->2"]
     p21 = amp.ordering_probabilities["2->1"]
+    assert p21 > 0
     assert p12 > 1e3 * p21
     assert amp.probability == pytest.approx(p12, rel=0.05)
+    ref = _reference(p, t, ff, reduced_grid, 1, amp.quadrature_step)
+    assert p12 == pytest.approx(_norm_sq(ref["c12"][1, 1], reduced_grid), rel=1e-12)
+    assert p21 == pytest.approx(_norm_sq(ref["c21"][1, 1], reduced_grid), rel=1e-12)
 
 
 def test_second_order_warns_before_tau2(reduced_collinear, reduced_grid):
@@ -147,6 +173,63 @@ def test_second_order_rejects_single_excitation(reduced_collinear, reduced_grid)
     with pytest.raises(ValueError):
         pt.second_order_joint_amplitude((1, 0), 10.0, reduced_collinear,
                                         grid=reduced_grid)
+
+
+def _norm_sq(values, grid):
+    return float(np.sum(np.abs(values) ** 2)) * grid.dx
+
+
+def _reference(p, t, ff, grid, n_max, dt):
+    energies = OscillatorBasis.for_oscillator(p, 1, n_max).energies
+    psi0 = make_spherical_wave_1d(grid, p.sigma, p.P0, p.hbar).values
+    return reference_dyson_stack(psi0, ff[0].values[:n_max + 1, 0], ff[1].values[:n_max + 1, 0],
+                                 energies, grid.dx, t, dt, p.lam, p.hbar, p.M)
+
+
+def _tables(p, grid, n_max, shape):
+    if shape == "gaussian":
+        return form_factor_pair(p, grid, n_max)
+    # Gauss-Hermite nodes resolve the compact bump poorly (no node budget
+    # reaches the default tolerance), so take the first refinement: a
+    # differential check only needs both kernels to see the same tables
+    return tuple(build_form_factors(p, OscillatorBasis.for_oscillator(p, i, n_max), grid,
+                                    shape="bump", tol=math.inf) for i in (1, 2))
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+@pytest.mark.parametrize("shape", ["gaussian", "bump"])
+@pytest.mark.parametrize("case", [ex.COLLINEAR, ex.OPPOSITE])
+def test_dyson_run_matches_reference_kernel(case, shape, n_max, reduced_grid):
+    p = ex.default_params(case, epsilon=0.2)
+    t = 1.5 * p.tau2
+    dt = 0.2
+    ff = _tables(p, reduced_grid, n_max, shape)
+    ref = _reference(p, t, ff, reduced_grid, n_max, dt)
+    run = pt.dyson_run(p, t, ff, reduced_grid, n_max, dt)
+    for (n1, n2), prob in run.probabilities().items():
+        if n2 == 0:
+            expected = _norm_sq(ref["b1"][n1], reduced_grid)
+        elif n1 == 0:
+            expected = _norm_sq(ref["b2"][n2], reduced_grid)
+        else:
+            expected = _norm_sq(ref["c12"][n1, n2] + ref["c21"][n1, n2], reduced_grid)
+        assert prob == pytest.approx(expected, rel=1e-12), (n1, n2)
+
+    # split orderings: each matches the reference's own ordering.  The kick
+    # drops form-factor tails below KICK_FLOOR of their maximum, an error at
+    # rounding level relative to the channel's joint amplitude; an ordering
+    # many orders below the other (2->1 in the opposite geometry, 1e-13 of
+    # 1->2) is therefore held to 1e-12 of the channel, not of itself
+    split = pt.dyson_run(p, t, ff, reduced_grid, n_max, dt, split_orderings=True)
+    assert split.joint.shape[0] == 2
+    for n1 in range(1, n_max + 1):
+        for n2 in range(1, n_max + 1):
+            want = [_norm_sq(ref[key][n1, n2], reduced_grid) for key in ("c12", "c21")]
+            got = [_norm_sq(c, reduced_grid) for c in split.joint[:, n1, n2]]
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, rel=0, abs=1e-12 * sum(want)), (n1, n2)
+            assert split.joint_probability((n1, n2)) == pytest.approx(
+                run.joint_probability((n1, n2)), rel=1e-12)
 
 
 def test_dyson_order_validation():
