@@ -9,12 +9,16 @@ channel equations for the amplitudes f_{n1 n2}(R, t):
                    + lam * sum_k V2_{n2 k}(R) f_{n1 k}
 
 with the form factors V_i_{n n'}(R) = <phi_n | V((R - r)/delta) | phi_n'>.
-The propagator is a Strang split: exact spectral free step per channel,
-then per-grid-point exponential of the (n_max+1)^2-dimensional Hermitian
-channel matrix (channel energies + coupling).  That matrix is
-time-independent, so its exponential is eigendecomposed once per run and
-cached; points where the coupling magnitude is below a floor (far from both
-oscillators) cost only diagonal energy phases.
+The propagator is a Strang split.  At each point the channel matrix is
+H1(R) (x) I + I (x) H2(R) with H_i = diag(E_i) + lam V_i(R); the two terms
+commute, so its exponential is exactly U1(R) (x) U2(R), one
+(n_max+1)-dimensional exponential per oscillator.  Each is split as
+U_i = D_i^(1/2) U_i' D_i^(1/2) with D_i = exp(-i dt E_i / hbar); the
+diagonal energy phases D^(1/2) commute with the free step and ride on the
+exact spectral kinetic factor of every channel.  U_i' is eigendecomposed
+once per run on the oscillator's slabs, the contiguous runs of points where
+its coupling exceeds an error-budget floor, and is the identity elsewhere,
+so points far from both oscillators cost nothing beyond the free step.
 """
 
 from __future__ import annotations
@@ -99,24 +103,23 @@ class FormFactorTable:
     grid: SpatialGrid
     values: np.ndarray = field(repr=False)
     shape: str = "gaussian"
-    gh_nodes: int = 0
+    quad_nodes: int = 0
     converged_delta: float = math.nan
-
-    def max_coupling(self) -> np.ndarray:
-        """max_{n n'} |V_{n n'}(R)| per grid point."""
-        return np.abs(self.values).max(axis=(0, 1))
 
 
 def build_form_factors(params: ModelParams, basis: OscillatorBasis, grid: SpatialGrid,
                        shape: str = "gaussian", tol: float = 1e-10,
                        start_nodes: int = 16, max_nodes: int = 256) -> FormFactorTable:
-    """Gauss–Hermite quadrature of the potential matrix elements.
+    """Quadrature of the potential matrix elements.
 
-    In the scaled oscillator coordinate xi = (r - a)/l the element is
-    integral of h_n(xi) h_n'(xi) V((R - a - l*xi)/delta) dxi, evaluated with
-    Gauss–Hermite nodes (weights corrected for the Gaussian already inside
-    the Hermite functions).  The node count doubles until the table changes
-    by less than ``tol`` in max norm.
+    In the scaled oscillator coordinate xi = (r - a)/l the element is the
+    integral of h_n(xi) h_n'(xi) V((R - a - l*xi)/delta) dxi.  The Gaussian
+    profile is integrated with Gauss–Hermite nodes in xi (weights corrected
+    for the Gaussian already inside the Hermite functions).  The bump
+    vanishes outside |u| < 1, u = (R - a - l*xi)/delta, where Gauss–Hermite
+    nodes land only sparsely; it is integrated with Gauss–Legendre nodes in
+    u over that support, dxi = (delta/l) du.  The node count doubles until
+    the table changes by less than ``tol`` in max norm.
     """
     profile = POTENTIAL_SHAPES.get(shape)
     if profile is None:
@@ -126,7 +129,7 @@ def build_form_factors(params: ModelParams, basis: OscillatorBasis, grid: Spatia
     n_max = basis.n_max
     x = grid.points
 
-    def table_with(n_nodes: int) -> np.ndarray:
+    def hermite_table(n_nodes: int) -> np.ndarray:
         nodes, weights = np.polynomial.hermite.hermgauss(n_nodes)
         # integrand carries e^{-xi^2} through the two Hermite functions, so
         # the GH weights must be de-weighted; do it in log space to dodge
@@ -141,20 +144,31 @@ def build_form_factors(params: ModelParams, basis: OscillatorBasis, grid: Spatia
                 out[k, n] = out[n, k]
         return out
 
+    def support_table(n_nodes: int) -> np.ndarray:
+        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+        wmod = weights * profile(nodes) * (params.delta / ell)
+        out = np.zeros((n_max + 1, n_max + 1, grid.n_points))
+        # one node at a time keeps memory at one table, not one per node
+        for u, w in zip(nodes, wmod):
+            h = hermite_functions((x - a - params.delta * u) / ell, n_max)
+            out += w * (h[:, None, :] * h[None, :, :])
+        return out
+
+    table_with = support_table if shape == "bump" else hermite_table
     n_nodes = start_nodes
     prev = table_with(n_nodes)
     while True:
         n_nodes *= 2
         if n_nodes > max_nodes:
             raise QuadratureError(
-                f"form-factor quadrature not converged at {max_nodes} Gauss–Hermite nodes")
+                f"form-factor quadrature not converged at {max_nodes} nodes")
         cur = table_with(n_nodes)
         delta = float(np.max(np.abs(cur - prev)))
         if delta < tol:
             return FormFactorTable(
                 oscillator_index=1 if basis.a == params.a1 else 2,
                 center=a, n_max=n_max, grid=grid, values=cur, shape=shape,
-                gh_nodes=n_nodes, converged_delta=delta)
+                quad_nodes=n_nodes, converged_delta=delta)
         prev = cur
 
 
@@ -233,7 +247,6 @@ class PropagatorConfig:
     """Numerical knobs of the split-step channel propagator."""
 
     dt: float = 0.1
-    scheme: str = "strang-spectral"
     n_max: int = 4
     top_shell_threshold: float = 1e-6
     norm_tolerance: float = 1e-8
@@ -241,48 +254,40 @@ class PropagatorConfig:
     # in amplitude over the whole run
     coupling_error_budget: float = 1e-14
     potential_shape: str = "gaussian"
-    matmul_chunk: int = 2048
 
     def __post_init__(self) -> None:
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if self.n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {self.n_max!r}")
-        if self.scheme != "strang-spectral":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
-def _coupling_propagators(params: ModelParams, config: PropagatorConfig,
-                          ff1: FormFactorTable, ff2: FormFactorTable,
-                          energies: np.ndarray, dt: float, horizon: float,
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-point coupling exponentials on the active zone.
+def _coupling_slabs(params: ModelParams, table: FormFactorTable, energies: np.ndarray,
+                    dt: float, floor: float) -> list[tuple[slice, np.ndarray]]:
+    """One oscillator's coupling factor in the interaction picture, per slab.
 
-    Returns (active_indices, U_active, inactive_phase) where U_active[j] is
-    exp(-i dt (E + lam W(R_j)) / hbar) and inactive_phase are the diagonal
-    energy phases used everywhere else.
+    A slab is one contiguous run of grid points where lam max|V| exceeds
+    ``floor``; the coupling is zeroed everywhere else.  On a slab the factor
+    is U'(R) = D^(-1/2) exp(-i dt (diag(E) + lam V(R)) / hbar) D^(-1/2) with
+    D = exp(-i dt E / hbar), stored as u[n, n', j] for the slab's j-th point.
+    Off the slabs U' is the identity, because D is carried by the kinetic
+    factor.
     """
-    n_ch = energies.size
-    n_lvl = int(round(math.sqrt(n_ch)))
-    hbar = params.hbar
-    coupling_mag = params.lam * (ff1.max_coupling() + ff2.max_coupling())
-    floor = config.coupling_error_budget * hbar / max(horizon, dt)
-    active = np.flatnonzero(coupling_mag > floor)
-
-    phase_inactive = np.exp(-1j * energies * dt / hbar)
-    if active.size == 0:
-        return active, np.empty((0, n_ch, n_ch), dtype=np.complex128), phase_inactive
-
-    eye = np.eye(n_lvl)
-    v1 = np.ascontiguousarray(ff1.values[:, :, active].transpose(2, 0, 1))
-    v2 = np.ascontiguousarray(ff2.values[:, :, active].transpose(2, 0, 1))
-    # W = V1 (x) I + I (x) V2 in the (n1, n2) product ordering
-    w = (np.einsum("xab,cd->xacbd", v1, eye) + np.einsum("xcd,ab->xacbd", v2, eye))
-    w = params.lam * w.reshape(active.size, n_ch, n_ch)
-    w += np.diag(energies)[None, :, :]
-    evals, evecs = np.linalg.eigh(w)
-    u = np.einsum("xij,xj,xkj->xik", evecs, np.exp(-1j * evals * dt / hbar), evecs)
-    return active, np.ascontiguousarray(u), phase_inactive
+    n_lvl = energies.size
+    values = table.values[:n_lvl, :n_lvl]
+    # padded with False so that every run has a rising and a falling edge
+    on = np.zeros(values.shape[2] + 2, dtype=bool)
+    on[1:-1] = params.lam * np.abs(values).max(axis=(0, 1)) > floor
+    edges = np.flatnonzero(on[1:] != on[:-1]).reshape(-1, 2)
+    d_half_inv = np.exp(0.5j * dt * energies / params.hbar)
+    slabs = []
+    for lo, hi in edges:
+        h = params.lam * values[:, :, lo:hi].transpose(2, 0, 1) + np.diag(energies)
+        evals, evecs = np.linalg.eigh(h)
+        u = np.einsum("xij,xj,xkj->ikx", evecs, np.exp(-1j * evals * dt / params.hbar), evecs)
+        u *= d_half_inv[:, None, None] * d_half_inv[None, :, None]
+        slabs.append((slice(lo, hi), np.ascontiguousarray(u)))
+    return slabs
 
 
 def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
@@ -293,7 +298,7 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     """Propagate the channel state to t_final with Strang splitting.
 
     Unitary to rounding: the kinetic factor is an exact spectral phase and
-    the coupling factor is an exact Hermitian exponential.  Raises
+    each oscillator's coupling factor an exact Hermitian exponential.  Raises
     TruncationError when the top oscillator shell accumulates more norm than
     ``config.top_shell_threshold`` and NormDriftError when the total norm
     drifts beyond ``config.norm_tolerance``.
@@ -316,16 +321,16 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     if ff1.grid != grid or ff2.grid != grid or ff1.n_max < config.n_max or ff2.n_max < config.n_max:
         raise GridError("form-factor tables do not match the propagation grid/truncation")
 
-    basis1 = OscillatorBasis.for_oscillator(params, 1, config.n_max)
-    basis2 = OscillatorBasis.for_oscillator(params, 2, config.n_max)
-    energies = (basis1.energies[:, None] + basis2.energies[None, :]).reshape(-1)
+    e1 = OscillatorBasis.for_oscillator(params, 1, config.n_max).energies
+    e2 = OscillatorBasis.for_oscillator(params, 2, config.n_max).energies
+    # each oscillator may spend half of the run's error budget
+    floor = 0.5 * config.coupling_error_budget * params.hbar / max(horizon, dt)
+    slabs1 = _coupling_slabs(params, ff1, e1, dt, floor)
+    slabs2 = _coupling_slabs(params, ff2, e2, dt, floor)
 
-    active, u_active, phase_inactive = _coupling_propagators(
-        params, config, ff1, ff2, energies, dt, horizon)
-    inactive = np.ones(grid.n_points, dtype=bool)
-    inactive[active] = False
-
-    kin_half = kinetic_phase(grid, params, dt / 2.0)
+    # the channel energy phases D^(1/2) ride on each kinetic half step
+    energies = (e1[:, None] + e2[None, :]).reshape(-1)
+    kin_half = kinetic_phase(grid, params, dt / 2.0, energies)
     kin_full = kin_half * kin_half
 
     snap_steps: dict[int, float] = {}
@@ -335,29 +340,33 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
             raise ValueError(f"snapshot time {ts} outside ({state.t}, {t_final}]")
         snap_steps[s] = state.t + s * dt
 
-    n_ch = energies.size
-    f = state.amplitudes.reshape(n_ch, grid.n_points).copy()
+    n_lvl = config.n_max + 1
+    f = state.amplitudes.reshape(n_lvl * n_lvl, grid.n_points).copy()
     norm0 = math.sqrt(float(np.sum(np.abs(f) ** 2)) * grid.dx)
-    chunk = config.matmul_chunk
 
     def apply_coupling(f: np.ndarray) -> None:
-        f[:, inactive] *= phase_inactive[:, None]
-        if active.size:
-            fa = np.ascontiguousarray(f[:, active].T)
-            for lo in range(0, active.size, chunk):
-                hi = min(lo + chunk, active.size)
-                fa[lo:hi] = np.matmul(u_active[lo:hi], fa[lo:hi, :, None])[:, :, 0]
-            f[:, active] = fa.T
+        # U1' (x) U2' in place, slab by slab, on the (n1, n2, point) view;
+        # U2' acts on the second index, i.e. on the first of the transpose
+        f3 = f.reshape(n_lvl, n_lvl, grid.n_points)
+        for view, slabs in ((f3, slabs1), (f3.transpose(1, 0, 2), slabs2)):
+            for span, u in slabs:
+                g = view[:, :, span]
+                out = u[:, 0, None, :] * g[0]
+                for k in range(1, n_lvl):
+                    out += u[:, k, None, :] * g[k]
+                g[...] = out
 
     def emit(f_now: np.ndarray, step: int) -> None:
         if on_snapshot is not None and step in snap_steps:
             snap = ChannelState(snap_steps[step], grid,
-                                f_now.reshape(config.n_max + 1, config.n_max + 1, -1).copy())
+                                f_now.reshape(n_lvl, n_lvl, -1).copy())
             _health_check(snap, config, norm0)
             on_snapshot(snap)
 
     def kin(f: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.fft.fft(f, axis=-1) * phase, axis=-1)
+        spectrum = np.fft.fft(f, axis=-1)
+        spectrum *= phase
+        return np.fft.ifft(spectrum, axis=-1)
 
     # Strang chain K(dt/2) [C K(dt)]^{n-1} C K(dt/2); a snapshot splits the
     # merged full kinetic step so the emitted state sits on a step boundary
@@ -373,7 +382,7 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
         else:
             f = kin(f, kin_full)
 
-    out = ChannelState(t_final, grid, f.reshape(config.n_max + 1, config.n_max + 1, -1))
+    out = ChannelState(t_final, grid, f.reshape(n_lvl, n_lvl, -1))
     _health_check(out, config, norm0)
     emit(f, n_steps)
     return out

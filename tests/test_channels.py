@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mott1d.channels as ch
+import mott1d.experiments as ex
 from mott1d.core import (
     ModelParams,
     OscillatorBasis,
     QuadratureError,
     SpatialGrid,
+    suggest_grid,
 )
-from oracles import free_two_packet, gaussian_form_factor_00
+from oracles import free_two_packet, gaussian_form_factor_00, reference_channel_evolve
 
 
 # ---------------------------------------------------------------------------
@@ -88,16 +90,18 @@ def test_form_factor_decay_far_from_center(ff_setup):
 
 def test_form_factor_against_dense_quadrature(ff_setup):
     # independent check of an off-diagonal element by brute-force quadrature
-    params, grid, basis, table = ff_setup
+    params, grid, basis, gaussian = ff_setup
     r = np.linspace(basis.a - 60.0, basis.a + 60.0, 20001)
     dr = r[1] - r[0]
     phi = basis.eigenfunctions(r)
-    for (n, k) in [(1, 2), (0, 3), (2, 2)]:
-        j = grid.n_points // 2 + 80
-        x = grid.points[j]
-        integrand = phi[n] * phi[k] * np.exp(-((x - r) / params.delta) ** 2 / 2.0)
-        brute = float(np.sum(integrand) * dr)
-        assert table.values[n, k, j] == pytest.approx(brute, abs=1e-9)
+    bump = ch.build_form_factors(params, basis, grid, shape="bump")
+    for table in (gaussian, bump):
+        for j in (grid.n_points // 2 + 80, grid.n_points // 2 + 60):
+            x = grid.points[j]
+            v = ch.potential_profile((x - r) / params.delta, table.shape)
+            for (n, k) in [(1, 2), (0, 3), (2, 2)]:
+                brute = float(np.sum(phi[n] * phi[k] * v) * dr)
+                assert table.values[n, k, j] == pytest.approx(brute, abs=1e-9), table.shape
 
 
 def test_form_factor_quadrature_budget_error(ff_setup):
@@ -196,6 +200,47 @@ def test_snapshot_equals_direct_run(reduced_collinear, reduced_grid, reduced_con
     np.testing.assert_allclose(seen[0].amplitudes, direct.amplitudes, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("hbar", [1.0, 0.5])
+@pytest.mark.parametrize("lambda0", [1e-3, 0.05])
+@pytest.mark.parametrize("n_max", [1, 3])
+@pytest.mark.parametrize("case", ["collinear", "opposite"])
+def test_evolve_matches_reference_kernel(case, n_max, lambda0, hbar):
+    # the per-oscillator factors with the energies on the kinetic step are
+    # the same operator as one joint channel exponential per point; hbar
+    # enters the energy phases that moved, so it is varied too
+    p = replace(ex.default_params(case, epsilon=0.2, lambda0=lambda0), hbar=hbar)
+    t_mid, t_final = 0.75 * p.tau2, 1.5 * p.tau2
+    grid = suggest_grid(p, t_final)
+    # lambda0 = 0.05 overfills the top shell at n_max = 1; the comparison
+    # only needs both kernels to run to the end
+    config = ch.PropagatorConfig(dt=0.25, n_max=n_max, top_shell_threshold=1.0)
+    ff = ch.form_factor_pair(p, grid, n_max)
+    seen = []
+    state = ch.initialize_channels(p, grid, n_max)
+    final = ch.evolve(state, p, config, t_final, form_factors=ff,
+                      snapshot_times=[t_mid], on_snapshot=seen.append)
+    energies = [OscillatorBasis.for_oscillator(p, i, n_max).energies for i in (1, 2)]
+    ref = reference_channel_evolve(state.amplitudes, ff[0].values, ff[1].values, *energies,
+                                   grid.dx, t_final, config.dt, p.lam, p.hbar, p.M,
+                                   config.coupling_error_budget, snapshot_times=(t_mid,))
+    assert [s.t for s in seen] == list(ref["snapshots"])
+    np.testing.assert_allclose(seen[0].amplitudes, ref["snapshots"][seen[0].t],
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(final.amplitudes, ref["final"], rtol=0, atol=1e-12)
+
+
+def test_evolve_uses_leading_block_of_larger_tables(reduced_collinear, reduced_grid,
+                                                     reduced_config):
+    p = reduced_collinear
+    n_max = reduced_config.n_max
+    state = ch.initialize_channels(p, reduced_grid, n_max)
+    runs = [ch.evolve(state, p, reduced_config, p.tau1,
+                      form_factors=ch.form_factor_pair(p, reduced_grid, n))
+            for n in (n_max, n_max + 2)]
+    # the two tables agree to the quadrature tolerance, not bit for bit
+    np.testing.assert_allclose(runs[1].amplitudes, runs[0].amplitudes, rtol=0, atol=1e-10)
+
+
 def test_snapshot_time_out_of_range(reduced_collinear, reduced_grid, reduced_config):
     state = ch.initialize_channels(reduced_collinear, reduced_grid, reduced_config.n_max)
     with pytest.raises(ValueError):
@@ -234,8 +279,6 @@ def test_config_validation():
         ch.PropagatorConfig(dt=0.0)
     with pytest.raises(ValueError):
         ch.PropagatorConfig(n_max=0)
-    with pytest.raises(ValueError):
-        ch.PropagatorConfig(scheme="euler")
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,11 @@ def test_scenario_default_time():
 
 
 def _reduced_spec(case: str, engine: str, epsilon: float = 0.2, lambda0: float = 1e-3,
-                  n_max: int = 2) -> ex.ScenarioSpec:
+                  n_max: int = 2, shape: str = "gaussian") -> ex.ScenarioSpec:
     params = ex.default_params(case, epsilon=epsilon, lambda0=lambda0)
     return ex.ScenarioSpec(case=case, params=params, epsilon=epsilon, engine=engine,
-                           numerics=ex.NumericSettings(n_max=n_max, dt_oracle=0.1))
+                           numerics=ex.NumericSettings(n_max=n_max, dt_oracle=0.1,
+                                                       potential_shape=shape))
 
 
 def test_run_scenario_zero_coupling():
@@ -104,6 +105,21 @@ def test_run_scenario_engines_agree():
     hist_orc = report.engines["oracle"].histories[t]
     for a, b in zip(hist_pt, hist_orc):
         assert a == pytest.approx(b, rel=5e-3, abs=1e-12)
+
+
+def test_run_scenario_bump_potential():
+    # the compact bump's form factors need quadrature on its support.  PT
+    # omits corrections of relative order lambda0 whose coefficient depends
+    # on the profile: about 2 for the Gaussian and 5 for the bump here
+    spec = _reduced_spec("collinear", "both", shape="bump")
+    report = ex.run_scenario(spec)
+    lambda0 = spec.params.lam / (spec.params.M * spec.params.v0 ** 2)
+    p_pt = report.probability("pt", (1, 1))
+    p_orc = report.probability("oracle", (1, 1))
+    assert p_orc > 0.0
+    assert abs(p_pt - p_orc) / p_orc <= 10.0 * lambda0
+    for run in report.engines.values():
+        assert sum(run.histories[spec.eval_times[0]]) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_run_scenario_attaches_regime_flag():

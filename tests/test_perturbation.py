@@ -8,7 +8,7 @@ import pytest
 
 import mott1d.perturbation as pt
 from mott1d import experiments as ex
-from mott1d.channels import build_form_factors, form_factor_pair
+from mott1d.channels import form_factor_pair
 from mott1d.core import (
     ModelParams,
     OscillatorBasis,
@@ -186,16 +186,6 @@ def _reference(p, t, ff, grid, n_max, dt):
                                  energies, grid.dx, t, dt, p.lam, p.hbar, p.M)
 
 
-def _tables(p, grid, n_max, shape):
-    if shape == "gaussian":
-        return form_factor_pair(p, grid, n_max)
-    # Gauss-Hermite nodes resolve the compact bump poorly (no node budget
-    # reaches the default tolerance), so take the first refinement: a
-    # differential check only needs both kernels to see the same tables
-    return tuple(build_form_factors(p, OscillatorBasis.for_oscillator(p, i, n_max), grid,
-                                    shape="bump", tol=math.inf) for i in (1, 2))
-
-
 @pytest.mark.parametrize("n_max", [1, 2])
 @pytest.mark.parametrize("shape", ["gaussian", "bump"])
 @pytest.mark.parametrize("case", [ex.COLLINEAR, ex.OPPOSITE])
@@ -203,7 +193,7 @@ def test_dyson_run_matches_reference_kernel(case, shape, n_max, reduced_grid):
     p = ex.default_params(case, epsilon=0.2)
     t = 1.5 * p.tau2
     dt = 0.2
-    ff = _tables(p, reduced_grid, n_max, shape)
+    ff = form_factor_pair(p, reduced_grid, n_max, shape)
     ref = _reference(p, t, ff, reduced_grid, n_max, dt)
     run = pt.dyson_run(p, t, ff, reduced_grid, n_max, dt)
     for (n1, n2), prob in run.probabilities().items():
