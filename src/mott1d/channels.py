@@ -43,11 +43,20 @@ from .core import (
 
 
 class TruncationError(RuntimeError):
-    """Norm reached the top oscillator shell: n_max too small for this run."""
+    """Norm reached the top oscillator shell: n_max too small for this run.
+
+    Raised by the propagator with ``t`` (model time of the breach),
+    ``norm`` (the top-shell norm there) and ``n_max`` set.
+    """
 
 
 class NormDriftError(RuntimeError):
-    """Total norm drifted beyond tolerance during propagation."""
+    """Total norm drifted beyond tolerance, or became non-finite, during
+    propagation.
+
+    Raised by the propagator with ``t`` (model time of the breach),
+    ``norm`` (the total norm there) and ``n_max`` set.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +250,10 @@ def channel_probabilities(state: ChannelState) -> dict[tuple[int, int], float]:
 # ---------------------------------------------------------------------------
 # propagator
 
+# evolve checks the state's health every HEALTH_STRIDE steps, counted in
+# steps so that where a failing run stops does not depend on the machine
+HEALTH_STRIDE = 16
+
 
 @dataclass(frozen=True)
 class PropagatorConfig:
@@ -298,10 +311,15 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     """Propagate the channel state to t_final with Strang splitting.
 
     Unitary to rounding: the kinetic factor is an exact spectral phase and
-    each oscillator's coupling factor an exact Hermitian exponential.  Raises
-    TruncationError when the top oscillator shell accumulates more norm than
-    ``config.top_shell_threshold`` and NormDriftError when the total norm
-    drifts beyond ``config.norm_tolerance``.
+    each oscillator's coupling factor an exact Hermitian exponential.  The
+    state's health is checked every ``HEALTH_STRIDE`` steps, at every
+    snapshot and at t_final, and the run stops at the first failed check:
+    TruncationError when the top oscillator shell holds more norm than
+    ``config.top_shell_threshold``, NormDriftError when the total norm
+    drifts beyond ``config.norm_tolerance`` or an amplitude is not finite.
+    The in-run checks read the state just after a kinetic step, whose
+    per-channel norms are those at the step boundary (the kinetic factor is
+    a unitary phase on each channel), so they cost no extra transforms.
 
     ``snapshot_times`` are snapped to the nearest step boundary and passed
     to ``on_snapshot`` as state copies (final state included only if listed).
@@ -381,6 +399,9 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
             f = kin(f, kin_half)
         else:
             f = kin(f, kin_full)
+        if step % HEALTH_STRIDE == 0 and step < n_steps:
+            _health_check(ChannelState(state.t + step * dt, grid, f.reshape(n_lvl, n_lvl, -1)),
+                          config, norm0)
 
     out = ChannelState(t_final, grid, f.reshape(n_lvl, n_lvl, -1))
     _health_check(out, config, norm0)
@@ -389,32 +410,57 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
 
 
 def _health_check(state: ChannelState, config: PropagatorConfig, norm0: float) -> None:
-    drift = abs(state.norm() - norm0)
-    if drift > config.norm_tolerance:
-        raise NormDriftError(f"norm drift {drift:.3e} exceeds {config.norm_tolerance:.1e}")
+    # written as "not ok" so that a NaN, which compares False, fails
+    norm = state.norm()
+    drift = abs(norm - norm0)
+    if not drift <= config.norm_tolerance:
+        what = ("non-finite amplitudes" if not math.isfinite(norm)
+                else f"norm drift {drift:.3e} exceeds {config.norm_tolerance:.1e}")
+        raise _at_breach(NormDriftError(f"{what} at t={state.t:.6g}"), state, norm)
     top = state.top_shell_norm()
-    if top > config.top_shell_threshold:
-        raise TruncationError(
+    if not top <= config.top_shell_threshold:
+        raise _at_breach(TruncationError(
             f"top-shell norm {top:.3e} exceeds {config.top_shell_threshold:.1e} "
-            f"at n_max={state.n_max}")
+            f"at n_max={state.n_max}, t={state.t:.6g}"), state, top)
+
+
+def _at_breach(err: RuntimeError, state: ChannelState, norm: float) -> RuntimeError:
+    # attached here, not in the raising frame: a local name for the error
+    # there would make a cycle through its traceback that keeps the failed
+    # run's arrays alive until the garbage collector runs
+    err.t, err.norm, err.n_max = state.t, norm, state.n_max
+    return err
 
 
 def evolve_with_escalation(params: ModelParams, grid: SpatialGrid, config: PropagatorConfig,
                            t_final: float, snapshot_times: Sequence[float] = (),
                            on_snapshot: Callable[[ChannelState], None] | None = None,
-                           n_max_cap: int = 10) -> tuple[ChannelState, PropagatorConfig]:
+                           n_max_cap: int = 10,
+                           form_factors: tuple[FormFactorTable, FormFactorTable] | None = None,
+                           on_escalation: Callable[[TruncationError], None] | None = None,
+                           ) -> tuple[ChannelState, PropagatorConfig]:
     """Run from the product initial state, raising n_max by 2 until the
-    top-shell check passes.  Returns the final state and the config used."""
+    top-shell check passes.  Returns the final state and the config used.
+
+    ``form_factors`` are used by every attempt whose n_max they cover;
+    ``evolve`` builds its own tables for the attempts beyond.  Each failed
+    attempt's TruncationError is passed to ``on_escalation`` before the next
+    attempt starts.
+    """
     cfg = config
     while True:
         state = initialize_channels(params, grid, cfg.n_max)
+        covered = form_factors is not None and min(t.n_max for t in form_factors) >= cfg.n_max
         try:
             final = evolve(state, params, cfg, t_final,
+                           form_factors=form_factors if covered else None,
                            snapshot_times=snapshot_times, on_snapshot=on_snapshot)
             return final, cfg
-        except TruncationError:
+        except TruncationError as err:
             if cfg.n_max + 2 > n_max_cap:
                 raise
+            if on_escalation is not None:
+                on_escalation(err)
             cfg = replace(cfg, n_max=cfg.n_max + 2)
 
 

@@ -327,8 +327,9 @@ _NUMERIC_ERRORS = (QuadratureError, ch.TruncationError, ch.NormDriftError, GridE
 
 def _failed(manifest: _Manifest, err: Exception) -> int:
     """Record a failed run or sweep; the exit code is the same for every command."""
-    manifest.finish("failed", error=str(err))
-    print(f"error: {err}", file=sys.stderr)
+    message = " ".join([str(err), *getattr(err, "__notes__", ())])
+    manifest.finish("failed", error=message)
+    print(f"error: {message}", file=sys.stderr)
     return EXIT_NUMERIC if isinstance(err, _NUMERIC_ERRORS) else EXIT_CONFIG
 
 

@@ -191,7 +191,7 @@ class EngineRun:
     engine: str
     probabilities: dict[float, dict[tuple[int, int], float]]
     histories: dict[float, tuple[float, float, float, float]]
-    convergence: dict[str, float | int | bool | str]
+    convergence: dict[str, float | int | bool | str | list]
     wall_time: float
 
 
@@ -257,11 +257,14 @@ def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[
                                  top_shell_threshold=num.top_shell_threshold,
                                  potential_shape=num.potential_shape)
     states: dict[float, ch.ChannelState] = {}
+    escalations: list[dict[str, float | int]] = []
     t0 = time.perf_counter()
     final, used_cfg = ch.evolve_with_escalation(
         spec.params, grid, config, t_max,
         snapshot_times=spec.eval_times,
-        on_snapshot=lambda s: states.__setitem__(s.t, s))
+        on_snapshot=lambda s: states.__setitem__(s.t, s),
+        on_escalation=lambda err: escalations.append(
+            {"n_max": err.n_max, "t": err.t, "top_shell_norm": err.norm}))
     wall = time.perf_counter() - t0
     if final.t not in states:
         states[final.t] = final
@@ -278,7 +281,7 @@ def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[
     convergence = {
         "dt": used_cfg.dt,
         "n_max": used_cfg.n_max,
-        "escalated": used_cfg.n_max != num.n_max,
+        "escalations": escalations,
         "top_shell_norm": final.top_shell_norm(),
         "norm_drift": abs(final.norm() - 1.0),
     }
@@ -332,7 +335,8 @@ def run_scenario(spec: ScenarioSpec, keep_oracle_states: bool = False) -> Excita
     """Evaluate a scenario with the requested engine(s).
 
     Out-of-regime parameters run anyway; the attached RegimeReport carries
-    the flag.  Engine failures propagate with the scenario context attached.
+    the flag.  Engine failures propagate unchanged, with the scenario context
+    added as an exception note.
     """
     regime = check_regime(spec.params, spec.epsilon)
     grid = spec.grid()
@@ -348,7 +352,10 @@ def run_scenario(spec: ScenarioSpec, keep_oracle_states: bool = False) -> Excita
             if keep_oracle_states:
                 oracle_states = states
     except Exception as exc:
-        raise type(exc)(f"{exc} [scenario case={spec.case}, engine={spec.engine}]") from exc
+        # what add_note (Python 3.11+) does, spelled out for 3.10
+        note = f"[scenario case={spec.case}, engine={spec.engine}]"
+        exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+        raise
     wall = time.perf_counter() - t0
     return ExcitationReport(spec=spec, regime=regime, engines=engines,
                             wall_time=wall, oracle_states=oracle_states,
@@ -400,7 +407,8 @@ def sweep_lambda(spec: ScenarioSpec, lambda_values: Sequence[float],
 
     Needs at least 4 values spanning at least one decade, all inside the
     validity regime.  The grid and form factors are shared across the sweep
-    (the form factors do not depend on the coupling).
+    (the form factors do not depend on the coupling); the oracle raises
+    n_max for a value that overfills the top shell, as ``run_scenario`` does.
     """
     values = sorted(float(v) for v in lambda_values)
     if len(values) < 4:
@@ -433,8 +441,8 @@ def sweep_lambda(spec: ScenarioSpec, lambda_values: Sequence[float],
             config = ch.PropagatorConfig(dt=num.dt_oracle, n_max=num.n_max,
                                          top_shell_threshold=num.top_shell_threshold,
                                          potential_shape=num.potential_shape)
-            state = ch.initialize_channels(params, grid, num.n_max)
-            final = ch.evolve(state, params, config, t_eval, form_factors=ff)
+            final, _ = ch.evolve_with_escalation(params, grid, config, t_eval,
+                                                 form_factors=ff)
             p = ch.channel_probabilities(final)[target]
         if not p > 0.0:
             raise RuntimeError(

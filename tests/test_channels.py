@@ -1,5 +1,6 @@
 """Form factors, channel states and the split-step coupled-channel propagator."""
 
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -263,6 +264,76 @@ def test_truncation_error_and_escalation(reduced_collinear, reduced_grid):
     final, used = ch.evolve_with_escalation(strong, reduced_grid, config,
                                             1.5 * strong.tau2)
     assert used.n_max > 1
+    assert final.top_shell_norm() < used.top_shell_threshold
+
+
+def test_truncation_stops_at_first_breach(reduced_collinear, reduced_grid):
+    strong = replace(reduced_collinear, lam=0.05)
+    config = ch.PropagatorConfig(dt=0.1, n_max=1)
+    t_final = 1.5 * strong.tau2
+    with pytest.raises(ch.TruncationError) as info:
+        ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong, config, t_final)
+    breach = info.value
+    assert breach.n_max == 1
+    assert breach.norm > config.top_shell_threshold
+    assert breach.t < 0.1 * t_final
+    # a run that is allowed to continue passes the previous check and
+    # reads the same top-shell norm at the breach on a step boundary
+    dt = t_final / round(t_final / config.dt)
+    times = [t for t in (breach.t - ch.HEALTH_STRIDE * dt, breach.t) if t > 0.0]
+    seen = []
+    ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong,
+              replace(config, top_shell_threshold=1.0), t_final,
+              snapshot_times=times, on_snapshot=seen.append)
+    assert seen[-1].top_shell_norm() == pytest.approx(breach.norm, rel=1e-9)
+    assert all(s.top_shell_norm() <= config.top_shell_threshold for s in seen[:-1])
+
+
+def test_failed_evolve_leaves_no_reference_cycle(reduced_collinear, reduced_grid):
+    # a cycle through the error's traceback would keep the failed attempt's
+    # arrays alive while escalation allocates the next, larger one
+    strong = replace(reduced_collinear, lam=0.05)
+    config = ch.PropagatorConfig(dt=0.1, n_max=1)
+    state = ch.initialize_channels(strong, reduced_grid, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            ch.evolve(state, strong, config, 1.5 * strong.tau2)
+        except ch.TruncationError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_nonfinite_amplitude_fails_within_one_stride(reduced_collinear, reduced_grid,
+                                                     reduced_config):
+    p = reduced_collinear
+    state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
+    mid = ch.evolve(state, p, reduced_config, 0.5 * p.tau2)
+    mid.amplitudes[0, 0, reduced_grid.n_points // 2] = np.nan
+    with pytest.raises(ch.NormDriftError, match="non-finite") as info:
+        ch.evolve(mid, p, reduced_config, 1.5 * p.tau2)
+    assert mid.t < info.value.t <= mid.t + ch.HEALTH_STRIDE * reduced_config.dt * (1 + 1e-12)
+
+
+def test_escalation_uses_tables_while_they_cover(reduced_collinear, reduced_grid,
+                                                 monkeypatch):
+    strong = replace(reduced_collinear, lam=0.05)
+    config = ch.PropagatorConfig(dt=0.1, n_max=1)
+    t_final = 1.5 * strong.tau2
+    ff = ch.form_factor_pair(strong, reduced_grid, 1)
+    built = []
+    build = ch.build_form_factors
+    monkeypatch.setattr(ch, "build_form_factors",
+                        lambda *a, **k: built.append(a[1].n_max) or build(*a, **k))
+    failed = []
+    final, used = ch.evolve_with_escalation(strong, reduced_grid, config, t_final,
+                                            form_factors=ff, on_escalation=failed.append)
+    assert [e.n_max for e in failed] == list(range(1, used.n_max, 2))
+    # the given n_max = 1 tables serve the first attempt only
+    assert built == [n for n in range(3, used.n_max + 1, 2) for _ in (1, 2)]
     assert final.top_shell_norm() < used.top_shell_threshold
 
 

@@ -234,6 +234,20 @@ def test_run_numeric_failure_exit_and_manifest(tmp_path):
     assert "error" in manifest
 
 
+def test_run_failure_message_names_scenario(tmp_path, monkeypatch):
+    from mott1d import channels, experiments
+
+    def fail(spec, grid):
+        raise channels.TruncationError("top shell full")
+
+    monkeypatch.setattr(experiments, "_run_oracle", fail)
+    cfg = write_config(tmp_path, scenario={"engine": "oracle"})
+    out = tmp_path / "fail"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_NUMERIC
+    error = json.loads((out / "manifest.json").read_text())["error"]
+    assert error == "top shell full [scenario case=collinear, engine=oracle]"
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 

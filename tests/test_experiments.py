@@ -145,6 +145,37 @@ def test_run_scenario_error_carries_context():
         ex.run_scenario(probe)
 
 
+class _TwoArgumentError(RuntimeError):
+    def __init__(self, what: str, where: float) -> None:
+        super().__init__(f"{what} at t={where}")
+        self.where = where
+
+
+def test_run_scenario_keeps_error_object(monkeypatch):
+    def fail(spec, grid):
+        raise _TwoArgumentError("breach", 3.2)
+
+    monkeypatch.setattr(ex, "_run_oracle", fail)
+    with pytest.raises(_TwoArgumentError, match="scenario case=collinear") as info:
+        ex.run_scenario(_reduced_spec("collinear", "oracle"))
+    assert info.value.where == 3.2
+    assert info.traceback[-1].name == "fail"
+
+
+def test_run_scenario_records_escalations():
+    spec = _reduced_spec("collinear", "oracle", lambda0=0.05, n_max=1)
+    conv = ex.run_scenario(spec).engines["oracle"].convergence
+    attempts = conv["escalations"]
+    assert [a["n_max"] for a in attempts] == list(range(1, conv["n_max"], 2))
+    assert len(attempts) >= 1
+    t_final = max(spec.eval_times)
+    for a in attempts:
+        assert 0.0 < a["t"] < t_final
+        assert a["top_shell_norm"] > spec.numerics.top_shell_threshold
+    assert conv["top_shell_norm"] <= spec.numerics.top_shell_threshold
+    assert json.loads(json.dumps(attempts)) == attempts
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -172,6 +203,17 @@ def test_sweep_pt_first_order_slope_two():
     fit = ex.sweep_lambda(spec, [1e-4, 2.5e-4, 5e-4, 1e-3], target=(1, 0))
     assert abs(fit.slope - 2.0) <= 1e-10
     assert fit.residual_max <= 0.02
+
+
+def test_sweep_oracle_escalates_like_run():
+    # n_max = 1 holds lambda0 = 1e-4 only; the larger values escalate to 3 and 5
+    spec = _reduced_spec("collinear", "oracle", n_max=1)
+    fit = ex.sweep_lambda(spec, [1e-4, 1e-3, 1e-2, 5e-2], target=(1, 0))
+    strong = replace(spec, params=replace(spec.params, lam=5e-2))
+    run = ex.run_scenario(strong).engines["oracle"]
+    assert [a["n_max"] for a in run.convergence["escalations"]] == [1, 3]
+    assert fit.probabilities[-1] == pytest.approx(run.probabilities[max(spec.eval_times)][(1, 0)],
+                                                  rel=1e-9)
 
 
 def test_sweep_hits_numerical_floor():
