@@ -499,11 +499,3 @@ def uncertainty_product(psi: ComplexField, hbar: float = 1.0) -> UncertaintyResu
     dx_ = math.sqrt(max(var_x, 0.0))
     dp_ = math.sqrt(max(var_p, 0.0))
     return UncertaintyResult(delta_x=dx_, delta_p=dp_, product=dx_ * dp_)
-
-
-def field_to_csv(psi: ComplexField, path) -> None:
-    """Dump a field as CSV rows (x, Re, Im) for debugging."""
-    with open(path, "w", newline="") as fh:
-        fh.write("x,re,im\n")
-        for x, v in zip(psi.grid.points, psi.values):
-            fh.write(f"{x:.17g},{v.real:.17g},{v.imag:.17g}\n")

@@ -182,8 +182,7 @@ class ScenarioSpec:
         t_max = max(self.eval_times)
         if num.x_max is not None and num.n_points is not None:
             return SpatialGrid.symmetric(num.x_max, num.n_points)
-        g = suggest_grid(self.params, t_max, n_points=num.n_points)
-        return g
+        return suggest_grid(self.params, t_max, n_points=num.n_points)
 
 
 @dataclass
@@ -282,6 +281,8 @@ def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[
         "dt": used_cfg.dt,
         "n_max": used_cfg.n_max,
         "escalations": escalations,
+        # requested -> snapped to the step grid, as pairs (JSON keys are strings)
+        "eval_times": [[want, actual] for want, actual in eval_map.items()],
         "top_shell_norm": final.top_shell_norm(),
         "norm_drift": abs(final.norm() - 1.0),
     }
@@ -300,10 +301,19 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[tupl
     halving_change = 0.0
     halving_obs_change = 0.0
     converged = True
+    halving: list[dict[str, float | None]] = []
+
+    def record(t_eval: float, run: pt.DysonResult) -> None:
+        first = math.isnan(run.halving_rel_change)  # no change yet: null, not NaN
+        halving.append({"t": t_eval, "dt": run.dt,
+                        "rel_change": None if first else run.halving_rel_change,
+                        "obs_change": None if first else run.halving_obs_change})
+
     t0 = time.perf_counter()
     for t_eval in spec.eval_times:
         run, ok = pt.converged_dyson_run(spec.params, t_eval, ff, grid, num.n_max,
-                                         num.dt_duhamel, num.pt_rtol)
+                                         num.dt_duhamel, num.pt_rtol,
+                                         on_pass=lambda r: record(t_eval, r))
         hist = pt.histories_from_run(run, ok)
         pmap = dict(hist.single_map)
         pmap.update(hist.joint_map)
@@ -326,7 +336,8 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[tupl
                            convergence={"dt": step, "n_max": num.n_max,
                                         "converged": converged,
                                         "halving_rel_change": halving_change,
-                                        "halving_rel_change_observables": halving_obs_change},
+                                        "halving_rel_change_observables": halving_obs_change,
+                                        "halving": halving},
                            wall_time=wall)
     return engine_run, fields
 

@@ -17,7 +17,11 @@ exponential of the strictly triangular kick matrix, which terminates at its
 quadratic term; dropping that term (a naive nested midpoint rule) would cost
 an O(dt) error in the double time integral.  Amplitudes are exactly linear
 (b) and quadratic (c) in lam, so the lam^2 / lam^4 probability laws are
-structural, independent of the step size.
+structural, independent of the step size.  Only psi and b take that chain
+in x-space: c feeds no other row, so its kick source S_j at
+tau_j = (j - 1/2) dt is summed in k-space, A += exp(+i w tau_j) FFT(S_j)
+with w = hbar k^2/2M + E/hbar, and c = ifft(exp(-i w T) A): 34 transforms
+per step at n_max = 4 instead of 50.
 
 The two interaction orderings (oscillator 1 first vs oscillator 2 first)
 share their channel energies, so by default one joint block carries their
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -211,10 +215,8 @@ def dyson_run(params: ModelParams, t_final: float, form_factors: tuple[FormFacto
     e1 = OscillatorBasis.for_oscillator(params, 1, n).energies
     e2 = OscillatorBasis.for_oscillator(params, 2, n).energies
 
-    # stack rows: [psi, b1[1..n], b2[1..n], joint[ordering, n1, n2]]
-    e_joint = (e1[1:, None] + e2[None, 1:]).ravel()
-    e_rows = np.concatenate(([e1[0] + e2[0]], e1[1:] + e2[0], e1[0] + e2[1:],
-                             np.tile(e_joint, n_ord)))
+    # x-space rows: [psi, b1[1..n], b2[1..n]]; the joint rows live in k-space
+    e_rows = np.concatenate(([e1[0] + e2[0]], e1[1:] + e2[0], e1[0] + e2[1:]))
     kin_half = kinetic_phase(grid, params, dt / 2.0, e_rows)
     kin_full = kin_half * kin_half
 
@@ -222,6 +224,7 @@ def dyson_run(params: ModelParams, t_final: float, form_factors: tuple[FormFacto
     # joint entries need both, the simultaneous (quadratic) term the overlap
     s1, s2 = _kick_slab(g1), _kick_slab(g2)
     s12 = slice(max(s1.start, s2.start), min(s1.stop, s2.stop))  # empty if disjoint
+    span = slice(min(s1.start, s2.start), max(s1.stop, s2.stop))
     kappa = -1j * params.lam * dt / params.hbar
     k1 = kappa * g1[:, s1]
     k2 = kappa * g2[:, s2]
@@ -229,16 +232,21 @@ def dyson_run(params: ModelParams, t_final: float, form_factors: tuple[FormFacto
 
     st = np.zeros((len(e_rows), grid.n_points), dtype=np.complex128)
     st[0] = make_spherical_wave_1d(grid, params.sigma, params.P0, params.hbar).values
+    src = np.zeros((n_ord, n, n, grid.n_points), dtype=np.complex128)
+    acc = np.zeros_like(src)
 
-    def kick(st: np.ndarray) -> None:
-        psi, b1, b2 = st[0], st[1:1 + n], st[1 + n:1 + 2 * n]
-        joint = st[1 + 2 * n:].reshape(n_ord, n, n, -1)
-        # joint first, so it sees the pre-kick b1 and b2 (psi is never
-        # kicked); 1->2 lands in ordering entry 0 and 2->1 in the last one,
-        # the same entry when the orderings are summed
-        joint[0, :, :, s2] += k2[None, :, :] * b1[:, None, s2]
-        joint[-1, :, :, s1] += k1[:, None, :] * b2[None, :, s1]
-        joint[:, :, :, s12] += k12 * psi[s12]
+    def kick(st: np.ndarray, tau: float, phase: np.ndarray) -> None:
+        psi, b1, b2 = st[0], st[1:1 + n], st[1 + n:]
+        # the joint source from the pre-kick b (psi is never kicked), with
+        # exp(+i E tau / hbar) folded into the slab factors; 1->2 lands in
+        # ordering entry 0, 2->1 in the last one (the same one when summed)
+        u1, u2 = (np.exp(1j * tau / params.hbar * e[1:, None]) for e in (e1, e2))
+        src[..., span] = 0.0
+        src[0, :, :, s2] += (u1 * b1[:, s2])[:, None, :] * (u2 * k2)[None, :, :]
+        src[-1, :, :, s1] += (u1 * k1)[:, None, :] * (u2 * b2[:, s1])[None, :, :]
+        src[:, :, :, s12] += u1[:, None] * u2[None] * k12 * psi[s12]
+        f = np.fft.fft(src, axis=-1)
+        acc[...] += np.multiply(f, phase, out=f)
         b1[:, s1] += k1 * psi[s1]
         b2[:, s2] += k2 * psi[s2]
 
@@ -247,17 +255,20 @@ def dyson_run(params: ModelParams, t_final: float, form_factors: tuple[FormFacto
         f *= phase
         return np.fft.ifft(f, axis=-1)
 
+    # exp(+i omega_k tau_j) at the kick times tau_j = (j - 1/2) dt
+    phase, advance = kinetic_phase(grid, params, -dt / 2.0), kinetic_phase(grid, params, -dt)
     st = propagate(st, kin_half)
     for step in range(1, n_steps + 1):
-        kick(st)
+        kick(st, (step - 0.5) * dt, phase)
         st = propagate(st, kin_half if step == n_steps else kin_full)
+        phase *= advance
 
-    b1 = np.zeros((n + 1, grid.n_points), dtype=np.complex128)
-    b2 = np.zeros_like(b1)
-    b1[1:] = st[1:1 + n]
-    b2[1:] = st[1 + n:1 + 2 * n]
+    b1, b2 = np.zeros((2, n + 1, grid.n_points), dtype=np.complex128)
+    b1[1:], b2[1:] = st[1:1 + n], st[1 + n:]
+    e_joint = (e1[1:, None] + e2[None, 1:]).ravel()
+    acc *= kinetic_phase(grid, params, t_final, e_joint).reshape(n, n, -1)
     joint = np.zeros((n_ord, n + 1, n + 1, grid.n_points), dtype=np.complex128)
-    joint[:, 1:, 1:] = st[1 + 2 * n:].reshape(n_ord, n, n, -1)
+    joint[:, 1:, 1:] = np.fft.ifft(acc, axis=-1)
     return DysonResult(params=params, grid=grid, t=t_final, n_max=n_max, dt=dt,
                        psi_free=st[0], b1=b1, b2=b2, joint=joint)
 
@@ -267,14 +278,17 @@ def converged_dyson_run(params: ModelParams, t_final: float,
                         grid: SpatialGrid | None = None, n_max: int = 4,
                         dt: float | None = None, rtol: float = 1e-3,
                         max_halvings: int = 6, noise_floor: float = 1e-30,
-                        split_orderings: bool = False) -> tuple[DysonResult, bool]:
+                        split_orderings: bool = False,
+                        on_pass: Callable[[DysonResult], None] | None = None
+                        ) -> tuple[DysonResult, bool]:
     """Halve the Duhamel step until every reported probability is stable.
 
     Returns (result, converged).  Raises QuadratureError when the halving
-    budget runs out before the relative change drops below ``rtol``.
-    Probabilities below ``noise_floor`` are excluded from the convergence
-    metric: they sit at the accumulated-rounding scale (amplitude ~1e-15 of
-    the unit-norm packet) where relative changes carry no information.
+    budget runs out before the relative change drops below ``rtol``.  Each
+    pass's result goes to ``on_pass`` once its changes are set (NaN on the
+    first pass).  Probabilities below ``noise_floor`` are left out of the
+    metric: at amplitude ~1e-15 of the unit-norm packet they are rounding,
+    and their relative changes carry no information.
     """
     if grid is None:
         grid = suggest_grid(params, t_final)
@@ -282,6 +296,8 @@ def converged_dyson_run(params: ModelParams, t_final: float,
         form_factors = form_factor_pair(params, grid, n_max)
     step = dt if dt is not None else default_duhamel_step(params)
     prev = dyson_run(params, t_final, form_factors, grid, n_max, step, split_orderings)
+    if on_pass is not None:
+        on_pass(prev)
     if params.lam == 0.0:
         prev.halving_rel_change = 0.0
         prev.halving_obs_change = 0.0
@@ -293,6 +309,8 @@ def converged_dyson_run(params: ModelParams, t_final: float,
         cur.halving_rel_change = change
         cur.halving_obs_change = _max_rel_change(prev.history_sums(), cur.history_sums(),
                                                  noise_floor)
+        if on_pass is not None:
+            on_pass(cur)
         if change <= rtol:
             return cur, True
         prev = cur
@@ -387,15 +405,12 @@ class HistoryProbabilities:
 def histories_from_run(run: DysonResult, converged: bool = True) -> HistoryProbabilities:
     """Collapse one engine run into the four-outcome summary."""
     probs = run.probabilities()
-    single = {k: v for k, v in probs.items() if 0 in k}
-    joint = {k: v for k, v in probs.items() if 0 not in k}
-    p_right = sum(v for (n1, n2), v in single.items() if n1 >= 1)
-    p_left = sum(v for (n1, n2), v in single.items() if n2 >= 1)
-    p_both = sum(joint.values())
+    sums = run.history_sums()
     return HistoryProbabilities(
-        t=run.t, p_none=1.0 - p_right - p_left - p_both,
-        p_right_only=p_right, p_left_only=p_left, p_both=p_both,
-        single_map=single, joint_map=joint,
+        t=run.t, p_none=1.0 - sums["right"] - sums["left"] - sums["both"],
+        p_right_only=sums["right"], p_left_only=sums["left"], p_both=sums["both"],
+        single_map={k: v for k, v in probs.items() if 0 in k},
+        joint_map={k: v for k, v in probs.items() if 0 not in k},
         quadrature_step=run.dt, converged=converged)
 
 

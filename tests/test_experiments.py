@@ -176,6 +176,46 @@ def test_run_scenario_records_escalations():
     assert json.loads(json.dumps(attempts)) == attempts
 
 
+def test_run_scenario_records_pt_halving():
+    spec = _reduced_spec("collinear", "pt")
+    p = spec.params
+    # 0.25 divides both times, so every pass's step is exactly half the last
+    spec = replace(spec, times=(1.5 * p.tau1, 1.5 * p.tau2),
+                   numerics=replace(spec.numerics, dt_duhamel=0.25))
+    conv = ex.run_scenario(spec).engines["pt"].convergence
+    halving = conv["halving"]
+    assert [h["t"] for h in halving] == sorted(h["t"] for h in halving)
+    accepted = []
+    for t in spec.eval_times:
+        passes = [h for h in halving if h["t"] == t]
+        accepted.append(passes[-1]["rel_change"])
+        assert len(passes) >= 2
+        assert passes[0]["dt"] == pytest.approx(0.25, rel=1e-12)
+        assert passes[0]["rel_change"] is None and passes[0]["obs_change"] is None
+        for prev, cur in zip(passes, passes[1:]):
+            assert cur["dt"] == pytest.approx(prev["dt"] / 2.0, rel=1e-12)
+            assert cur["rel_change"] >= cur["obs_change"] >= 0.0
+        assert passes[-1]["rel_change"] <= spec.numerics.pt_rtol
+        assert all(h["rel_change"] > spec.numerics.pt_rtol for h in passes[1:-1])
+    assert halving[-1]["dt"] == conv["dt"]
+    assert conv["halving_rel_change"] == max(accepted)
+    assert json.loads(json.dumps(halving)) == halving
+
+
+def test_run_scenario_records_oracle_eval_times():
+    spec = _reduced_spec("collinear", "oracle")
+    t_final = 1.5 * spec.params.tau2
+    off_grid = 37.53  # dt_oracle = 0.1: snaps to step 375
+    spec = replace(spec, times=(off_grid, t_final))
+    run = ex.run_scenario(spec).engines["oracle"]
+    (want_a, used_a), (want_b, used_b) = run.convergence["eval_times"]
+    assert want_a == off_grid and used_a == pytest.approx(37.5, abs=1e-9)
+    assert want_b == t_final and used_b == pytest.approx(t_final, abs=1e-9)
+    assert set(run.probabilities) == {off_grid, t_final}
+    assert json.loads(json.dumps(run.convergence["eval_times"])) == [[want_a, used_a],
+                                                                     [want_b, used_b]]
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 

@@ -179,30 +179,48 @@ def _norm_sq(values, grid):
     return float(np.sum(np.abs(values) ** 2)) * grid.dx
 
 
-def _reference(p, t, ff, grid, n_max, dt):
+def _reference(p, t, ff, grid, n_max, dt, on_kick_slabs=False):
     energies = OscillatorBasis.for_oscillator(p, 1, n_max).energies
     psi0 = make_spherical_wave_1d(grid, p.sigma, p.P0, p.hbar).values
-    return reference_dyson_stack(psi0, ff[0].values[:n_max + 1, 0], ff[1].values[:n_max + 1, 0],
-                                 energies, grid.dx, t, dt, p.lam, p.hbar, p.M)
+    g1, g2 = (f.values[:n_max + 1, 0] for f in ff)
+    if on_kick_slabs:
+        g1, g2 = _on_kick_slab(g1), _on_kick_slab(g2)
+    return reference_dyson_stack(psi0, g1, g2, energies, grid.dx, t, dt, p.lam, p.hbar, p.M)
 
 
-@pytest.mark.parametrize("n_max", [1, 2])
-@pytest.mark.parametrize("shape", ["gaussian", "bump"])
-@pytest.mark.parametrize("case", [ex.COLLINEAR, ex.OPPOSITE])
-def test_dyson_run_matches_reference_kernel(case, shape, n_max, reduced_grid):
-    p = ex.default_params(case, epsilon=0.2)
+def _on_kick_slab(g):
+    """The table the engine kicks with: zero outside its KICK_FLOOR slab."""
+    out = np.zeros_like(g)
+    slab = pt._kick_slab(g[1:])
+    out[:, slab] = g[:, slab]
+    return out
+
+
+_REFERENCE_CASES = [
+    pytest.param(case, shape, n_max, 1.0, 0.2, id=f"{case}-{shape}-{n_max}")
+    for case in (ex.COLLINEAR, ex.OPPOSITE) for shape in ("gaussian", "bump") for n_max in (1, 2)
+] + [
+    pytest.param(ex.COLLINEAR, "gaussian", 2, 0.5, 0.2, id="collinear-gaussian-2-hbar0.5"),
+    # 1500 steps: a phase that drifts from step to step shows up here
+    pytest.param(ex.OPPOSITE, "gaussian", 2, 1.0, 0.05, id="opposite-gaussian-2-1500steps"),
+]
+
+
+@pytest.mark.parametrize("case, shape, n_max, hbar, dt", _REFERENCE_CASES)
+def test_dyson_run_matches_reference_kernel(case, shape, n_max, hbar, dt):
+    p = replace(ex.default_params(case, epsilon=0.2), hbar=hbar)
     t = 1.5 * p.tau2
-    dt = 0.2
-    ff = form_factor_pair(p, reduced_grid, n_max, shape)
-    ref = _reference(p, t, ff, reduced_grid, n_max, dt)
-    run = pt.dyson_run(p, t, ff, reduced_grid, n_max, dt)
+    grid = suggest_grid(p, t)
+    ff = form_factor_pair(p, grid, n_max, shape)
+    ref = _reference(p, t, ff, grid, n_max, dt)
+    run = pt.dyson_run(p, t, ff, grid, n_max, dt)
     for (n1, n2), prob in run.probabilities().items():
         if n2 == 0:
-            expected = _norm_sq(ref["b1"][n1], reduced_grid)
+            expected = _norm_sq(ref["b1"][n1], grid)
         elif n1 == 0:
-            expected = _norm_sq(ref["b2"][n2], reduced_grid)
+            expected = _norm_sq(ref["b2"][n2], grid)
         else:
-            expected = _norm_sq(ref["c12"][n1, n2] + ref["c21"][n1, n2], reduced_grid)
+            expected = _norm_sq(ref["c12"][n1, n2] + ref["c21"][n1, n2], grid)
         assert prob == pytest.approx(expected, rel=1e-12), (n1, n2)
 
     # split orderings: each matches the reference's own ordering.  The kick
@@ -210,16 +228,34 @@ def test_dyson_run_matches_reference_kernel(case, shape, n_max, reduced_grid):
     # rounding level relative to the channel's joint amplitude; an ordering
     # many orders below the other (2->1 in the opposite geometry, 1e-13 of
     # 1->2) is therefore held to 1e-12 of the channel, not of itself
-    split = pt.dyson_run(p, t, ff, reduced_grid, n_max, dt, split_orderings=True)
+    split = pt.dyson_run(p, t, ff, grid, n_max, dt, split_orderings=True)
     assert split.joint.shape[0] == 2
     for n1 in range(1, n_max + 1):
         for n2 in range(1, n_max + 1):
-            want = [_norm_sq(ref[key][n1, n2], reduced_grid) for key in ("c12", "c21")]
-            got = [_norm_sq(c, reduced_grid) for c in split.joint[:, n1, n2]]
+            want = [_norm_sq(ref[key][n1, n2], grid) for key in ("c12", "c21")]
+            got = [_norm_sq(c, grid) for c in split.joint[:, n1, n2]]
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=0, abs=1e-12 * sum(want)), (n1, n2)
             assert split.joint_probability((n1, n2)) == pytest.approx(
                 run.joint_probability((n1, n2)), rel=1e-12)
+
+    # amplitudes, phases included, to 1e-12 of each channel's peak (summed
+    # over orderings).  Against the full tables the dropped tails reach 5e-12
+    # of the suppressed opposite-geometry joint peak, so the fields are
+    # compared with the reference kicking on the engine's own slabs
+    ref = _reference(p, t, ff, grid, n_max, dt, on_kick_slabs=True)
+    for n in range(1, n_max + 1):
+        for got, want, label in ((run.b1[n], ref["b1"][n], ("b1", n)),
+                                 (run.b2[n], ref["b2"][n], ("b2", n))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), label
+    for n1 in range(1, n_max + 1):
+        for n2 in range(1, n_max + 1):
+            c12, c21 = ref["c12"][n1, n2], ref["c21"][n1, n2]
+            tol = 1e-12 * (np.max(np.abs(c12)) + np.max(np.abs(c21)))
+            for got, want, label in ((run.joint[0, n1, n2], c12 + c21, "sum"),
+                                     (split.joint[0, n1, n2], c12, "1->2"),
+                                     (split.joint[1, n1, n2], c21, "2->1")):
+                assert np.max(np.abs(got - want)) <= tol, (label, n1, n2)
 
 
 def test_dyson_order_validation():
