@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -449,6 +449,21 @@ def born_probability(psi: ComplexField, omega_set: Sequence[tuple[float, float]]
         overlap = np.clip(cell_hi - cell_lo, 0.0, None)
         total += float(np.sum(density * overlap))
     return total
+
+
+def history_sums(pmap: Mapping[tuple[int, int], float]) -> dict[str, float]:
+    """Group a channel probability map (n1, n2) -> P into the excited
+    outcomes: "right" (only oscillator 1), "left" (only oscillator 2) and
+    "both".  Each sum runs over ``pmap`` in its own order."""
+    sums = {"right": 0.0, "left": 0.0, "both": 0.0}
+    for (n1, n2), p in pmap.items():
+        if n1 >= 1 and n2 == 0:
+            sums["right"] += p
+        elif n1 == 0 and n2 >= 1:
+            sums["left"] += p
+        elif n1 >= 1 and n2 >= 1:
+            sums["both"] += p
+    return sums
 
 
 class InterferenceParts(NamedTuple):

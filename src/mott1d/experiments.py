@@ -29,6 +29,7 @@ from .core import (
     ModelParams,
     SpatialGrid,
     born_probability,
+    history_sums,
     suggest_grid,
 )
 
@@ -241,14 +242,6 @@ class ExcitationReport:
         return out
 
 
-def _oracle_histories(pmap: dict[tuple[int, int], float]) -> tuple[float, float, float, float]:
-    none = pmap.get((0, 0), 0.0)
-    right = sum(v for (n1, n2), v in pmap.items() if n1 >= 1 and n2 == 0)
-    left = sum(v for (n1, n2), v in pmap.items() if n1 == 0 and n2 >= 1)
-    both = sum(v for (n1, n2), v in pmap.items() if n1 >= 1 and n2 >= 1)
-    return (none, right, left, both)
-
-
 def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[float, ch.ChannelState]]:
     num = spec.numerics
     t_max = max(spec.eval_times)
@@ -276,7 +269,8 @@ def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[
         eval_map[want] = actual
         pmap = ch.channel_probabilities(states[actual])
         probabilities[want] = pmap
-        histories[want] = _oracle_histories(pmap)
+        sums = history_sums(pmap)
+        histories[want] = (pmap.get((0, 0), 0.0), sums["right"], sums["left"], sums["both"])
     convergence = {
         "dt": used_cfg.dt,
         "n_max": used_cfg.n_max,

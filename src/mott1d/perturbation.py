@@ -23,6 +23,15 @@ tau_j = (j - 1/2) dt is summed in k-space, A += exp(+i w tau_j) FFT(S_j)
 with w = hbar k^2/2M + E/hbar, and c = ifft(exp(-i w T) A): 34 transforms
 per step at n_max = 4 instead of 50.
 
+The two halves of a step are independent kernels, so they run on two
+threads.  The calling thread keeps the x-space chain (kick and propagate of
+psi and b) and hands each step's source, cut to the kick span, to one worker
+thread through a queue of at most two entries; the worker owns the phase
+exp(+i w tau_j) and adds the transformed sources into A in step order, so
+every sum is taken in the same order as on one thread.  The queue's
+backpressure is the only synchronisation; A is read after the worker has
+taken the end-of-run sentinel and been joined.
+
 The two interaction orderings (oscillator 1 first vs oscillator 2 first)
 share their channel energies, so by default one joint block carries their
 sum.  On request (``split_orderings``, used by the ordering diagnostic of
@@ -35,6 +44,8 @@ exceed ``KICK_FLOOR`` of their maximum, so the slabs are independent of lam.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -48,6 +59,7 @@ from .core import (
     OscillatorBasis,
     QuadratureError,
     SpatialGrid,
+    history_sums,
     kinetic_phase,
     make_spherical_wave_1d,
     suggest_grid,
@@ -135,14 +147,6 @@ class DysonResult:
     halving_rel_change: float = math.nan
     halving_obs_change: float = math.nan
 
-    def history_sums(self) -> dict[str, float]:
-        probs = self.probabilities()
-        return {
-            "right": sum(v for (n1, n2), v in probs.items() if n1 >= 1 and n2 == 0),
-            "left": sum(v for (n1, n2), v in probs.items() if n1 == 0 and n2 >= 1),
-            "both": sum(v for (n1, n2), v in probs.items() if n1 >= 1 and n2 >= 1),
-        }
-
     def _norm_sq(self, values: np.ndarray) -> float:
         return float(np.sum(np.abs(values) ** 2)) * self.grid.dx
 
@@ -182,6 +186,12 @@ def _kick_slab(g: np.ndarray) -> slice:
     mag = np.abs(g).max(axis=0)
     idx = np.flatnonzero(mag > KICK_FLOOR * mag.max())
     return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
+
+
+def _add_spectrum(acc: np.ndarray, values: np.ndarray, phase: np.ndarray) -> None:
+    """acc += phase * FFT(values) along the last axis."""
+    f = np.fft.fft(values, axis=-1)
+    acc += np.multiply(f, phase, out=f)
 
 
 def dyson_run(params: ModelParams, t_final: float, form_factors: tuple[FormFactorTable, FormFactorTable] | None = None,
@@ -232,36 +242,63 @@ def dyson_run(params: ModelParams, t_final: float, form_factors: tuple[FormFacto
 
     st = np.zeros((len(e_rows), grid.n_points), dtype=np.complex128)
     st[0] = make_spherical_wave_1d(grid, params.sigma, params.P0, params.hbar).values
-    src = np.zeros((n_ord, n, n, grid.n_points), dtype=np.complex128)
-    acc = np.zeros_like(src)
+    acc = np.zeros((n_ord, n, n, grid.n_points), dtype=np.complex128)
+    # the slabs relative to the span, which is all a source covers
+    r1, r2, r12 = (slice(s.start - span.start, s.stop - span.start) for s in (s1, s2, s12))
 
-    def kick(st: np.ndarray, tau: float, phase: np.ndarray) -> None:
+    def kick(st: np.ndarray, tau: float) -> np.ndarray:
+        """Kick psi's slabs into b in place; return the joint source on the span."""
         psi, b1, b2 = st[0], st[1:1 + n], st[1 + n:]
         # the joint source from the pre-kick b (psi is never kicked), with
         # exp(+i E tau / hbar) folded into the slab factors; 1->2 lands in
         # ordering entry 0, 2->1 in the last one (the same one when summed)
         u1, u2 = (np.exp(1j * tau / params.hbar * e[1:, None]) for e in (e1, e2))
-        src[..., span] = 0.0
-        src[0, :, :, s2] += (u1 * b1[:, s2])[:, None, :] * (u2 * k2)[None, :, :]
-        src[-1, :, :, s1] += (u1 * k1)[:, None, :] * (u2 * b2[:, s1])[None, :, :]
-        src[:, :, :, s12] += u1[:, None] * u2[None] * k12 * psi[s12]
-        f = np.fft.fft(src, axis=-1)
-        acc[...] += np.multiply(f, phase, out=f)
+        src = np.zeros((n_ord, n, n, span.stop - span.start), dtype=np.complex128)
+        src[0, :, :, r2] += (u1 * b1[:, s2])[:, None, :] * (u2 * k2)[None, :, :]
+        src[-1, :, :, r1] += (u1 * k1)[:, None, :] * (u2 * b2[:, s1])[None, :, :]
+        src[:, :, :, r12] += u1[:, None] * u2[None] * k12 * psi[s12]
         b1[:, s1] += k1 * psi[s1]
         b2[:, s2] += k2 * psi[s2]
+        return src
 
     def propagate(st: np.ndarray, phase: np.ndarray) -> np.ndarray:
         f = np.fft.fft(st, axis=-1)
         f *= phase
         return np.fft.ifft(f, axis=-1)
 
-    # exp(+i omega_k tau_j) at the kick times tau_j = (j - 1/2) dt
+    # exp(+i omega_k tau_j) at the kick times tau_j = (j - 1/2) dt; from
+    # here on only the worker touches phase and acc
     phase, advance = kinetic_phase(grid, params, -dt / 2.0), kinetic_phase(grid, params, -dt)
-    st = propagate(st, kin_half)
-    for step in range(1, n_steps + 1):
-        kick(st, (step - 0.5) * dt, phase)
-        st = propagate(st, kin_half if step == n_steps else kin_full)
-        phase *= advance
+    sources: queue.Queue[np.ndarray | None] = queue.Queue(maxsize=2)
+    failures: list[BaseException] = []
+
+    def accumulate() -> None:
+        padded = np.zeros_like(acc)  # zero off the span for the whole run
+        try:
+            while (src := sources.get()) is not None:
+                padded[..., span] = src
+                _add_spectrum(acc, padded, phase)
+                np.multiply(phase, advance, out=phase)
+        except BaseException as exc:
+            failures.append(exc)
+            # keep taking sources, so the producer never blocks on a full queue
+            while sources.get() is not None:
+                pass
+
+    worker = threading.Thread(target=accumulate, name="dyson-joint", daemon=True)
+    worker.start()
+    try:
+        st = propagate(st, kin_half)
+        for step in range(1, n_steps + 1):
+            if failures:
+                break
+            sources.put(kick(st, (step - 0.5) * dt))
+            st = propagate(st, kin_half if step == n_steps else kin_full)
+    finally:
+        sources.put(None)
+        worker.join()
+    if failures:
+        raise failures.pop()
 
     b1, b2 = np.zeros((2, n + 1, grid.n_points), dtype=np.complex128)
     b1[1:], b2[1:] = st[1:1 + n], st[1 + n:]
@@ -295,25 +332,28 @@ def converged_dyson_run(params: ModelParams, t_final: float,
     if form_factors is None:
         form_factors = form_factor_pair(params, grid, n_max)
     step = dt if dt is not None else default_duhamel_step(params)
-    prev = dyson_run(params, t_final, form_factors, grid, n_max, step, split_orderings)
+    run = dyson_run(params, t_final, form_factors, grid, n_max, step, split_orderings)
     if on_pass is not None:
-        on_pass(prev)
+        on_pass(run)
     if params.lam == 0.0:
-        prev.halving_rel_change = 0.0
-        prev.halving_obs_change = 0.0
-        return prev, True
+        run.halving_rel_change = 0.0
+        run.halving_obs_change = 0.0
+        return run, True
+    probs = run.probabilities()
+    sums = history_sums(probs)
     for _ in range(max_halvings):
         step /= 2.0
-        cur = dyson_run(params, t_final, form_factors, grid, n_max, step, split_orderings)
-        change = _max_rel_change(prev.probabilities(), cur.probabilities(), noise_floor)
-        cur.halving_rel_change = change
-        cur.halving_obs_change = _max_rel_change(prev.history_sums(), cur.history_sums(),
-                                                 noise_floor)
+        del run  # the next pass needs only this one's probabilities, not its fields
+        run = dyson_run(params, t_final, form_factors, grid, n_max, step, split_orderings)
+        cur_probs = run.probabilities()
+        cur_sums = history_sums(cur_probs)
+        run.halving_rel_change = _max_rel_change(probs, cur_probs, noise_floor)
+        run.halving_obs_change = _max_rel_change(sums, cur_sums, noise_floor)
         if on_pass is not None:
-            on_pass(cur)
-        if change <= rtol:
-            return cur, True
-        prev = cur
+            on_pass(run)
+        if run.halving_rel_change <= rtol:
+            return run, True
+        probs, sums = cur_probs, cur_sums
     raise QuadratureError(
         f"Duhamel quadrature not converged to rtol={rtol} after {max_halvings} halvings")
 
@@ -405,7 +445,7 @@ class HistoryProbabilities:
 def histories_from_run(run: DysonResult, converged: bool = True) -> HistoryProbabilities:
     """Collapse one engine run into the four-outcome summary."""
     probs = run.probabilities()
-    sums = run.history_sums()
+    sums = history_sums(probs)
     return HistoryProbabilities(
         t=run.t, p_none=1.0 - sums["right"] - sums["left"] - sums["both"],
         p_right_only=sums["right"], p_left_only=sums["left"], p_both=sums["both"],

@@ -17,7 +17,7 @@ import mott1d.channels as ch
 import mott1d.experiments as ex
 import mott1d.perturbation as pt
 from mott1d import cli
-from mott1d.core import OscillatorBasis, SpatialGrid, born_probability, \
+from mott1d.core import OscillatorBasis, SpatialGrid, born_probability, history_sums, \
     make_gaussian_packet, uncertainty_product
 
 LAMBDA0 = ex.ACCEPTANCE_LAMBDA0
@@ -195,10 +195,7 @@ def richardson_probabilities(reduced_collinear, reduced_grid):
 
 def _observables(probs: dict) -> dict[str, float]:
     """Target probability and history sums: what a scenario reports."""
-    right = sum(v for (n1, n2), v in probs.items() if n1 >= 1 and n2 == 0)
-    left = sum(v for (n1, n2), v in probs.items() if n1 == 0 and n2 >= 1)
-    both = sum(v for (n1, n2), v in probs.items() if n1 >= 1 and n2 >= 1)
-    return {"P11": probs[(1, 1)], "right_only": right, "left_only": left, "both": both}
+    return {"P11": probs[(1, 1)], **history_sums(probs)}
 
 
 @pytest.fixture(scope="module")

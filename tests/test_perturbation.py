@@ -1,6 +1,11 @@
 """Dyson engine: free propagator, kick accumulation, scaling structure."""
 
+import gc
 import math
+import sys
+import threading
+import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -256,6 +261,79 @@ def test_dyson_run_matches_reference_kernel(case, shape, n_max, hbar, dt):
                                      (split.joint[0, n1, n2], c12, "1->2"),
                                      (split.joint[1, n1, n2], c21, "2->1")):
                 assert np.max(np.abs(got - want)) <= tol, (label, n1, n2)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["summed", "split"])
+def test_dyson_run_bitwise_under_short_switch_interval(reduced_collinear, reduced_grid, split):
+    # the worker thread adds the joint sources in step order whatever the
+    # thread interleaving, so a GIL hand-off every microsecond changes no bit
+    p = reduced_collinear
+    ff = form_factor_pair(p, reduced_grid, 2)
+    args = (p, 1.5 * p.tau2, ff, reduced_grid, 2, 0.2)
+    base = pt.dyson_run(*args, split_orderings=split)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fast = pt.dyson_run(*args, split_orderings=split)
+    finally:
+        sys.setswitchinterval(interval)
+    for name in ("psi_free", "b1", "b2", "joint"):
+        assert np.array_equal(getattr(fast, name), getattr(base, name)), name
+
+
+def test_dyson_run_worker_failure_leaves_the_call(reduced_collinear, reduced_grid, monkeypatch):
+    # a failure in the worker's accumulation surfaces from dyson_run; the
+    # calling thread must not stay blocked on the full source queue, and
+    # the worker is joined before dyson_run raises
+    p = reduced_collinear
+    ff = form_factor_pair(p, reduced_grid, 1)
+    callers = set()
+    original = pt._add_spectrum
+
+    def failing(acc, values, phase):
+        callers.add(threading.current_thread())
+        if failing.calls == 3:
+            time.sleep(0.5)  # long enough for the producer to fill the queue
+            raise RuntimeError("worker failed")
+        failing.calls += 1
+        original(acc, values, phase)
+
+    failing.calls = 0
+    monkeypatch.setattr(pt, "_add_spectrum", failing)
+    before = threading.active_count()
+    outcome = []
+
+    def call():
+        try:
+            pt.dyson_run(p, 1.5 * p.tau2, ff, reduced_grid, 1, 0.05)
+        except RuntimeError as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60.0)
+    assert not caller.is_alive(), "dyson_run blocked after its worker failed"
+    assert [str(e) for e in outcome] == ["worker failed"]
+    assert len(callers) == 1 and caller not in callers
+    assert threading.active_count() == before
+
+
+def test_converged_run_drops_previous_pass_fields(reduced_collinear, reduced_grid):
+    # only the previous pass's probabilities outlive it: its fields are freed
+    # before the next pass runs
+    p = reduced_collinear
+    ff = form_factor_pair(p, reduced_grid, 1)
+    refs = []
+
+    def on_pass(run):
+        gc.collect()
+        assert all(ref() is None for ref in refs), "an earlier pass's joint field is alive"
+        refs.append(weakref.ref(run.joint))
+
+    with pytest.raises(QuadratureError):
+        pt.converged_dyson_run(p, 1.5 * p.tau2, ff, reduced_grid, 1, 0.4, rtol=0.0,
+                               max_halvings=2, on_pass=on_pass)
+    assert len(refs) == 3
 
 
 def test_dyson_order_validation():
