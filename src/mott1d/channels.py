@@ -19,11 +19,25 @@ exact spectral kinetic factor of every channel.  U_i' is eigendecomposed
 once per run on the oscillator's slabs, the contiguous runs of points where
 its coupling exceeds an error-budget floor, and is the identity elsewhere,
 so points far from both oscillators cost nothing beyond the free step.
+
+Each step runs on two threads.  ``evolve`` starts one worker thread per
+call and hands it half of each part of a Strang step: the upper half of the
+channel rows in every kinetic step, and the grid points from one cut on in
+every coupling step, the cut chosen once per call to halve the slab points
+of both oscillators.  The calling thread does the other half and then waits
+for the worker, so a step has two synchronous hand-offs.  Each row's
+transforms and each point's U1' and U2' are the same operations in the
+same order as on one thread, so every amplitude is bit-identical to a
+one-thread run.  The health checks, snapshots and typed errors stay on the
+calling thread; a failure in the worker's half is re-raised there, and the
+worker is joined before ``evolve`` returns or raises.
 """
 
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -303,6 +317,57 @@ def _coupling_slabs(params: ModelParams, table: FormFactorTable, energies: np.nd
     return slabs
 
 
+def _halving_point(slabs: list[tuple[slice, np.ndarray]], n_points: int) -> int:
+    """The point index below which lies half of the slab points in ``slabs``."""
+    weight = np.zeros(n_points, dtype=np.int64)
+    for span, _ in slabs:
+        weight[span] += 1
+    return int(np.searchsorted(np.cumsum(weight), weight.sum() / 2.0))
+
+
+def _clip(slabs: list[tuple[slice, np.ndarray]], lo: int, hi: int) -> list[tuple[slice, np.ndarray]]:
+    """The parts of ``slabs`` on the points [lo, hi)."""
+    out = []
+    for span, u in slabs:
+        a, b = max(span.start, lo), min(span.stop, hi)
+        if a < b:
+            out.append((slice(a, b), u[:, :, a - span.start:b - span.start]))
+    return out
+
+
+def _kinetic_rows(f: np.ndarray, phase: np.ndarray) -> None:
+    """f = ifft(phase * fft(f)) along the last axis, in place."""
+    spectrum = np.fft.fft(f, axis=-1)
+    spectrum *= phase
+    f[...] = np.fft.ifft(spectrum, axis=-1)
+
+
+def _couple_points(f3: np.ndarray, slabs1: list[tuple[slice, np.ndarray]],
+                   slabs2: list[tuple[slice, np.ndarray]]) -> None:
+    """U1' (x) U2' in place on the (n1, n2, point) view, slab by slab; U2'
+    acts on the second index, i.e. on the first of the transpose."""
+    n_lvl = f3.shape[0]
+    for view, slabs in ((f3, slabs1), (f3.transpose(1, 0, 2), slabs2)):
+        for span, u in slabs:
+            g = view[:, :, span]
+            out = u[:, 0, None, :] * g[0]
+            for k in range(1, n_lvl):
+                out += u[:, k, None, :] * g[k]
+            g[...] = out
+
+
+def _serve(tasks: queue.SimpleQueue, done: queue.SimpleQueue,
+           failures: list[BaseException]) -> None:
+    """Worker loop: run each (work, args) task and report back, until None."""
+    while (task := tasks.get()) is not None:
+        work, args = task
+        try:
+            work(*args)
+        except BaseException as exc:
+            failures.append(exc)
+        done.put(None)
+
+
 def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
            t_final: float,
            form_factors: tuple[FormFactorTable, FormFactorTable] | None = None,
@@ -360,52 +425,63 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
 
     n_lvl = config.n_max + 1
     f = state.amplitudes.reshape(n_lvl * n_lvl, grid.n_points).copy()
+    f3 = f.reshape(n_lvl, n_lvl, grid.n_points)
     norm0 = math.sqrt(float(np.sum(np.abs(f) ** 2)) * grid.dx)
 
-    def apply_coupling(f: np.ndarray) -> None:
-        # U1' (x) U2' in place, slab by slab, on the (n1, n2, point) view;
-        # U2' acts on the second index, i.e. on the first of the transpose
-        f3 = f.reshape(n_lvl, n_lvl, grid.n_points)
-        for view, slabs in ((f3, slabs1), (f3.transpose(1, 0, 2), slabs2)):
-            for span, u in slabs:
-                g = view[:, :, span]
-                out = u[:, 0, None, :] * g[0]
-                for k in range(1, n_lvl):
-                    out += u[:, k, None, :] * g[k]
-                g[...] = out
+    # the calling thread takes rows [0, r) of each kinetic step and points
+    # [0, cut) of each coupling step; the worker takes the rest
+    r = f.shape[0] // 2
+    cut = _halving_point(slabs1 + slabs2, grid.n_points)
+    mine = (f3, _clip(slabs1, 0, cut), _clip(slabs2, 0, cut))
+    theirs = (f3, _clip(slabs1, cut, grid.n_points), _clip(slabs2, cut, grid.n_points))
+    tasks: queue.SimpleQueue = queue.SimpleQueue()
+    done: queue.SimpleQueue = queue.SimpleQueue()
+    failures: list[BaseException] = []
 
-    def emit(f_now: np.ndarray, step: int) -> None:
+    def halves(work: Callable[..., None], args: tuple, worker_args: tuple) -> None:
+        # one synchronous hand-off: the worker's half runs beside this one
+        tasks.put((work, worker_args))
+        work(*args)
+        done.get()
+        if failures:
+            raise failures.pop()
+
+    def kin(phase: np.ndarray) -> None:
+        halves(_kinetic_rows, (f[:r], phase[:r]), (f[r:], phase[r:]))
+
+    def emit(step: int) -> None:
         if on_snapshot is not None and step in snap_steps:
-            snap = ChannelState(snap_steps[step], grid,
-                                f_now.reshape(n_lvl, n_lvl, -1).copy())
+            snap = ChannelState(snap_steps[step], grid, f3.copy())
             _health_check(snap, config, norm0)
             on_snapshot(snap)
 
-    def kin(f: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.fft(f, axis=-1)
-        spectrum *= phase
-        return np.fft.ifft(spectrum, axis=-1)
+    worker = threading.Thread(target=_serve, args=(tasks, done, failures),
+                              name="evolve-half", daemon=True)
+    worker.start()
+    try:
+        # Strang chain K(dt/2) [C K(dt)]^{n-1} C K(dt/2); a snapshot splits
+        # the merged full kinetic step so the emitted state sits on a step
+        # boundary
+        kin(kin_half)
+        for step in range(1, n_steps + 1):
+            halves(_couple_points, mine, theirs)
+            if step == n_steps:
+                kin(kin_half)
+            elif step in snap_steps:
+                kin(kin_half)
+                emit(step)
+                kin(kin_half)
+            else:
+                kin(kin_full)
+            if step % HEALTH_STRIDE == 0 and step < n_steps:
+                _health_check(ChannelState(state.t + step * dt, grid, f3), config, norm0)
+    finally:
+        tasks.put(None)
+        worker.join()
 
-    # Strang chain K(dt/2) [C K(dt)]^{n-1} C K(dt/2); a snapshot splits the
-    # merged full kinetic step so the emitted state sits on a step boundary
-    f = kin(f, kin_half)
-    for step in range(1, n_steps + 1):
-        apply_coupling(f)
-        if step == n_steps:
-            f = kin(f, kin_half)
-        elif step in snap_steps:
-            f = kin(f, kin_half)
-            emit(f, step)
-            f = kin(f, kin_half)
-        else:
-            f = kin(f, kin_full)
-        if step % HEALTH_STRIDE == 0 and step < n_steps:
-            _health_check(ChannelState(state.t + step * dt, grid, f.reshape(n_lvl, n_lvl, -1)),
-                          config, norm0)
-
-    out = ChannelState(t_final, grid, f.reshape(n_lvl, n_lvl, -1))
+    out = ChannelState(t_final, grid, f3)
     _health_check(out, config, norm0)
-    emit(f, n_steps)
+    emit(n_steps)
     return out
 
 
@@ -466,21 +542,6 @@ def evolve_with_escalation(params: ModelParams, grid: SpatialGrid, config: Propa
 
 # ---------------------------------------------------------------------------
 # exports
-
-
-def snapshot_to_csv(state: ChannelState, path) -> None:
-    """Channel snapshot as CSV rows (x, n1, n2, Re f, Im f), nonzero channels only."""
-    amp = state.amplitudes
-    x = state.grid.points
-    dx = state.grid.dx
-    with open(path, "w", newline="") as fh:
-        fh.write("x,n1,n2,re_f,im_f\n")
-        for n1 in range(state.n_max + 1):
-            for n2 in range(state.n_max + 1):
-                if float(np.sum(np.abs(amp[n1, n2]) ** 2)) * dx == 0.0:
-                    continue
-                for xj, v in zip(x, amp[n1, n2]):
-                    fh.write(f"{xj:.17g},{n1},{n2},{v.real:.17g},{v.imag:.17g}\n")
 
 
 def probability_summary(state: ChannelState) -> dict:

@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -221,7 +221,7 @@ def _write_json(path: Path, payload: Any) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -360,8 +360,13 @@ def cmd_run(config: RunConfig, out: str) -> int:
             manifest.add_output(name)
         _dump_fields(config, report, out_dir, manifest)
         if config.channel_snapshot and report.oracle_states:
-            t_last = max(report.spec.eval_times)
-            ch.snapshot_to_csv(report.oracle_states[t_last], out_dir / "snapshot.csv")
+            state = report.oracle_states[max(report.spec.eval_times)]
+            probs = ch.channel_probabilities(state)
+            # channels that hold no norm are left out
+            rows = ((xj, n1, n2, v.real, v.imag)
+                    for (n1, n2), p in probs.items() if p != 0.0
+                    for xj, v in zip(state.grid.points, state.amplitudes[n1, n2]))
+            _write_csv(out_dir / "snapshot.csv", ["x", "n1", "n2", "re_f", "im_f"], rows)
             manifest.add_output("snapshot.csv")
     summary_state = report.oracle_states.get(max(report.spec.eval_times))
     if summary_state is not None:

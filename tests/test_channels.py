@@ -1,6 +1,8 @@
 """Form factors, channel states and the split-step coupled-channel propagator."""
 
 import gc
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -353,16 +355,91 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# exports
+# the worker thread
 
 
-def test_snapshot_csv_and_summary(tmp_path, reduced_oracle_final):
-    path = tmp_path / "snap.csv"
-    ch.snapshot_to_csv(reduced_oracle_final, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x,n1,n2,re_f,im_f"
-    summary = ch.probability_summary(reduced_oracle_final)
-    assert summary["t"] == reduced_oracle_final.t
-    assert "0,0" in summary["probabilities"]
-    total = sum(summary["probabilities"].values())
-    assert total == pytest.approx(1.0, abs=1e-8)
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "free"])
+@pytest.mark.parametrize("n_max", [1, 4])
+@pytest.mark.parametrize("case", ["collinear", "opposite"])
+def test_evolve_bitwise_under_short_switch_interval(case, n_max, coupled):
+    # each row's transforms and each point's coupling run in the same order
+    # whatever the thread interleaving, so a GIL hand-off every microsecond
+    # changes no bit; n_max 1 and 4 split 4 and 25 rows, and without
+    # coupling there are no slabs to split
+    p = ex.default_params(case, epsilon=0.2)
+    if not coupled:
+        p = replace(p, lam=0.0)
+    grid = suggest_grid(p, p.tau2)
+    # the top shell overfills at n_max = 1; the comparison only needs both
+    # runs to reach the end
+    config = ch.PropagatorConfig(dt=0.1, n_max=n_max, top_shell_threshold=1.0)
+    ff = ch.form_factor_pair(p, grid, n_max)
+
+    def run():
+        seen = []
+        final = ch.evolve(ch.initialize_channels(p, grid, n_max), p, config, p.tau2,
+                          form_factors=ff, snapshot_times=[p.tau1],
+                          on_snapshot=seen.append)
+        return final, seen
+
+    base, base_seen = run()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fast, fast_seen = run()
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(fast.amplitudes, base.amplitudes)
+    assert len(fast_seen) == len(base_seen) == 1
+    assert fast_seen[0].t == base_seen[0].t
+    assert np.array_equal(fast_seen[0].amplitudes, base_seen[0].amplitudes)
+
+
+def test_evolve_worker_failure_leaves_the_call(reduced_collinear, reduced_grid,
+                                               reduced_config, monkeypatch):
+    # a failure in the worker's half surfaces from evolve unchanged, and the
+    # worker is joined before evolve raises
+    p = reduced_collinear
+    boom = RuntimeError("worker failed")
+    workers = set()
+    original = ch._kinetic_rows
+    caller = None
+
+    def failing(f, phase):
+        if threading.current_thread() is not caller:  # the worker's half
+            workers.add(threading.current_thread())
+            failing.calls += 1
+            if failing.calls == 5:
+                raise boom
+        original(f, phase)
+
+    failing.calls = 0
+    monkeypatch.setattr(ch, "_kinetic_rows", failing)
+    before = threading.active_count()
+    outcome = []
+
+    def call():
+        state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
+        try:
+            ch.evolve(state, p, reduced_config, 1.5 * p.tau2)
+        except RuntimeError as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60.0)
+    assert not caller.is_alive(), "evolve blocked after its worker failed"
+    assert len(outcome) == 1 and outcome[0] is boom
+    assert len(workers) == 1
+    assert threading.active_count() == before
+
+
+def test_escalation_leaves_no_worker_thread(reduced_collinear, reduced_grid):
+    strong = replace(reduced_collinear, lam=0.05)
+    config = ch.PropagatorConfig(dt=0.1, n_max=1)
+    before = threading.active_count()
+    failed = []
+    _, used = ch.evolve_with_escalation(strong, reduced_grid, config, 1.5 * strong.tau2,
+                                        on_escalation=failed.append)
+    assert failed[0].n_max == 1 and used.n_max > 1
+    assert threading.active_count() == before

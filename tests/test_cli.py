@@ -248,6 +248,36 @@ def test_run_failure_message_names_scenario(tmp_path, monkeypatch):
     assert error == "top shell full [scenario case=collinear, engine=oracle]"
 
 
+@pytest.mark.parametrize("lam", [1e-3, 0.0], ids=["coupled", "free"])
+def test_snapshot_csv_and_summary(tmp_path, lam):
+    # the oracle's final state, one row per point of every channel that
+    # holds norm (only (0, 0) without coupling), next to its probability
+    # summary
+    params = {"M": 1.0, "m": 0.25, "omega": 0.25, "lambda": lam, "delta": 4.0,
+              "sigma": 4.0, "P0": 1.0, "a1": 16.0, "a2": 32.0}
+    cfg = write_config(tmp_path, scenario={"engine": "oracle", "params": params},
+                       output={"channel_snapshot": True, "density_channels": []})
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    assert "snapshot.csv" in json.loads((out / "manifest.json").read_text())["outputs"]
+    lines = (out / "snapshot.csv").read_text().splitlines()
+    assert lines[0] == "x,n1,n2,re_f,im_f"
+    summary = json.loads((out / "probability_summary.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    [[_, t_used]] = report["engines"]["oracle"]["convergence"]["eval_times"]
+    assert summary["t"] == t_used
+    assert sum(summary["probabilities"].values()) == pytest.approx(1.0, abs=1e-8)
+    held = {key for key, p in summary["probabilities"].items() if p != 0.0}
+    assert (held == {"0,0"}) == (lam == 0.0)
+    per_channel = {}
+    for line in lines[1:]:
+        x, n1, n2, _, _ = line.split(",")
+        per_channel.setdefault(f"{n1},{n2}", []).append(float(x))
+    assert set(per_channel) == held
+    xs = per_channel["0,0"]
+    assert xs == sorted(xs) and all(v == xs for v in per_channel.values())
+
+
 # ---------------------------------------------------------------------------
 # sweep command
 
