@@ -43,11 +43,9 @@ def main() -> int:
     for factor in factors:
         t = float(factor) * params.tau2
         run, _ = pt.converged_dyson_run(params, t, ff, grid, args.n_max)
-        p11 = run.joint_probability((1, 1))
-        values.append(p11)
-        print(f"{factor:8.3f} {p11:14.6e} "
-              f"{run.first_order_probability((1, 0)):14.6e} "
-              f"{run.first_order_probability((0, 1)):14.6e}")
+        probs = run.probabilities()
+        values.append(probs[(1, 1)])
+        print(f"{factor:8.3f} {probs[(1, 1)]:14.6e} {probs[(1, 0)]:14.6e} {probs[(0, 1)]:14.6e}")
     values = np.asarray(values)
     print(f"\nP11 spread over the window: max/min = {values.max() / values.min():.4f}; "
           f"value at 1.5 tau2 sits {values[np.argmin(np.abs(factors - 1.5))] / values.mean():.4f} "

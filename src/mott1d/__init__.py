@@ -31,14 +31,7 @@ from .channels import (
     initialize_channels,
     potential_profile,
 )
-from .perturbation import (
-    HistoryProbabilities,
-    PerturbativeAmplitude,
-    first_order_amplitude,
-    free_propagate,
-    history_probabilities,
-    second_order_joint_amplitude,
-)
+from .perturbation import free_propagate
 from .experiments import (
     ExcitationReport,
     RegimeReport,

@@ -267,6 +267,11 @@ def channel_probabilities(state: ChannelState) -> dict[tuple[int, int], float]:
 # evolve checks the state's health every HEALTH_STRIDE steps, counted in
 # steps so that where a failing run stops does not depend on the machine
 HEALTH_STRIDE = 16
+# the largest total-norm drift a healthy run may show
+NORM_TOLERANCE = 1e-8
+# zeroing couplings below the floor costs at most this much amplitude over
+# the whole run
+COUPLING_ERROR_BUDGET = 1e-14
 
 
 @dataclass(frozen=True)
@@ -276,10 +281,6 @@ class PropagatorConfig:
     dt: float = 0.1
     n_max: int = 4
     top_shell_threshold: float = 1e-6
-    norm_tolerance: float = 1e-8
-    # zeroing couplings below the floor costs at most coupling_error_budget
-    # in amplitude over the whole run
-    coupling_error_budget: float = 1e-14
     potential_shape: str = "gaussian"
 
     def __post_init__(self) -> None:
@@ -381,7 +382,7 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     snapshot and at t_final, and the run stops at the first failed check:
     TruncationError when the top oscillator shell holds more norm than
     ``config.top_shell_threshold``, NormDriftError when the total norm
-    drifts beyond ``config.norm_tolerance`` or an amplitude is not finite.
+    drifts beyond ``NORM_TOLERANCE`` or an amplitude is not finite.
     The in-run checks read the state just after a kinetic step, whose
     per-channel norms are those at the step boundary (the kinetic factor is
     a unitary phase on each channel), so they cost no extra transforms.
@@ -407,7 +408,7 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     e1 = OscillatorBasis.for_oscillator(params, 1, config.n_max).energies
     e2 = OscillatorBasis.for_oscillator(params, 2, config.n_max).energies
     # each oscillator may spend half of the run's error budget
-    floor = 0.5 * config.coupling_error_budget * params.hbar / max(horizon, dt)
+    floor = 0.5 * COUPLING_ERROR_BUDGET * params.hbar / max(horizon, dt)
     slabs1 = _coupling_slabs(params, ff1, e1, dt, floor)
     slabs2 = _coupling_slabs(params, ff2, e2, dt, floor)
 
@@ -489,9 +490,9 @@ def _health_check(state: ChannelState, config: PropagatorConfig, norm0: float) -
     # written as "not ok" so that a NaN, which compares False, fails
     norm = state.norm()
     drift = abs(norm - norm0)
-    if not drift <= config.norm_tolerance:
+    if not drift <= NORM_TOLERANCE:
         what = ("non-finite amplitudes" if not math.isfinite(norm)
-                else f"norm drift {drift:.3e} exceeds {config.norm_tolerance:.1e}")
+                else f"norm drift {drift:.3e} exceeds {NORM_TOLERANCE:.1e}")
         raise _at_breach(NormDriftError(f"{what} at t={state.t:.6g}"), state, norm)
     top = state.top_shell_norm()
     if not top <= config.top_shell_threshold:

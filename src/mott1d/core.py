@@ -94,10 +94,6 @@ class ModelParams:
         """Classical transit time from the origin to a2."""
         return abs(self.a2) / self.v0
 
-    @property
-    def oscillator_length(self) -> float:
-        return math.sqrt(self.hbar / (self.m * self.omega))
-
     def to_natural(self) -> "ModelParams":
         """Rescale to hbar = M = v0 = 1 (lengths in hbar/(M v0), etc.)."""
         length = self.hbar / (self.M * self.v0)
@@ -213,10 +209,6 @@ class SpatialGrid:
     def wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.x_min == -self.x_max
-
     def mirror(self, values: np.ndarray) -> np.ndarray:
         """values at -x for each grid point x (exact on a symmetric grid).
 
@@ -256,10 +248,6 @@ class ComplexField:
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
-
-    def inner(self, other: "ComplexField") -> complex:
-        _check_same_grid(self, other)
-        return complex(np.vdot(self.values, other.values) * self.grid.dx)
 
 
 def _check_same_grid(a: ComplexField, b: ComplexField) -> None:

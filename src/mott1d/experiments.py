@@ -308,12 +308,12 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[tupl
         run, ok = pt.converged_dyson_run(spec.params, t_eval, ff, grid, num.n_max,
                                          num.dt_duhamel, num.pt_rtol,
                                          on_pass=lambda r: record(t_eval, r))
-        hist = pt.histories_from_run(run, ok)
-        pmap = dict(hist.single_map)
-        pmap.update(hist.joint_map)
+        pmap = run.probabilities()
+        sums = history_sums(pmap)
         probabilities[t_eval] = pmap
-        histories[t_eval] = hist.as_tuple()
-        step = hist.quadrature_step
+        histories[t_eval] = (1.0 - sums["right"] - sums["left"] - sums["both"],
+                             sums["right"], sums["left"], sums["both"])
+        step = run.dt
         halving_change = max(halving_change, run.halving_rel_change)
         halving_obs_change = max(halving_obs_change, run.halving_obs_change)
         converged = converged and ok
@@ -324,7 +324,7 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[tupl
                 fields[(0, n)] = ComplexField(grid, run.b2[n])
             for n1 in range(1, num.n_max + 1):
                 for n2 in range(1, num.n_max + 1):
-                    fields[(n1, n2)] = ComplexField(grid, run.joint_amplitude(n1, n2))
+                    fields[(n1, n2)] = ComplexField(grid, run.joint[n1, n2])
     wall = time.perf_counter() - t0
     engine_run = EngineRun(engine="pt", probabilities=probabilities, histories=histories,
                            convergence={"dt": step, "n_max": num.n_max,
@@ -423,7 +423,9 @@ def sweep_lambda(spec: ScenarioSpec, lambda_values: Sequence[float],
     if values[-1] / values[0] < 10.0 * (1.0 - 1e-12):
         raise ValueError("sweep must span at least one decade")
     target = target or spec.targets[0]
-    n1, n2 = target
+    if min(target) < 0 or target == (0, 0) or max(target) > spec.numerics.n_max:
+        raise ValueError(f"sweep target {target} must name an excited channel "
+                         f"within n_max={spec.numerics.n_max}")
     engine = "oracle" if spec.engine == "oracle" else "pt"
     for lam in values:
         rep = check_regime(replace(spec.params, lam=lam), spec.epsilon)
@@ -440,8 +442,7 @@ def sweep_lambda(spec: ScenarioSpec, lambda_values: Sequence[float],
         if engine == "pt":
             run, _ = pt.converged_dyson_run(params, t_eval, ff, grid, num.n_max,
                                             num.dt_duhamel, num.pt_rtol)
-            p = (run.joint_probability(target) if n1 >= 1 and n2 >= 1
-                 else run.first_order_probability(target))
+            p = run.probabilities()[target]
         else:
             config = ch.PropagatorConfig(dt=num.dt_oracle, n_max=num.n_max,
                                          top_shell_threshold=num.top_shell_threshold,

@@ -225,7 +225,7 @@ def test_evolve_matches_reference_kernel(case, n_max, lambda0, hbar):
     energies = [OscillatorBasis.for_oscillator(p, i, n_max).energies for i in (1, 2)]
     ref = reference_channel_evolve(state.amplitudes, ff[0].values, ff[1].values, *energies,
                                    grid.dx, t_final, config.dt, p.lam, p.hbar, p.M,
-                                   config.coupling_error_budget, snapshot_times=(t_mid,))
+                                   ch.COUPLING_ERROR_BUDGET, snapshot_times=(t_mid,))
     assert [s.t for s in seen] == list(ref["snapshots"])
     np.testing.assert_allclose(seen[0].amplitudes, ref["snapshots"][seen[0].t],
                                rtol=0, atol=1e-12)

@@ -308,6 +308,26 @@ def test_sweep_pt_slope(tmp_path):
     assert header == "lambda,lambda0,p_1_1,engine"
 
 
+@pytest.mark.parametrize("engine", ["pt", "oracle"])
+def test_sweep_target_beyond_n_max_fails_before_solving(tmp_path, capsys, monkeypatch, engine):
+    from mott1d import channels, perturbation
+
+    def solve(*args, **kwargs):
+        raise AssertionError("the sweep solved before checking its target")
+
+    monkeypatch.setattr(perturbation, "converged_dyson_run", solve)
+    monkeypatch.setattr(channels, "evolve_with_escalation", solve)
+    cfg = write_config(tmp_path, sweep={"lambda0_values": [1e-4, 2.5e-4, 5e-4, 1e-3],
+                                        "target": [2, 2]})
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--engine", engine])
+    assert code == cli.EXIT_CONFIG
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert "n_max=1" in manifest["error"]
+    assert "n_max=1" in capsys.readouterr().err
+
+
 def test_sweep_requires_section(tmp_path):
     cfg = write_config(tmp_path)
     assert cli.main(["sweep", "--config", str(cfg),

@@ -22,6 +22,7 @@ from mott1d.core import (
     make_gaussian_packet,
     make_spherical_wave_1d,
     free_spread,
+    history_sums,
     suggest_grid,
 )
 from oracles import free_two_packet, reference_dyson_stack
@@ -88,41 +89,28 @@ def test_dyson_free_row_honours_hbar(free_params):
 
 def test_first_order_zero_coupling(reduced_collinear, reduced_grid):
     p = replace(reduced_collinear, lam=0.0)
-    amp = pt.first_order_amplitude((1, 0), 0.5 * p.tau2, p, grid=reduced_grid)
-    assert np.all(amp.amplitude.values == 0.0)
-    assert amp.probability == 0.0
+    run, _ = pt.converged_dyson_run(p, 0.5 * p.tau2, grid=reduced_grid, n_max=1)
+    assert np.all(run.b1[1] == 0.0)
+    assert run.probabilities()[(1, 0)] == 0.0
 
 
 def test_first_order_lambda_doubling_quadruples_exactly(reduced_collinear, reduced_grid):
     p = reduced_collinear
     ff = form_factor_pair(p, reduced_grid, 1)
     t = p.tau2
-    a1 = pt.first_order_amplitude((1, 0), t, p, ff, grid=reduced_grid)
-    a2 = pt.first_order_amplitude((1, 0), t, replace(p, lam=2.0 * p.lam), ff,
-                                  grid=reduced_grid)
-    assert a2.probability == 4.0 * a1.probability
-
-
-def test_first_order_rejects_bad_target(reduced_collinear, reduced_grid):
-    with pytest.raises(ValueError):
-        pt.first_order_amplitude((1, 1), 10.0, reduced_collinear, grid=reduced_grid)
-    with pytest.raises(ValueError):
-        pt.first_order_amplitude((0, 0), 10.0, reduced_collinear, grid=reduced_grid)
+    r1, _ = pt.converged_dyson_run(p, t, ff, reduced_grid, n_max=1)
+    r2, _ = pt.converged_dyson_run(replace(p, lam=2.0 * p.lam), t, ff, reduced_grid, n_max=1)
+    assert r2.probabilities()[(1, 0)] == 4.0 * r1.probabilities()[(1, 0)]
 
 
 def test_first_order_grows_after_arrival():
     # before the packet reaches a1 the excitation is tail-suppressed by >= 1e3
-    p = m_default_collinear_eps01()
+    p = ex.default_params("collinear", epsilon=0.1)
     grid = suggest_grid(p, 2.0 * p.tau1)
     ff = form_factor_pair(p, grid, 1)
-    early = pt.first_order_amplitude((1, 0), 0.5 * p.tau1, p, ff, grid=grid)
-    late = pt.first_order_amplitude((1, 0), 2.0 * p.tau1, p, ff, grid=grid)
-    assert late.probability >= 1e3 * early.probability
-
-
-def m_default_collinear_eps01():
-    import mott1d.experiments as ex
-    return ex.default_params("collinear", epsilon=0.1)
+    early, _ = pt.converged_dyson_run(p, 0.5 * p.tau1, ff, grid, n_max=1)
+    late, _ = pt.converged_dyson_run(p, 2.0 * p.tau1, ff, grid, n_max=1)
+    assert late.probabilities()[(1, 0)] >= 1e3 * early.probabilities()[(1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +119,9 @@ def m_default_collinear_eps01():
 
 def test_second_order_zero_coupling(reduced_collinear, reduced_grid):
     p = replace(reduced_collinear, lam=0.0)
-    amp = pt.second_order_joint_amplitude((1, 1), 1.5 * p.tau2, p, grid=reduced_grid)
-    assert np.all(amp.amplitude.values == 0.0)
-    assert amp.probability == 0.0
+    run, _ = pt.converged_dyson_run(p, 1.5 * p.tau2, grid=reduced_grid, n_max=1)
+    assert np.all(run.joint[1, 1] == 0.0)
+    assert run.probabilities()[(1, 1)] == 0.0
 
 
 def test_second_order_lambda_fourth_power(reduced_collinear, reduced_grid):
@@ -142,9 +130,8 @@ def test_second_order_lambda_fourth_power(reduced_collinear, reduced_grid):
     t = 1.5 * p.tau2
     probs = {}
     for lam in (5e-4, 1e-3, 3e-3):
-        amp = pt.second_order_joint_amplitude((1, 1), t, replace(p, lam=lam), ff,
-                                              grid=reduced_grid)
-        probs[lam] = amp.probability
+        run, _ = pt.converged_dyson_run(replace(p, lam=lam), t, ff, reduced_grid, n_max=1)
+        probs[lam] = run.probabilities()[(1, 1)]
     lams = sorted(probs)
     for lo, hi in [(lams[0], lams[1]), (lams[0], lams[2]), (lams[1], lams[2])]:
         slope = math.log(probs[hi] / probs[lo]) / math.log(hi / lo)
@@ -157,27 +144,13 @@ def test_second_order_ordering_dominance(reduced_collinear, reduced_grid):
     p = reduced_collinear
     t = 1.5 * p.tau2
     ff = form_factor_pair(p, reduced_grid, 1)
-    amp = pt.second_order_joint_amplitude((1, 1), t, p, ff, grid=reduced_grid)
-    p12 = amp.ordering_probabilities["1->2"]
-    p21 = amp.ordering_probabilities["2->1"]
+    run, _ = pt.converged_dyson_run(p, t, ff, reduced_grid, n_max=1)
+    ref = _reference(p, t, ff, reduced_grid, 1, run.dt)
+    p12 = _norm_sq(ref["c12"][1, 1], reduced_grid)
+    p21 = _norm_sq(ref["c21"][1, 1], reduced_grid)
     assert p21 > 0
     assert p12 > 1e3 * p21
-    assert amp.probability == pytest.approx(p12, rel=0.05)
-    ref = _reference(p, t, ff, reduced_grid, 1, amp.quadrature_step)
-    assert p12 == pytest.approx(_norm_sq(ref["c12"][1, 1], reduced_grid), rel=1e-12)
-    assert p21 == pytest.approx(_norm_sq(ref["c21"][1, 1], reduced_grid), rel=1e-12)
-
-
-def test_second_order_warns_before_tau2(reduced_collinear, reduced_grid):
-    p = reduced_collinear
-    with pytest.warns(UserWarning):
-        pt.second_order_joint_amplitude((1, 1), 0.5 * p.tau2, p, grid=reduced_grid)
-
-
-def test_second_order_rejects_single_excitation(reduced_collinear, reduced_grid):
-    with pytest.raises(ValueError):
-        pt.second_order_joint_amplitude((1, 0), 10.0, reduced_collinear,
-                                        grid=reduced_grid)
+    assert run.probabilities()[(1, 1)] == pytest.approx(p12, rel=0.05)
 
 
 def _norm_sq(values, grid):
@@ -228,22 +201,6 @@ def test_dyson_run_matches_reference_kernel(case, shape, n_max, hbar, dt):
             expected = _norm_sq(ref["c12"][n1, n2] + ref["c21"][n1, n2], grid)
         assert prob == pytest.approx(expected, rel=1e-12), (n1, n2)
 
-    # split orderings: each matches the reference's own ordering.  The kick
-    # drops form-factor tails below KICK_FLOOR of their maximum, an error at
-    # rounding level relative to the channel's joint amplitude; an ordering
-    # many orders below the other (2->1 in the opposite geometry, 1e-13 of
-    # 1->2) is therefore held to 1e-12 of the channel, not of itself
-    split = pt.dyson_run(p, t, ff, grid, n_max, dt, split_orderings=True)
-    assert split.joint.shape[0] == 2
-    for n1 in range(1, n_max + 1):
-        for n2 in range(1, n_max + 1):
-            want = [_norm_sq(ref[key][n1, n2], grid) for key in ("c12", "c21")]
-            got = [_norm_sq(c, grid) for c in split.joint[:, n1, n2]]
-            for g, w in zip(got, want):
-                assert g == pytest.approx(w, rel=0, abs=1e-12 * sum(want)), (n1, n2)
-            assert split.joint_probability((n1, n2)) == pytest.approx(
-                run.joint_probability((n1, n2)), rel=1e-12)
-
     # amplitudes, phases included, to 1e-12 of each channel's peak (summed
     # over orderings).  Against the full tables the dropped tails reach 5e-12
     # of the suppressed opposite-geometry joint peak, so the fields are
@@ -257,24 +214,20 @@ def test_dyson_run_matches_reference_kernel(case, shape, n_max, hbar, dt):
         for n2 in range(1, n_max + 1):
             c12, c21 = ref["c12"][n1, n2], ref["c21"][n1, n2]
             tol = 1e-12 * (np.max(np.abs(c12)) + np.max(np.abs(c21)))
-            for got, want, label in ((run.joint[0, n1, n2], c12 + c21, "sum"),
-                                     (split.joint[0, n1, n2], c12, "1->2"),
-                                     (split.joint[1, n1, n2], c21, "2->1")):
-                assert np.max(np.abs(got - want)) <= tol, (label, n1, n2)
+            assert np.max(np.abs(run.joint[n1, n2] - (c12 + c21))) <= tol, (n1, n2)
 
 
-@pytest.mark.parametrize("split", [False, True], ids=["summed", "split"])
-def test_dyson_run_bitwise_under_short_switch_interval(reduced_collinear, reduced_grid, split):
+def test_dyson_run_bitwise_under_short_switch_interval(reduced_collinear, reduced_grid):
     # the worker thread adds the joint sources in step order whatever the
     # thread interleaving, so a GIL hand-off every microsecond changes no bit
     p = reduced_collinear
     ff = form_factor_pair(p, reduced_grid, 2)
     args = (p, 1.5 * p.tau2, ff, reduced_grid, 2, 0.2)
-    base = pt.dyson_run(*args, split_orderings=split)
+    base = pt.dyson_run(*args)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        fast = pt.dyson_run(*args, split_orderings=split)
+        fast = pt.dyson_run(*args)
     finally:
         sys.setswitchinterval(interval)
     for name in ("psi_free", "b1", "b2", "joint"):
@@ -336,41 +289,47 @@ def test_converged_run_drops_previous_pass_fields(reduced_collinear, reduced_gri
     assert len(refs) == 3
 
 
-def test_dyson_order_validation():
-    with pytest.raises(ValueError):
-        pt.DysonOrder(3)
-    with pytest.raises(ValueError):
-        pt.DysonOrder(2, "simultaneous")
-    assert pt.DysonOrder(2, "1->2").ordering == "1->2"
-
-
 # ---------------------------------------------------------------------------
 # histories
 
 
-def test_histories_zero_coupling(reduced_collinear, reduced_grid):
-    p = replace(reduced_collinear, lam=0.0)
-    hist = pt.history_probabilities(1.5 * p.tau2, p, n_max=2, grid=reduced_grid)
-    assert hist.as_tuple() == (1.0, 0.0, 0.0, 0.0)
+def _pt_histories(p):
+    """(p_none, p_right_only, p_left_only, p_both) of the collinear PT
+    scenario at 1.5 tau2, n_max 2, on the reduced grid."""
+    spec = ex.ScenarioSpec(case=ex.COLLINEAR, params=p, epsilon=0.2, engine="pt",
+                           numerics=ex.NumericSettings(n_max=2))
+    [hist] = ex.run_scenario(spec).engines["pt"].histories.values()
+    return hist
 
 
-def test_histories_sum_to_one(reduced_collinear, reduced_grid):
-    p = reduced_collinear
-    hist = pt.history_probabilities(1.5 * p.tau2, p, n_max=2, grid=reduced_grid)
-    assert sum(hist.as_tuple()) == pytest.approx(1.0, abs=1e-12)
-    assert hist.p_right_only > 0
-    assert hist.p_left_only > 0
-    assert hist.p_both > 0
-    assert hist.p_both < min(hist.p_right_only, hist.p_left_only)
+def test_histories_zero_coupling(reduced_collinear):
+    assert _pt_histories(replace(reduced_collinear, lam=0.0)) == (1.0, 0.0, 0.0, 0.0)
+
+
+def test_histories_sum_to_one(reduced_collinear):
+    p_none, p_right, p_left, p_both = _pt_histories(reduced_collinear)
+    assert p_none + p_right + p_left + p_both == pytest.approx(1.0, abs=1e-12)
+    assert p_right > 0
+    assert p_left > 0
+    assert p_both > 0
+    assert p_both < min(p_right, p_left)
 
 
 def test_histories_parity(reduced_opposite, reduced_grid):
+    # the mirrored setup (a1, a2) -> (-a1, -a2) is no scenario geometry, so
+    # both runs go through the engine directly; every channel and every
+    # history agrees
     p = reduced_opposite
     t = 1.5 * p.tau2
-    base = pt.history_probabilities(t, p, n_max=2, grid=reduced_grid)
-    mirrored = pt.history_probabilities(t, p.mirrored(), n_max=2, grid=reduced_grid)
-    for a, b in zip(base.as_tuple(), mirrored.as_tuple()):
-        assert a == pytest.approx(b, abs=1e-9)
+    base, _ = pt.converged_dyson_run(p, t, grid=reduced_grid, n_max=2)
+    mirrored, _ = pt.converged_dyson_run(p.mirrored(), t, grid=reduced_grid, n_max=2)
+    a, b = base.probabilities(), mirrored.probabilities()
+    assert a.keys() == b.keys()
+    for key in a:
+        assert a[key] == pytest.approx(b[key], abs=1e-9), key
+    sums_a, sums_b = history_sums(a), history_sums(b)
+    for key in ("right", "left", "both"):
+        assert sums_a[key] == pytest.approx(sums_b[key], abs=1e-9), key
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +345,6 @@ def test_quadrature_convergence_error(reduced_collinear, reduced_grid):
 
 def test_converged_run_reports_step(reduced_collinear, reduced_grid):
     p = reduced_collinear
-    amp = pt.first_order_amplitude((1, 0), p.tau2, p, grid=reduced_grid)
-    assert amp.converged
-    assert 0.0 < amp.quadrature_step < pt.default_duhamel_step(p)
-
-
-def test_amplitude_json_report(reduced_collinear, reduced_grid):
-    import json
-
-    p = reduced_collinear
-    amp = pt.second_order_joint_amplitude((1, 1), 1.5 * p.tau2, p, grid=reduced_grid)
-    report = amp.as_report()
-    assert {"order", "n1", "n2", "t", "P", "quadrature_step", "converged"} <= set(report)
-    assert report["order"] == 2
-    assert (report["n1"], report["n2"]) == (1, 1)
-    assert report["P"] == amp.probability
-    json.dumps(report)  # serializable as-is
+    run, converged = pt.converged_dyson_run(p, p.tau2, grid=reduced_grid, n_max=1)
+    assert converged
+    assert 0.0 < run.dt < pt.default_duhamel_step(p)
