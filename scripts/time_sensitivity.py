@@ -42,7 +42,7 @@ def main() -> int:
     values = []
     for factor in factors:
         t = float(factor) * params.tau2
-        run, _ = pt.converged_dyson_run(params, t, ff, grid, args.n_max)
+        run = pt.converged_dyson_run(params, t, ff, grid, args.n_max)
         probs = run.probabilities()
         values.append(probs[(1, 1)])
         print(f"{factor:8.3f} {probs[(1, 1)]:14.6e} {probs[(1, 0)]:14.6e} {probs[(0, 1)]:14.6e}")

@@ -20,24 +20,23 @@ once per run on the oscillator's slabs, the contiguous runs of points where
 its coupling exceeds an error-budget floor, and is the identity elsewhere,
 so points far from both oscillators cost nothing beyond the free step.
 
-Each step runs on two threads.  ``evolve`` starts one worker thread per
-call and hands it half of each part of a Strang step: the upper half of the
-channel rows in every kinetic step, and the grid points from one cut on in
-every coupling step, the cut chosen once per call to halve the slab points
-of both oscillators.  The calling thread does the other half and then waits
-for the worker, so a step has two synchronous hand-offs.  Each row's
-transforms and each point's U1' and U2' are the same operations in the
-same order as on one thread, so every amplitude is bit-identical to a
-one-thread run.  The health checks, snapshots and typed errors stay on the
+Each step runs on two threads.  ``evolve`` opens one single-worker executor
+per call and submits to it half of each part of a Strang step: the upper
+half of the channel rows in every kinetic step, and the grid points from one
+cut on in every coupling step, the cut chosen once per call to halve the
+slab points of both oscillators.  The calling thread does the other half
+and then waits for the worker's, so a step has two synchronous hand-offs.
+Each row's transforms and each point's U1' and U2' are the same operations
+in the same order as on one thread, so every amplitude is bit-identical to
+a one-thread run.  The health checks, snapshots and typed errors stay on the
 calling thread; a failure in the worker's half is re-raised there, and the
-worker is joined before ``evolve`` returns or raises.
+executor is shut down before ``evolve`` returns or raises.
 """
 
 from __future__ import annotations
 
 import math
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -357,18 +356,6 @@ def _couple_points(f3: np.ndarray, slabs1: list[tuple[slice, np.ndarray]],
             g[...] = out
 
 
-def _serve(tasks: queue.SimpleQueue, done: queue.SimpleQueue,
-           failures: list[BaseException]) -> None:
-    """Worker loop: run each (work, args) task and report back, until None."""
-    while (task := tasks.get()) is not None:
-        work, args = task
-        try:
-            work(*args)
-        except BaseException as exc:
-            failures.append(exc)
-        done.put(None)
-
-
 def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
            t_final: float,
            form_factors: tuple[FormFactorTable, FormFactorTable] | None = None,
@@ -435,17 +422,18 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     cut = _halving_point(slabs1 + slabs2, grid.n_points)
     mine = (f3, _clip(slabs1, 0, cut), _clip(slabs2, 0, cut))
     theirs = (f3, _clip(slabs1, cut, grid.n_points), _clip(slabs2, cut, grid.n_points))
-    tasks: queue.SimpleQueue = queue.SimpleQueue()
-    done: queue.SimpleQueue = queue.SimpleQueue()
-    failures: list[BaseException] = []
+    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="evolve-half")
 
     def halves(work: Callable[..., None], args: tuple, worker_args: tuple) -> None:
         # one synchronous hand-off: the worker's half runs beside this one
-        tasks.put((work, worker_args))
+        future = pool.submit(work, *worker_args)
         work(*args)
-        done.get()
-        if failures:
-            raise failures.pop()
+        try:
+            future.result()
+        finally:
+            # a worker failure would otherwise keep this frame, and through
+            # it the run's arrays, in a cycle with the error's traceback
+            del future
 
     def kin(phase: np.ndarray) -> None:
         halves(_kinetic_rows, (f[:r], phase[:r]), (f[r:], phase[r:]))
@@ -456,10 +444,7 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
             _health_check(snap, config, norm0)
             on_snapshot(snap)
 
-    worker = threading.Thread(target=_serve, args=(tasks, done, failures),
-                              name="evolve-half", daemon=True)
-    worker.start()
-    try:
+    with pool:
         # Strang chain K(dt/2) [C K(dt)]^{n-1} C K(dt/2); a snapshot splits
         # the merged full kinetic step so the emitted state sits on a step
         # boundary
@@ -476,9 +461,6 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
                 kin(kin_full)
             if step % HEALTH_STRIDE == 0 and step < n_steps:
                 _health_check(ChannelState(state.t + step * dt, grid, f3), config, norm0)
-    finally:
-        tasks.put(None)
-        worker.join()
 
     out = ChannelState(t_final, grid, f3)
     _health_check(out, config, norm0)

@@ -173,6 +173,9 @@ class ScenarioSpec:
             n1, n2 = tgt
             if n1 < 0 or n2 < 0 or (n1 == 0 and n2 == 0):
                 raise ValueError(f"target {tgt} must name an excited channel")
+        if self.numerics.x_max is not None and self.numerics.n_points is None:
+            raise ValueError("numerics.x_max needs numerics.n_points: "
+                             "alone it would be replaced by the suggested grid")
 
     @property
     def eval_times(self) -> tuple[float, ...]:
@@ -181,7 +184,7 @@ class ScenarioSpec:
     def grid(self) -> SpatialGrid:
         num = self.numerics
         t_max = max(self.eval_times)
-        if num.x_max is not None and num.n_points is not None:
+        if num.x_max is not None:
             return SpatialGrid.symmetric(num.x_max, num.n_points)
         return suggest_grid(self.params, t_max, n_points=num.n_points)
 
@@ -294,7 +297,6 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[tupl
     step = math.nan
     halving_change = 0.0
     halving_obs_change = 0.0
-    converged = True
     halving: list[dict[str, float | None]] = []
 
     def record(t_eval: float, run: pt.DysonResult) -> None:
@@ -305,9 +307,9 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[tupl
 
     t0 = time.perf_counter()
     for t_eval in spec.eval_times:
-        run, ok = pt.converged_dyson_run(spec.params, t_eval, ff, grid, num.n_max,
-                                         num.dt_duhamel, num.pt_rtol,
-                                         on_pass=lambda r: record(t_eval, r))
+        run = pt.converged_dyson_run(spec.params, t_eval, ff, grid, num.n_max,
+                                     num.dt_duhamel, num.pt_rtol,
+                                     on_pass=lambda r: record(t_eval, r))
         pmap = run.probabilities()
         sums = history_sums(pmap)
         probabilities[t_eval] = pmap
@@ -316,7 +318,6 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[tupl
         step = run.dt
         halving_change = max(halving_change, run.halving_rel_change)
         halving_obs_change = max(halving_obs_change, run.halving_obs_change)
-        converged = converged and ok
         if t_eval == max(spec.eval_times):
             fields[(0, 0)] = ComplexField(grid, run.psi_free)
             for n in range(1, num.n_max + 1):
@@ -328,7 +329,8 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[tupl
     wall = time.perf_counter() - t0
     engine_run = EngineRun(engine="pt", probabilities=probabilities, histories=histories,
                            convergence={"dt": step, "n_max": num.n_max,
-                                        "converged": converged,
+                                        # an unconverged run raises QuadratureError
+                                        "converged": True,
                                         "halving_rel_change": halving_change,
                                         "halving_rel_change_observables": halving_obs_change,
                                         "halving": halving},
@@ -440,8 +442,8 @@ def sweep_lambda(spec: ScenarioSpec, lambda_values: Sequence[float],
     for lam in values:
         params = replace(spec.params, lam=lam)
         if engine == "pt":
-            run, _ = pt.converged_dyson_run(params, t_eval, ff, grid, num.n_max,
-                                            num.dt_duhamel, num.pt_rtol)
+            run = pt.converged_dyson_run(params, t_eval, ff, grid, num.n_max,
+                                         num.dt_duhamel, num.pt_rtol)
             p = run.probabilities()[target]
         else:
             config = ch.PropagatorConfig(dt=num.dt_oracle, n_max=num.n_max,

@@ -25,12 +25,12 @@ per step at n_max = 4 instead of 50.
 
 The two halves of a step are independent kernels, so they run on two
 threads.  The calling thread keeps the x-space chain (kick and propagate of
-psi and b) and hands each step's source, cut to the kick span, to one worker
-thread through a queue of at most two entries; the worker owns the phase
-exp(+i w tau_j) and adds the transformed sources into A in step order, so
-every sum is taken in the same order as on one thread.  The queue's
-backpressure is the only synchronisation; A is read after the worker has
-taken the end-of-run sentinel and been joined.
+psi and b) and submits each step's source, cut to the kick span, to one
+single-worker executor per call; the worker owns the phase exp(+i w tau_j)
+and adds the transformed sources into A in step order, so every sum is
+taken in the same order as on one thread.  The calling thread waits only
+when three sources are in flight, and reads A after every one has been
+added.
 
 The two interaction orderings (oscillator 1 first vs oscillator 2 first)
 share their channel energies, so one joint block carries both orderings'
@@ -41,14 +41,14 @@ exceed ``KICK_FLOOR`` of their maximum, so the slabs are independent of lam.
 from __future__ import annotations
 
 import math
-import queue
-import threading
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .channels import FormFactorTable, form_factor_pair
+from .channels import FormFactorTable
 from .core import (
     ComplexField,
     ModelParams,
@@ -58,7 +58,6 @@ from .core import (
     history_sums,
     kinetic_phase,
     make_spherical_wave_1d,
-    suggest_grid,
 )
 
 # Kick entries whose bare form factor is below this fraction of its maximum
@@ -134,18 +133,14 @@ def _add_spectrum(acc: np.ndarray, values: np.ndarray, phase: np.ndarray) -> Non
     acc += np.multiply(f, phase, out=f)
 
 
-def dyson_run(params: ModelParams, t_final: float, form_factors: tuple[FormFactorTable, FormFactorTable] | None = None,
-              grid: SpatialGrid | None = None, n_max: int = 4,
-              dt: float | None = None) -> DysonResult:
+def dyson_run(params: ModelParams, t_final: float,
+              form_factors: tuple[FormFactorTable, FormFactorTable], grid: SpatialGrid,
+              n_max: int = 4, dt: float | None = None) -> DysonResult:
     """One kick–propagate pass of the whole amplitude stack up to t_final."""
     if not t_final > 0:
         raise ValueError(f"t_final must be positive, got {t_final!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
-    if grid is None:
-        grid = suggest_grid(params, t_final)
-    if form_factors is None:
-        form_factors = form_factor_pair(params, grid, n_max)
     ff1, ff2 = form_factors
     if ff1.n_max < n_max or ff2.n_max < n_max:
         raise ValueError("form-factor tables truncated below requested n_max")
@@ -202,38 +197,26 @@ def dyson_run(params: ModelParams, t_final: float, form_factors: tuple[FormFacto
         return np.fft.ifft(f, axis=-1)
 
     # exp(+i omega_k tau_j) at the kick times tau_j = (j - 1/2) dt; from
-    # here on only the worker touches phase and acc
+    # here on only the worker touches phase, padded and acc
     phase, advance = kinetic_phase(grid, params, -dt / 2.0), kinetic_phase(grid, params, -dt)
-    sources: queue.Queue[np.ndarray | None] = queue.Queue(maxsize=2)
-    failures: list[BaseException] = []
+    padded = np.zeros_like(acc)  # zero off the span for the whole run
 
-    def accumulate() -> None:
-        padded = np.zeros_like(acc)  # zero off the span for the whole run
-        try:
-            while (src := sources.get()) is not None:
-                padded[..., span] = src
-                _add_spectrum(acc, padded, phase)
-                np.multiply(phase, advance, out=phase)
-        except BaseException as exc:
-            failures.append(exc)
-            # keep taking sources, so the producer never blocks on a full queue
-            while sources.get() is not None:
-                pass
+    def accumulate(src: np.ndarray) -> None:
+        padded[..., span] = src
+        _add_spectrum(acc, padded, phase)
+        np.multiply(phase, advance, out=phase)
 
-    worker = threading.Thread(target=accumulate, name="dyson-joint", daemon=True)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dyson-joint") as pool:
+        # one source being added and two waiting, at most
+        in_flight: deque[Future] = deque()
         st = propagate(st, kin_half)
         for step in range(1, n_steps + 1):
-            if failures:
-                break
-            sources.put(kick(st, (step - 0.5) * dt))
+            if len(in_flight) == 3:
+                in_flight.popleft().result()
+            in_flight.append(pool.submit(accumulate, kick(st, (step - 0.5) * dt)))
             st = propagate(st, kin_half if step == n_steps else kin_full)
-    finally:
-        sources.put(None)
-        worker.join()
-    if failures:
-        raise failures.pop()
+        while in_flight:
+            in_flight.popleft().result()
 
     b1, b2 = np.zeros((2, n + 1, grid.n_points), dtype=np.complex128)
     b1[1:], b2[1:] = st[1:1 + n], st[1 + n:]
@@ -246,24 +229,21 @@ def dyson_run(params: ModelParams, t_final: float, form_factors: tuple[FormFacto
 
 
 def converged_dyson_run(params: ModelParams, t_final: float,
-                        form_factors: tuple[FormFactorTable, FormFactorTable] | None = None,
-                        grid: SpatialGrid | None = None, n_max: int = 4,
+                        form_factors: tuple[FormFactorTable, FormFactorTable],
+                        grid: SpatialGrid, n_max: int = 4,
                         dt: float | None = None, rtol: float = 1e-3,
                         max_halvings: int = 6,
                         on_pass: Callable[[DysonResult], None] | None = None
-                        ) -> tuple[DysonResult, bool]:
+                        ) -> DysonResult:
     """Halve the Duhamel step until every reported probability is stable.
 
-    Returns (result, converged).  Raises QuadratureError when the halving
-    budget runs out before the relative change drops below ``rtol``.  Each
+    Returns the first pass whose probabilities changed by at most ``rtol``
+    from the previous pass's (the only pass when lam is 0); raises
+    QuadratureError when the halving budget runs out before that.  Each
     pass's result goes to ``on_pass`` once its changes are set (NaN on the
     first pass).  Probabilities below ``NOISE_FLOOR`` are left out of the
     metric.
     """
-    if grid is None:
-        grid = suggest_grid(params, t_final)
-    if form_factors is None:
-        form_factors = form_factor_pair(params, grid, n_max)
     step = dt if dt is not None else default_duhamel_step(params)
     run = dyson_run(params, t_final, form_factors, grid, n_max, step)
     if on_pass is not None:
@@ -271,7 +251,7 @@ def converged_dyson_run(params: ModelParams, t_final: float,
     if params.lam == 0.0:
         run.halving_rel_change = 0.0
         run.halving_obs_change = 0.0
-        return run, True
+        return run
     probs = run.probabilities()
     sums = history_sums(probs)
     for _ in range(max_halvings):
@@ -285,7 +265,7 @@ def converged_dyson_run(params: ModelParams, t_final: float,
         if on_pass is not None:
             on_pass(run)
         if run.halving_rel_change <= rtol:
-            return run, True
+            return run
         probs, sums = cur_probs, cur_sums
     raise QuadratureError(
         f"Duhamel quadrature not converged to rtol={rtol} after {max_halvings} halvings")

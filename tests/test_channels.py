@@ -291,19 +291,35 @@ def test_truncation_stops_at_first_breach(reduced_collinear, reduced_grid):
     assert all(s.top_shell_norm() <= config.top_shell_threshold for s in seen[:-1])
 
 
-def test_failed_evolve_leaves_no_reference_cycle(reduced_collinear, reduced_grid):
+@pytest.mark.parametrize("failing_half", ["caller", "worker"])
+def test_failed_evolve_leaves_no_reference_cycle(reduced_collinear, reduced_grid,
+                                                 monkeypatch, failing_half):
     # a cycle through the error's traceback would keep the failed attempt's
-    # arrays alive while escalation allocates the next, larger one
+    # arrays alive while escalation allocates the next, larger one; the
+    # calling thread fails a health check, the worker one of its halves
     strong = replace(reduced_collinear, lam=0.05)
     config = ch.PropagatorConfig(dt=0.1, n_max=1)
     state = ch.initialize_channels(strong, reduced_grid, 1)
+    expected = ch.TruncationError
+    if failing_half == "worker":
+        expected = ZeroDivisionError
+        caller, original = threading.current_thread(), ch._kinetic_rows
+
+        def failing(f, phase):
+            if threading.current_thread() is not caller:
+                raise ZeroDivisionError("worker failed")
+            original(f, phase)
+
+        monkeypatch.setattr(ch, "_kinetic_rows", failing)
+    raised = None
     gc.collect()
     gc.disable()
     try:
         try:
             ch.evolve(state, strong, config, 1.5 * strong.tau2)
-        except ch.TruncationError:
-            pass
+        except (ch.TruncationError, ZeroDivisionError) as exc:
+            raised = type(exc)
+        assert raised is expected
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -398,7 +414,7 @@ def test_evolve_bitwise_under_short_switch_interval(case, n_max, coupled):
 def test_evolve_worker_failure_leaves_the_call(reduced_collinear, reduced_grid,
                                                reduced_config, monkeypatch):
     # a failure in the worker's half surfaces from evolve unchanged, and the
-    # worker is joined before evolve raises
+    # executor's thread is joined before evolve raises
     p = reduced_collinear
     boom = RuntimeError("worker failed")
     workers = set()

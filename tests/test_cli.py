@@ -86,6 +86,15 @@ def test_times_and_t_factor_conflict(tmp_path):
         cli.load_config(path)
 
 
+def test_x_max_without_n_points_rejected(tmp_path):
+    # the suggested grid would silently replace the requested half-width
+    path = write_config(tmp_path, numerics={"x_max": 500.0})
+    with pytest.raises(cli.ConfigError, match="x_max needs numerics.n_points"):
+        cli.load_config(path)
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+
+
 def test_type_errors_are_reported(tmp_path):
     path = write_config(tmp_path, scenario={"case": "collinear", "epsilon": "big"})
     with pytest.raises(cli.ConfigError, match="scenario.epsilon"):

@@ -89,7 +89,8 @@ def test_dyson_free_row_honours_hbar(free_params):
 
 def test_first_order_zero_coupling(reduced_collinear, reduced_grid):
     p = replace(reduced_collinear, lam=0.0)
-    run, _ = pt.converged_dyson_run(p, 0.5 * p.tau2, grid=reduced_grid, n_max=1)
+    run = pt.converged_dyson_run(p, 0.5 * p.tau2, form_factor_pair(p, reduced_grid, 1),
+                                 reduced_grid, n_max=1)
     assert np.all(run.b1[1] == 0.0)
     assert run.probabilities()[(1, 0)] == 0.0
 
@@ -98,8 +99,8 @@ def test_first_order_lambda_doubling_quadruples_exactly(reduced_collinear, reduc
     p = reduced_collinear
     ff = form_factor_pair(p, reduced_grid, 1)
     t = p.tau2
-    r1, _ = pt.converged_dyson_run(p, t, ff, reduced_grid, n_max=1)
-    r2, _ = pt.converged_dyson_run(replace(p, lam=2.0 * p.lam), t, ff, reduced_grid, n_max=1)
+    r1 = pt.converged_dyson_run(p, t, ff, reduced_grid, n_max=1)
+    r2 = pt.converged_dyson_run(replace(p, lam=2.0 * p.lam), t, ff, reduced_grid, n_max=1)
     assert r2.probabilities()[(1, 0)] == 4.0 * r1.probabilities()[(1, 0)]
 
 
@@ -108,8 +109,8 @@ def test_first_order_grows_after_arrival():
     p = ex.default_params("collinear", epsilon=0.1)
     grid = suggest_grid(p, 2.0 * p.tau1)
     ff = form_factor_pair(p, grid, 1)
-    early, _ = pt.converged_dyson_run(p, 0.5 * p.tau1, ff, grid, n_max=1)
-    late, _ = pt.converged_dyson_run(p, 2.0 * p.tau1, ff, grid, n_max=1)
+    early = pt.converged_dyson_run(p, 0.5 * p.tau1, ff, grid, n_max=1)
+    late = pt.converged_dyson_run(p, 2.0 * p.tau1, ff, grid, n_max=1)
     assert late.probabilities()[(1, 0)] >= 1e3 * early.probabilities()[(1, 0)]
 
 
@@ -119,7 +120,8 @@ def test_first_order_grows_after_arrival():
 
 def test_second_order_zero_coupling(reduced_collinear, reduced_grid):
     p = replace(reduced_collinear, lam=0.0)
-    run, _ = pt.converged_dyson_run(p, 1.5 * p.tau2, grid=reduced_grid, n_max=1)
+    run = pt.converged_dyson_run(p, 1.5 * p.tau2, form_factor_pair(p, reduced_grid, 1),
+                                 reduced_grid, n_max=1)
     assert np.all(run.joint[1, 1] == 0.0)
     assert run.probabilities()[(1, 1)] == 0.0
 
@@ -130,7 +132,7 @@ def test_second_order_lambda_fourth_power(reduced_collinear, reduced_grid):
     t = 1.5 * p.tau2
     probs = {}
     for lam in (5e-4, 1e-3, 3e-3):
-        run, _ = pt.converged_dyson_run(replace(p, lam=lam), t, ff, reduced_grid, n_max=1)
+        run = pt.converged_dyson_run(replace(p, lam=lam), t, ff, reduced_grid, n_max=1)
         probs[lam] = run.probabilities()[(1, 1)]
     lams = sorted(probs)
     for lo, hi in [(lams[0], lams[1]), (lams[0], lams[2]), (lams[1], lams[2])]:
@@ -144,7 +146,7 @@ def test_second_order_ordering_dominance(reduced_collinear, reduced_grid):
     p = reduced_collinear
     t = 1.5 * p.tau2
     ff = form_factor_pair(p, reduced_grid, 1)
-    run, _ = pt.converged_dyson_run(p, t, ff, reduced_grid, n_max=1)
+    run = pt.converged_dyson_run(p, t, ff, reduced_grid, n_max=1)
     ref = _reference(p, t, ff, reduced_grid, 1, run.dt)
     p12 = _norm_sq(ref["c12"][1, 1], reduced_grid)
     p21 = _norm_sq(ref["c21"][1, 1], reduced_grid)
@@ -236,8 +238,8 @@ def test_dyson_run_bitwise_under_short_switch_interval(reduced_collinear, reduce
 
 def test_dyson_run_worker_failure_leaves_the_call(reduced_collinear, reduced_grid, monkeypatch):
     # a failure in the worker's accumulation surfaces from dyson_run; the
-    # calling thread must not stay blocked on the full source queue, and
-    # the worker is joined before dyson_run raises
+    # calling thread must not wait forever on its in-flight sources, and
+    # the executor's thread is joined before dyson_run raises
     p = reduced_collinear
     ff = form_factor_pair(p, reduced_grid, 1)
     callers = set()
@@ -246,7 +248,7 @@ def test_dyson_run_worker_failure_leaves_the_call(reduced_collinear, reduced_gri
     def failing(acc, values, phase):
         callers.add(threading.current_thread())
         if failing.calls == 3:
-            time.sleep(0.5)  # long enough for the producer to fill the queue
+            time.sleep(0.5)  # long enough for the calling thread to fill its three sources
             raise RuntimeError("worker failed")
         failing.calls += 1
         original(acc, values, phase)
@@ -269,6 +271,31 @@ def test_dyson_run_worker_failure_leaves_the_call(reduced_collinear, reduced_gri
     assert [str(e) for e in outcome] == ["worker failed"]
     assert len(callers) == 1 and caller not in callers
     assert threading.active_count() == before
+
+
+def test_failed_dyson_run_leaves_no_reference_cycle(reduced_collinear, reduced_grid,
+                                                    monkeypatch):
+    # a cycle through the worker's error would keep the run's arrays alive
+    # until the garbage collector runs
+    p = reduced_collinear
+    ff = form_factor_pair(p, reduced_grid, 1)
+
+    def failing(acc, values, phase):
+        raise ZeroDivisionError("worker failed")
+
+    monkeypatch.setattr(pt, "_add_spectrum", failing)
+    raised = None
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            pt.dyson_run(p, 1.5 * p.tau2, ff, reduced_grid, 1, 0.2)
+        except ZeroDivisionError as exc:
+            raised = str(exc)
+        assert raised == "worker failed"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_converged_run_drops_previous_pass_fields(reduced_collinear, reduced_grid):
@@ -321,8 +348,11 @@ def test_histories_parity(reduced_opposite, reduced_grid):
     # history agrees
     p = reduced_opposite
     t = 1.5 * p.tau2
-    base, _ = pt.converged_dyson_run(p, t, grid=reduced_grid, n_max=2)
-    mirrored, _ = pt.converged_dyson_run(p.mirrored(), t, grid=reduced_grid, n_max=2)
+    base = pt.converged_dyson_run(p, t, form_factor_pair(p, reduced_grid, 2), reduced_grid,
+                                  n_max=2)
+    mirrored = pt.converged_dyson_run(p.mirrored(), t,
+                                      form_factor_pair(p.mirrored(), reduced_grid, 2),
+                                      reduced_grid, n_max=2)
     a, b = base.probabilities(), mirrored.probabilities()
     assert a.keys() == b.keys()
     for key in a:
@@ -339,12 +369,12 @@ def test_histories_parity(reduced_opposite, reduced_grid):
 def test_quadrature_convergence_error(reduced_collinear, reduced_grid):
     p = reduced_collinear
     with pytest.raises(QuadratureError):
-        pt.converged_dyson_run(p, p.tau2, grid=reduced_grid, n_max=1,
-                               rtol=0.0, max_halvings=1)
+        pt.converged_dyson_run(p, p.tau2, form_factor_pair(p, reduced_grid, 1), reduced_grid,
+                               n_max=1, rtol=0.0, max_halvings=1)
 
 
 def test_converged_run_reports_step(reduced_collinear, reduced_grid):
     p = reduced_collinear
-    run, converged = pt.converged_dyson_run(p, p.tau2, grid=reduced_grid, n_max=1)
-    assert converged
+    run = pt.converged_dyson_run(p, p.tau2, form_factor_pair(p, reduced_grid, 1), reduced_grid,
+                                 n_max=1)
     assert 0.0 < run.dt < pt.default_duhamel_step(p)
