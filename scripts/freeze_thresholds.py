@@ -5,7 +5,9 @@ The asymptotic suppression statements ("negligible", "beyond all orders")
 have no closed-form constants, so the acceptance suite compares against
 numbers frozen here: each threshold is the value this documented
 coupled-channel run measured, times a generous safety margin.  The fixture
-records the run id so any later regeneration is traceable.
+records the run id so any later regeneration is traceable.  The frozen
+values came from the plain Strang oracle at dt 0.1, before the oracle took
+composed fourth-order steps.
 
 Usage:
     python scripts/freeze_thresholds.py [--out src/mott1d/fixtures/thresholds.json]

@@ -25,7 +25,7 @@ def main() -> int:
                         help="reduced truncation and grid (sanity runs)")
     args = parser.parse_args()
 
-    numerics = (ex.NumericSettings(n_max=2, dt_oracle=0.1) if args.quick
+    numerics = (ex.NumericSettings(n_max=2) if args.quick
                 else ex.acceptance_numerics())
     reports = {}
     for case in ("collinear", "opposite"):

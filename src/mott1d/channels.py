@@ -9,28 +9,37 @@ channel equations for the amplitudes f_{n1 n2}(R, t):
                    + lam * sum_k V2_{n2 k}(R) f_{n1 k}
 
 with the form factors V_i_{n n'}(R) = <phi_n | V((R - r)/delta) | phi_n'>.
-The propagator is a Strang split.  At each point the channel matrix is
+The propagator takes composed fourth-order steps: each step of h is
+Yoshida's triple jump (Phys. Lett. A 150, 262, 1990) of Strang steps
+S(W1 h) S(W0 h) S(W1 h), with W1 = 1/(2 - 2^(1/3)) and W0 = 1 - 2 W1 < 0,
+and adjacent kinetic halves merge, so a step costs three stages of one
+coupling and one kinetic factor each.  At each point the channel matrix is
 H1(R) (x) I + I (x) H2(R) with H_i = diag(E_i) + lam V_i(R); the two terms
 commute, so its exponential is exactly U1(R) (x) U2(R), one
-(n_max+1)-dimensional exponential per oscillator.  Each is split as
-U_i = D_i^(1/2) U_i' D_i^(1/2) with D_i = exp(-i dt E_i / hbar); the
-diagonal energy phases D^(1/2) commute with the free step and ride on the
-exact spectral kinetic factor of every channel.  U_i' is eigendecomposed
-once per run on the oscillator's slabs, the contiguous runs of points where
-its coupling exceeds an error-budget floor, and is the identity elsewhere,
-so points far from both oscillators cost nothing beyond the free step.
+(n_max+1)-dimensional exponential per oscillator.  Each is split as U_i = D_i^(1/2) U_i' D_i^(1/2) with
+D_i = exp(-i tau E_i / hbar); the diagonal energy phases D^(1/2) commute
+with the free step and ride on the exact spectral kinetic factor, applied
+as a bare free phase per point and an energy phase per channel row.  U_i'
+is eigendecomposed once per run on the oscillator's slabs, the contiguous
+runs of points where its coupling exceeds an error-budget floor, and both
+stage lengths W1 h and W0 h are built from the one decomposition; U_i' is
+the identity elsewhere, so points far from both oscillators cost nothing
+beyond the free step.  A negative stage is as exact as a positive one: the
+coupling factor is the exponential of a Hermitian matrix for any real tau.
 
-Each step runs on two threads.  ``evolve`` opens one single-worker executor
-per call and submits to it half of each part of a Strang step: the upper
-half of the channel rows in every kinetic step, and the grid points from one
-cut on in every coupling step, the cut chosen once per call to halve the
-slab points of both oscillators.  The calling thread does the other half
-and then waits for the worker's, so a step has two synchronous hand-offs.
-Each row's transforms and each point's U1' and U2' are the same operations
-in the same order as on one thread, so every amplitude is bit-identical to
-a one-thread run.  The health checks, snapshots and typed errors stay on the
-calling thread; a failure in the worker's half is re-raised there, and the
-executor is shut down before ``evolve`` returns or raises.
+Each stage runs on two threads.  ``evolve`` opens one single-worker
+executor per call and submits to it half of each part of a stage: the upper
+half of the channel rows in every kinetic factor, and the grid points from
+one cut on in every coupling stage, the cut chosen once per call to halve
+the slab points of both oscillators (both stage lengths share the slabs).
+The calling thread does the other half and then waits for the worker's, so
+a stage has two synchronous hand-offs.  Each row's transforms and each
+point's U1' and U2' are the same operations in the same order as on one
+thread, so every amplitude is bit-identical to a one-thread run.  The
+health checks, snapshots and typed errors stay on the calling thread and
+fall on composed-step boundaries; a failure in the worker's half is
+re-raised there, and the executor is shut down before ``evolve`` returns or
+raises.
 """
 
 from __future__ import annotations
@@ -263,9 +272,14 @@ def channel_probabilities(state: ChannelState) -> dict[tuple[int, int], float]:
 # ---------------------------------------------------------------------------
 # propagator
 
-# evolve checks the state's health every HEALTH_STRIDE steps, counted in
-# steps so that where a failing run stops does not depend on the machine
-HEALTH_STRIDE = 16
+# Yoshida's triple jump: the Strang steps S(W1 h) S(W0 h) S(W1 h) make one
+# symmetric step of h that is fourth order in h
+W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+W0 = 1.0 - 2.0 * W1
+# evolve checks the state's health every HEALTH_STRIDE composed steps,
+# counted in steps so that where a failing run stops does not depend on the
+# machine
+HEALTH_STRIDE = 3
 # the largest total-norm drift a healthy run may show
 NORM_TOLERANCE = 1e-8
 # zeroing couplings below the floor costs at most this much amplitude over
@@ -275,9 +289,10 @@ COUPLING_ERROR_BUDGET = 1e-14
 
 @dataclass(frozen=True)
 class PropagatorConfig:
-    """Numerical knobs of the split-step channel propagator."""
+    """Numerical knobs of the split-step channel propagator; ``dt`` is the
+    composed (three-stage) step."""
 
-    dt: float = 0.1
+    dt: float = 0.5
     n_max: int = 4
     top_shell_threshold: float = 1e-6
     potential_shape: str = "gaussian"
@@ -289,16 +304,21 @@ class PropagatorConfig:
             raise ValueError(f"n_max must be >= 1, got {self.n_max!r}")
 
 
+Slabs = list[tuple[slice, np.ndarray]]
+
+
 def _coupling_slabs(params: ModelParams, table: FormFactorTable, energies: np.ndarray,
-                    dt: float, floor: float) -> list[tuple[slice, np.ndarray]]:
-    """One oscillator's coupling factor in the interaction picture, per slab.
+                    taus: Sequence[float], floor: float) -> list[Slabs]:
+    """One oscillator's coupling factor in the interaction picture, per slab,
+    for each step length in ``taus``.
 
     A slab is one contiguous run of grid points where lam max|V| exceeds
-    ``floor``; the coupling is zeroed everywhere else.  On a slab the factor
-    is U'(R) = D^(-1/2) exp(-i dt (diag(E) + lam V(R)) / hbar) D^(-1/2) with
-    D = exp(-i dt E / hbar), stored as u[n, n', j] for the slab's j-th point.
-    Off the slabs U' is the identity, because D is carried by the kinetic
-    factor.
+    ``floor``; the coupling is zeroed everywhere else, so every step length
+    has the same slabs.  On a slab the factor is
+    U'(R) = D^(-1/2) exp(-i tau (diag(E) + lam V(R)) / hbar) D^(-1/2) with
+    D = exp(-i tau E / hbar), stored as u[n, n', j] for the slab's j-th
+    point.  Off the slabs U' is the identity, because D is carried by the
+    kinetic factor.
     """
     n_lvl = energies.size
     values = table.values[:n_lvl, :n_lvl]
@@ -306,18 +326,20 @@ def _coupling_slabs(params: ModelParams, table: FormFactorTable, energies: np.nd
     on = np.zeros(values.shape[2] + 2, dtype=bool)
     on[1:-1] = params.lam * np.abs(values).max(axis=(0, 1)) > floor
     edges = np.flatnonzero(on[1:] != on[:-1]).reshape(-1, 2)
-    d_half_inv = np.exp(0.5j * dt * energies / params.hbar)
-    slabs = []
+    d_half_inv = [np.exp(0.5j * tau * energies / params.hbar) for tau in taus]
+    out: list[Slabs] = [[] for _ in taus]
     for lo, hi in edges:
         h = params.lam * values[:, :, lo:hi].transpose(2, 0, 1) + np.diag(energies)
         evals, evecs = np.linalg.eigh(h)
-        u = np.einsum("xij,xj,xkj->ikx", evecs, np.exp(-1j * evals * dt / params.hbar), evecs)
-        u *= d_half_inv[:, None, None] * d_half_inv[None, :, None]
-        slabs.append((slice(lo, hi), np.ascontiguousarray(u)))
-    return slabs
+        for tau, d, slabs in zip(taus, d_half_inv, out):
+            u = np.einsum("xij,xj,xkj->ikx", evecs, np.exp(-1j * evals * tau / params.hbar),
+                          evecs)
+            u *= d[:, None, None] * d[None, :, None]
+            slabs.append((slice(lo, hi), np.ascontiguousarray(u)))
+    return out
 
 
-def _halving_point(slabs: list[tuple[slice, np.ndarray]], n_points: int) -> int:
+def _halving_point(slabs: Slabs, n_points: int) -> int:
     """The point index below which lies half of the slab points in ``slabs``."""
     weight = np.zeros(n_points, dtype=np.int64)
     for span, _ in slabs:
@@ -325,7 +347,7 @@ def _halving_point(slabs: list[tuple[slice, np.ndarray]], n_points: int) -> int:
     return int(np.searchsorted(np.cumsum(weight), weight.sum() / 2.0))
 
 
-def _clip(slabs: list[tuple[slice, np.ndarray]], lo: int, hi: int) -> list[tuple[slice, np.ndarray]]:
+def _clip(slabs: Slabs, lo: int, hi: int) -> Slabs:
     """The parts of ``slabs`` on the points [lo, hi)."""
     out = []
     for span, u in slabs:
@@ -335,15 +357,16 @@ def _clip(slabs: list[tuple[slice, np.ndarray]], lo: int, hi: int) -> list[tuple
     return out
 
 
-def _kinetic_rows(f: np.ndarray, phase: np.ndarray) -> None:
-    """f = ifft(phase * fft(f)) along the last axis, in place."""
+def _kinetic_rows(f: np.ndarray, kinetic: np.ndarray, energy: np.ndarray) -> None:
+    """f = energy * ifft(kinetic * fft(f)) along the last axis, in place:
+    ``kinetic`` is the bare free factor per point, ``energy`` the channel
+    energy phase per row, applied as the transform is written back."""
     spectrum = np.fft.fft(f, axis=-1)
-    spectrum *= phase
-    f[...] = np.fft.ifft(spectrum, axis=-1)
+    spectrum *= kinetic
+    np.multiply(np.fft.ifft(spectrum, axis=-1), energy[:, None], out=f)
 
 
-def _couple_points(f3: np.ndarray, slabs1: list[tuple[slice, np.ndarray]],
-                   slabs2: list[tuple[slice, np.ndarray]]) -> None:
+def _couple_points(f3: np.ndarray, slabs1: Slabs, slabs2: Slabs) -> None:
     """U1' (x) U2' in place on the (n1, n2, point) view, slab by slab; U2'
     acts on the second index, i.e. on the first of the transpose."""
     n_lvl = f3.shape[0]
@@ -361,18 +384,22 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
            form_factors: tuple[FormFactorTable, FormFactorTable] | None = None,
            snapshot_times: Sequence[float] = (),
            on_snapshot: Callable[[ChannelState], None] | None = None) -> ChannelState:
-    """Propagate the channel state to t_final with Strang splitting.
+    """Propagate the channel state to t_final in composed fourth-order steps.
 
-    Unitary to rounding: the kinetic factor is an exact spectral phase and
-    each oscillator's coupling factor an exact Hermitian exponential.  The
-    state's health is checked every ``HEALTH_STRIDE`` steps, at every
-    snapshot and at t_final, and the run stops at the first failed check:
-    TruncationError when the top oscillator shell holds more norm than
+    Each step of h = ``config.dt`` (shortened so that whole steps reach
+    t_final) is the Strang steps S(W1 h) S(W0 h) S(W1 h), whose adjacent
+    kinetic halves merge.  Unitary to rounding: the kinetic factor is an
+    exact spectral phase and each oscillator's coupling factor an exact
+    Hermitian exponential, for the negative W0 too.  The state's health is
+    checked every ``HEALTH_STRIDE`` steps, at every snapshot and at
+    t_final, and the run stops at the first failed check: TruncationError
+    when the top oscillator shell holds more norm than
     ``config.top_shell_threshold``, NormDriftError when the total norm
     drifts beyond ``NORM_TOLERANCE`` or an amplitude is not finite.
-    The in-run checks read the state just after a kinetic step, whose
-    per-channel norms are those at the step boundary (the kinetic factor is
-    a unitary phase on each channel), so they cost no extra transforms.
+    The in-run checks read the state just after the kinetic factor that
+    joins two steps, whose per-channel norms are those at the step boundary
+    (the kinetic factor is a unitary phase on each channel), so they cost
+    no extra transforms.
 
     ``snapshot_times`` are snapped to the nearest step boundary and passed
     to ``on_snapshot`` as state copies (final state included only if listed).
@@ -384,7 +411,7 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     grid = state.grid
     horizon = t_final - state.t
     n_steps = max(1, int(math.ceil(horizon / config.dt - 1e-12)))
-    dt = horizon / n_steps
+    h = horizon / n_steps
 
     if form_factors is None:
         form_factors = form_factor_pair(params, grid, config.n_max, config.potential_shape)
@@ -394,34 +421,43 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
 
     e1 = OscillatorBasis.for_oscillator(params, 1, config.n_max).energies
     e2 = OscillatorBasis.for_oscillator(params, 2, config.n_max).energies
-    # each oscillator may spend half of the run's error budget
-    floor = 0.5 * COUPLING_ERROR_BUDGET * params.hbar / max(horizon, dt)
-    slabs1 = _coupling_slabs(params, ff1, e1, dt, floor)
-    slabs2 = _coupling_slabs(params, ff2, e2, dt, floor)
+    # each oscillator may spend half of the run's error budget, and a step's
+    # stages zero the sub-floor coupling for (2 W1 - W0) h in all
+    floor = 0.5 * COUPLING_ERROR_BUDGET * params.hbar / (max(horizon, h) * (2.0 * W1 - W0))
+    slabs1 = _coupling_slabs(params, ff1, e1, (W1 * h, W0 * h), floor)
+    slabs2 = _coupling_slabs(params, ff2, e2, (W1 * h, W0 * h), floor)
 
-    # the channel energy phases D^(1/2) ride on each kinetic half step
+    # the channel energy phases D^(1/2) ride on the kinetic factors: a bare
+    # free factor per point, then an energy phase per row
     energies = (e1[:, None] + e2[None, :]).reshape(-1)
-    kin_half = kinetic_phase(grid, params, dt / 2.0, energies)
-    kin_full = kin_half * kin_half
+
+    def kinetic(tau: float) -> tuple[np.ndarray, np.ndarray]:
+        return kinetic_phase(grid, params, tau), np.exp(-1j * tau / params.hbar * energies)
+
+    edge = kinetic(0.5 * W1 * h)          # before a step's first stage, after its last
+    inner = kinetic(0.5 * (W1 + W0) * h)  # between two stages of a step
+    seam = kinetic(W1 * h)                # between two steps
 
     snap_steps: dict[int, float] = {}
     for ts in snapshot_times:
-        s = int(round((ts - state.t) / dt))
+        s = int(round((ts - state.t) / h))
         if not 1 <= s <= n_steps:
             raise ValueError(f"snapshot time {ts} outside ({state.t}, {t_final}]")
-        snap_steps[s] = state.t + s * dt
+        snap_steps[s] = state.t + s * h
 
     n_lvl = config.n_max + 1
     f = state.amplitudes.reshape(n_lvl * n_lvl, grid.n_points).copy()
     f3 = f.reshape(n_lvl, n_lvl, grid.n_points)
     norm0 = math.sqrt(float(np.sum(np.abs(f) ** 2)) * grid.dx)
 
-    # the calling thread takes rows [0, r) of each kinetic step and points
-    # [0, cut) of each coupling step; the worker takes the rest
+    # the calling thread takes rows [0, r) of each kinetic factor and points
+    # [0, cut) of each coupling stage; the worker takes the rest.  Both
+    # stage lengths have the same slabs, so one cut halves both.
     r = f.shape[0] // 2
-    cut = _halving_point(slabs1 + slabs2, grid.n_points)
-    mine = (f3, _clip(slabs1, 0, cut), _clip(slabs2, 0, cut))
-    theirs = (f3, _clip(slabs1, cut, grid.n_points), _clip(slabs2, cut, grid.n_points))
+    cut = _halving_point(slabs1[0] + slabs2[0], grid.n_points)
+    outer, middle = (((f3, _clip(s1, 0, cut), _clip(s2, 0, cut)),
+                      (f3, _clip(s1, cut, grid.n_points), _clip(s2, cut, grid.n_points)))
+                     for s1, s2 in zip(slabs1, slabs2))
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="evolve-half")
 
     def halves(work: Callable[..., None], args: tuple, worker_args: tuple) -> None:
@@ -435,8 +471,9 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
             # it the run's arrays, in a cycle with the error's traceback
             del future
 
-    def kin(phase: np.ndarray) -> None:
-        halves(_kinetic_rows, (f[:r], phase[:r]), (f[r:], phase[r:]))
+    def kin(factor: tuple[np.ndarray, np.ndarray]) -> None:
+        free, energy = factor
+        halves(_kinetic_rows, (f[:r], free, energy[:r]), (f[r:], free, energy[r:]))
 
     def emit(step: int) -> None:
         if on_snapshot is not None and step in snap_steps:
@@ -445,22 +482,27 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
             on_snapshot(snap)
 
     with pool:
-        # Strang chain K(dt/2) [C K(dt)]^{n-1} C K(dt/2); a snapshot splits
-        # the merged full kinetic step so the emitted state sits on a step
+        # K(W1 h/2) [C1 K' C0 K' C1 K(W1 h)]^{n-1} C1 K' C0 K' C1 K(W1 h/2),
+        # with C1, C0 the coupling stages and K' = K((W1 + W0) h/2); a
+        # snapshot splits the seam so the emitted state sits on a step
         # boundary
-        kin(kin_half)
+        kin(edge)
         for step in range(1, n_steps + 1):
-            halves(_couple_points, mine, theirs)
+            halves(_couple_points, *outer)
+            kin(inner)
+            halves(_couple_points, *middle)
+            kin(inner)
+            halves(_couple_points, *outer)
             if step == n_steps:
-                kin(kin_half)
+                kin(edge)
             elif step in snap_steps:
-                kin(kin_half)
+                kin(edge)
                 emit(step)
-                kin(kin_half)
+                kin(edge)
             else:
-                kin(kin_full)
+                kin(seam)
             if step % HEALTH_STRIDE == 0 and step < n_steps:
-                _health_check(ChannelState(state.t + step * dt, grid, f3), config, norm0)
+                _health_check(ChannelState(state.t + step * h, grid, f3), config, norm0)
 
     out = ChannelState(t_final, grid, f3)
     _health_check(out, config, norm0)

@@ -138,7 +138,7 @@ class NumericSettings:
     n_points: int | None = None
     x_max: float | None = None
     n_max: int = 4
-    dt_oracle: float = 0.1
+    dt_oracle: float = 0.5
     dt_duhamel: float | None = None
     pt_rtol: float = 1e-3
     top_shell_threshold: float = 1e-6
@@ -531,7 +531,7 @@ ACCEPTANCE_LAMBDA0 = 1e-3
 
 def acceptance_numerics() -> NumericSettings:
     """The pinned acceptance-run settings: 2^14 grid points, n_max = 4."""
-    return NumericSettings(n_points=2 ** 14, n_max=4, dt_oracle=0.1, dt_duhamel=0.2)
+    return NumericSettings(n_points=2 ** 14, n_max=4, dt_oracle=0.5, dt_duhamel=0.2)
 
 
 def acceptance_scenario(case: str, engine: str = "both") -> ScenarioSpec:

@@ -48,7 +48,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .channels import FormFactorTable
+from .channels import FormFactorTable, NormDriftError
 from .core import (
     ComplexField,
     ModelParams,
@@ -121,9 +121,16 @@ class DysonResult:
 
 def _kick_slab(g: np.ndarray) -> slice:
     """Smallest index range holding every point where some row of the bare
-    form-factor table g exceeds KICK_FLOOR of its maximum magnitude."""
+    form-factor table g exceeds KICK_FLOOR of its maximum magnitude.
+
+    A non-finite table raises ValueError: every comparison with its NaN
+    maximum would be False and leave the slab, and so every kick, empty.
+    """
     mag = np.abs(g).max(axis=0)
-    idx = np.flatnonzero(mag > KICK_FLOOR * mag.max())
+    peak = mag.max()
+    if not math.isfinite(peak):
+        raise ValueError(f"form-factor table is not finite (max |V| = {peak})")
+    idx = np.flatnonzero(mag > KICK_FLOOR * peak)
     return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
 
 
@@ -209,14 +216,20 @@ def dyson_run(params: ModelParams, t_final: float,
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dyson-joint") as pool:
         # one source being added and two waiting, at most
         in_flight: deque[Future] = deque()
-        st = propagate(st, kin_half)
-        for step in range(1, n_steps + 1):
-            if len(in_flight) == 3:
+        try:
+            st = propagate(st, kin_half)
+            for step in range(1, n_steps + 1):
+                if len(in_flight) == 3:
+                    in_flight.popleft().result()
+                in_flight.append(pool.submit(accumulate, kick(st, (step - 0.5) * dt)))
+                st = propagate(st, kin_half if step == n_steps else kin_full)
+            while in_flight:
                 in_flight.popleft().result()
-            in_flight.append(pool.submit(accumulate, kick(st, (step - 0.5) * dt)))
-            st = propagate(st, kin_half if step == n_steps else kin_full)
-        while in_flight:
-            in_flight.popleft().result()
+        finally:
+            # after a failure, the sources not yet started are not added:
+            # leaving the executor would otherwise wait for each of them
+            for future in in_flight:
+                future.cancel()
 
     b1, b2 = np.zeros((2, n + 1, grid.n_points), dtype=np.complex128)
     b1[1:], b2[1:] = st[1:1 + n], st[1 + n:]
@@ -262,6 +275,8 @@ def converged_dyson_run(params: ModelParams, t_final: float,
         cur_sums = history_sums(cur_probs)
         run.halving_rel_change = _max_rel_change(probs, cur_probs)
         run.halving_obs_change = _max_rel_change(sums, cur_sums)
+        if not math.isfinite(run.halving_rel_change):
+            raise _non_finite(run)
         if on_pass is not None:
             on_pass(run)
         if run.halving_rel_change <= rtol:
@@ -272,10 +287,24 @@ def converged_dyson_run(params: ModelParams, t_final: float,
 
 
 def _max_rel_change(a: Mapping, b: Mapping) -> float:
+    """Largest relative change between the entries of a and b above
+    NOISE_FLOOR; inf when an entry of either is not finite, which a
+    comparison with the floor would skip."""
     worst = 0.0
     for key, pb in b.items():
         pa = a[key]
+        if not (math.isfinite(pa) and math.isfinite(pb)):
+            return math.inf
         ref = max(abs(pa), abs(pb))
         if ref > NOISE_FLOOR:
             worst = max(worst, abs(pa - pb) / ref)
     return worst
+
+
+def _non_finite(run: DysonResult) -> NormDriftError:
+    # built here, not in the raising frame, so that no local name for the
+    # error makes a cycle through its traceback
+    norm = math.sqrt(run._norm_sq(run.psi_free) + sum(run.probabilities().values()))
+    err = NormDriftError(f"non-finite amplitudes at t={run.t:.6g} (dt={run.dt:.6g})")
+    err.t, err.norm, err.n_max = run.t, norm, run.n_max
+    return err

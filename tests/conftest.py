@@ -1,6 +1,7 @@
 """Shared fixtures: a fast reduced-scale scenario family (epsilon = 0.2) for
 module tests, and the full default-scale runs the acceptance suite reuses."""
 
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -33,7 +34,23 @@ def reduced_grid(reduced_collinear):
 
 @pytest.fixture(scope="session")
 def reduced_config():
-    return ch.PropagatorConfig(dt=0.1, n_max=2)
+    return ch.PropagatorConfig(n_max=2)
+
+
+@pytest.fixture(scope="session")
+def reduced_splitting_order(reduced_collinear, reduced_grid):
+    """Richardson estimate of the oracle's order in its step, from the
+    reduced collinear P11 at 1.5 tau2 for the steps (2h, h, h/2) about the
+    default step h; every step divides 1.5 tau2."""
+    p = reduced_collinear
+    h = ch.PropagatorConfig().dt
+    p11 = []
+    for dt in (2.0 * h, h, 0.5 * h):
+        state = ch.initialize_channels(p, reduced_grid, 2)
+        final = ch.evolve(state, p, ch.PropagatorConfig(dt=dt, n_max=2), 1.5 * p.tau2)
+        p11.append(ch.channel_probabilities(final)[(1, 1)])
+    coarse, mid, fine = p11
+    return math.log2(abs(coarse - mid) / abs(mid - fine))
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,8 @@ Dyson kernel with a per-pair Python kick loop and both interaction
 orderings carried separately, kept as the differential reference for the
 production engine.  ``reference_channel_evolve`` is the coupled-channel
 split step with one (n_max+1)^2-dimensional coupling exponential per grid
-point, the differential reference for the per-oscillator oracle.
+point and one unmerged Strang step per stage, the differential reference
+for the per-oscillator oracle.
 """
 
 from __future__ import annotations
@@ -142,21 +143,32 @@ def reference_dyson_stack(psi0: np.ndarray, g1: np.ndarray, g2: np.ndarray,
     return out
 
 
+# Yoshida's triple jump, written out here rather than read from the engine:
+# the Strang steps S(w1 h) S(w0 h) S(w1 h) make one fourth-order step of h
+TRIPLE_JUMP = (1.0 / (2.0 - 2.0 ** (1.0 / 3.0)),
+               1.0 - 2.0 / (2.0 - 2.0 ** (1.0 / 3.0)),
+               1.0 / (2.0 - 2.0 ** (1.0 / 3.0)))
+
+
 def reference_channel_evolve(amplitudes: np.ndarray, v1: np.ndarray, v2: np.ndarray,
                              e1: np.ndarray, e2: np.ndarray, dx: float, t_final: float,
                              dt: float, lam: float, hbar: float = 1.0, M: float = 1.0,
                              error_budget: float = 1e-14,
-                             snapshot_times: tuple[float, ...] = ()) -> dict:
-    """Strang split of the coupled-channel equations from t = 0, one grid
-    point at a time.
+                             snapshot_times: tuple[float, ...] = (),
+                             weights: tuple[float, ...] = TRIPLE_JUMP) -> dict:
+    """Composed split step of the coupled-channel equations from t = 0, one
+    grid point at a time.
 
-    At every point where lam (max|V1| + max|V2|) exceeds the error-budget
-    floor, the coupling factor is the exponential of the full
-    (n_max+1)^2-dimensional channel matrix diag(E1 (+) E2) + lam (V1 (x) I +
-    I (x) V2), built from its eigendecomposition; elsewhere it is the
-    diagonal channel-energy phase.  The kinetic factor carries no energies.
-    Returns {"final": amplitudes, "snapshots": {t: amplitudes}}, with
-    snapshot times snapped to step boundaries.
+    Each step of dt is one plain Strang step of w dt per entry of
+    ``weights``, in order, with no kinetic halves merged.  At every point
+    where lam (max|V1| + max|V2|) exceeds the error-budget floor, the
+    coupling factor is the exponential of the full (n_max+1)^2-dimensional
+    channel matrix diag(E1 (+) E2) + lam (V1 (x) I + I (x) V2), built from
+    its eigendecomposition; elsewhere it is the diagonal channel-energy
+    phase.  The floor spreads the budget over the sum of |w| dt of every
+    step.  The kinetic factor carries no energies.  Returns
+    {"final": amplitudes, "snapshots": {t: amplitudes}}, with snapshot times
+    snapped to step boundaries.
     """
     n_lvl, _, n_points = amplitudes.shape
     n_ch = n_lvl * n_lvl
@@ -167,39 +179,38 @@ def reference_channel_evolve(amplitudes: np.ndarray, v1: np.ndarray, v2: np.ndar
     energies = (e1[:, None] + e2[None, :]).reshape(-1)
     mag = lam * (np.abs(v1[:n_lvl, :n_lvl]).max(axis=(0, 1))
                  + np.abs(v2[:n_lvl, :n_lvl]).max(axis=(0, 1)))
-    active = np.flatnonzero(mag > error_budget * hbar / max(t_final, dt))
+    floor = error_budget * hbar / (max(t_final, dt) * sum(abs(w) for w in weights))
+    active = np.flatnonzero(mag > floor)
     inactive = np.ones(n_points, dtype=bool)
     inactive[active] = False
-    phase_inactive = np.exp(-1j * energies * dt / hbar)
     eye = np.eye(n_lvl)
-    u = np.empty((active.size, n_ch, n_ch), dtype=np.complex128)
+    evals = np.empty((active.size, n_ch))
+    evecs = np.empty((active.size, n_ch, n_ch))
     for slot, j in enumerate(active):
         w = lam * (np.kron(v1[:n_lvl, :n_lvl, j], eye) + np.kron(eye, v2[:n_lvl, :n_lvl, j]))
-        evals, evecs = np.linalg.eigh(w + np.diag(energies))
-        u[slot] = (evecs * np.exp(-1j * evals * dt / hbar)) @ evecs.T
-
+        evals[slot], evecs[slot] = np.linalg.eigh(w + np.diag(energies))
     k = 2.0 * np.pi * np.fft.fftfreq(n_points, d=dx)
-    kin_half = np.exp(-1j * hbar * k ** 2 / (2.0 * M) * (dt / 2.0))
-    kin_full = kin_half * kin_half
 
-    def kin(f: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.fft.fft(f, axis=-1) * phase, axis=-1)
+    def strang_factors(tau: float) -> tuple:
+        """(kinetic half step, inactive-point phase, per-point coupling) for tau."""
+        u = np.einsum("xij,xj,xkj->xik", evecs, np.exp(-1j * evals * tau / hbar), evecs)
+        return (np.exp(-1j * hbar * k ** 2 / (2.0 * M) * (tau / 2.0)),
+                np.exp(-1j * energies * tau / hbar)[:, None], u)
 
-    def couple(f: np.ndarray) -> None:
-        f[:, inactive] *= phase_inactive[:, None]
-        gathered = f[:, active].T
-        f[:, active] = np.einsum("xij,xj->ix", u, gathered)
+    factors = {w: strang_factors(w * dt) for w in set(weights)}
 
-    f = kin(amplitudes.reshape(n_ch, n_points).astype(np.complex128), kin_half)
+    def strang(f: np.ndarray, w: float) -> np.ndarray:
+        kin_half, phase_inactive, u = factors[w]
+        f = np.fft.ifft(np.fft.fft(f, axis=-1) * kin_half, axis=-1)
+        f[:, inactive] *= phase_inactive
+        f[:, active] = np.einsum("xij,xj->ix", u, f[:, active].T)
+        return np.fft.ifft(np.fft.fft(f, axis=-1) * kin_half, axis=-1)
+
+    f = amplitudes.reshape(n_ch, n_points).astype(np.complex128)
     snapshots = {}
     for step in range(1, n_steps + 1):
-        couple(f)
-        if step == n_steps or step in snap_steps:
-            f = kin(f, kin_half)
-            if step in snap_steps:
-                snapshots[step * dt] = f.reshape(n_lvl, n_lvl, n_points).copy()
-            if step < n_steps:
-                f = kin(f, kin_half)
-        else:
-            f = kin(f, kin_full)
+        for w in weights:
+            f = strang(f, w)
+        if step in snap_steps:
+            snapshots[step * dt] = f.reshape(n_lvl, n_lvl, n_points).copy()
     return {"final": f.reshape(n_lvl, n_lvl, n_points), "snapshots": snapshots}

@@ -7,7 +7,6 @@ settings where the criterion does not pin them.
 """
 
 import json
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -66,8 +65,7 @@ def oracle_sweep():
     params = ex.default_params("collinear", epsilon=0.1, lambda0=LAMBDA0)
     spec = ex.ScenarioSpec(case="collinear", params=params, epsilon=0.1, engine="oracle",
                            targets=((1, 1),),
-                           numerics=ex.NumericSettings(n_points=2 ** 13, n_max=3,
-                                                       dt_oracle=0.1))
+                           numerics=ex.NumericSettings(n_points=2 ** 13, n_max=3))
     return ex.sweep_lambda(spec, [1e-4, 2.5e-4, 5e-4, 1e-3])
 
 
@@ -181,18 +179,6 @@ def test_criterion_6_conservation_suite(oracle_collinear_full, oracle_opposite_f
 # 7. convergence suite
 
 
-@pytest.fixture(scope="module")
-def richardson_probabilities(reduced_collinear, reduced_grid):
-    p = reduced_collinear
-    out = {}
-    for dt in (0.4, 0.2, 0.1):
-        config = ch.PropagatorConfig(dt=dt, n_max=2)
-        state = ch.initialize_channels(p, reduced_grid, 2)
-        final = ch.evolve(state, p, config, 1.5 * p.tau2)
-        out[dt] = ch.channel_probabilities(final)[(1, 1)]
-    return out
-
-
 def _observables(probs: dict) -> dict[str, float]:
     """Target probability and history sums: what a scenario reports."""
     return {"P11": probs[(1, 1)], **history_sums(probs)}
@@ -209,7 +195,7 @@ def truncation_changes():
         params = replace(base, lam=lam0)
         probs = {}
         for n_max in (4, 6):
-            config = ch.PropagatorConfig(dt=0.1, n_max=n_max)
+            config = ch.PropagatorConfig(n_max=n_max)
             state = ch.initialize_channels(params, grid, n_max)
             pmap = ch.channel_probabilities(ch.evolve(state, params, config, t))
             probs[n_max] = {k: v for k, v in pmap.items()
@@ -223,11 +209,10 @@ def truncation_changes():
     return out
 
 
-def test_criterion_7_convergence_suite(richardson_probabilities, truncation_changes,
+def test_criterion_7_convergence_suite(reduced_splitting_order, truncation_changes,
                                        pt_collinear_full):
     # splitting order from Richardson triplet
-    p = richardson_probabilities
-    order = math.log2(abs(p[0.4] - p[0.2]) / abs(p[0.2] - p[0.1]))
+    order = reduced_splitting_order
     assert order >= 1.9
 
     # truncation, absolute reading at the pinned default coupling: every
@@ -268,7 +253,7 @@ def test_criterion_8_determinism(tmp_path):
     config = {
         "scenario": {"case": "collinear", "epsilon": 0.25, "lambda0": 1e-3,
                      "engine": "both"},
-        "numerics": {"n_max": 2, "dt_oracle": 0.1},
+        "numerics": {"n_max": 2},
         "output": {"density_channels": [[0, 0], [1, 0]]},
     }
     cfg = tmp_path / "config.json"

@@ -144,7 +144,7 @@ def test_probabilities_sum_to_norm(reduced_oracle_final):
 
 def test_free_evolution_matches_analytic(reduced_collinear, reduced_grid):
     p = replace(reduced_collinear, lam=0.0)
-    config = ch.PropagatorConfig(dt=0.1, n_max=1)
+    config = ch.PropagatorConfig(n_max=1)
     state = ch.initialize_channels(p, reduced_grid, 1)
     final = ch.evolve(state, p, config, p.tau2)
     probs = ch.channel_probabilities(final)
@@ -216,7 +216,7 @@ def test_evolve_matches_reference_kernel(case, n_max, lambda0, hbar):
     grid = suggest_grid(p, t_final)
     # lambda0 = 0.05 overfills the top shell at n_max = 1; the comparison
     # only needs both kernels to run to the end
-    config = ch.PropagatorConfig(dt=0.25, n_max=n_max, top_shell_threshold=1.0)
+    config = ch.PropagatorConfig(dt=0.75, n_max=n_max, top_shell_threshold=1.0)
     ff = ch.form_factor_pair(p, grid, n_max)
     seen = []
     state = ch.initialize_channels(p, grid, n_max)
@@ -230,6 +230,50 @@ def test_evolve_matches_reference_kernel(case, n_max, lambda0, hbar):
     np.testing.assert_allclose(seen[0].amplitudes, ref["snapshots"][seen[0].t],
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(final.amplitudes, ref["final"], rtol=0, atol=1e-12)
+
+
+def test_composed_step_is_fourth_order(reduced_splitting_order):
+    # a wrong stage weight would leave a second-order scheme, which reads
+    # about 2
+    assert reduced_splitting_order >= 3.8
+
+
+@pytest.mark.parametrize("case", ["collinear", "opposite"])
+def test_default_step_at_least_as_accurate_as_strang(case, reduced_grid, request):
+    # at 1.5 tau1 and 1.5 tau2, the default composed step puts the worst
+    # channel and P11 no farther from a run at a quarter of that step than
+    # the plain Strang split at dt = 0.1 (the reference kernel with one
+    # stage per step) puts them
+    p = request.getfixturevalue(f"reduced_{case}")
+    n_max = 2
+    times = (1.5 * p.tau1, 1.5 * p.tau2)
+    ff = ch.form_factor_pair(p, reduced_grid, n_max)
+    start = ch.initialize_channels(p, reduced_grid, n_max)
+
+    def composed(dt):
+        seen = []
+        ch.evolve(start, p, ch.PropagatorConfig(dt=dt, n_max=n_max), times[-1],
+                  form_factors=ff, snapshot_times=times, on_snapshot=seen.append)
+        return [s.amplitudes for s in seen]
+
+    energies = [OscillatorBasis.for_oscillator(p, i, n_max).energies for i in (1, 2)]
+    strang = reference_channel_evolve(start.amplitudes, ff[0].values, ff[1].values, *energies,
+                                      reduced_grid.dx, times[-1], 0.1, p.lam, p.hbar, p.M,
+                                      ch.COUPLING_ERROR_BUDGET, snapshot_times=times,
+                                      weights=(1.0,))["snapshots"]
+    h = ch.PropagatorConfig().dt
+    fine = composed(h / 4.0)
+
+    def errors(states):
+        """(worst channel, P11) relative error over both times."""
+        rel = np.array([np.abs(np.sum(np.abs(a) ** 2 - np.abs(r) ** 2, axis=-1))
+                        / np.sum(np.abs(r) ** 2, axis=-1) for a, r in zip(states, fine)])
+        return rel.max(), rel[:, 1, 1].max()
+
+    worst, p11 = errors(composed(h))
+    worst_strang, p11_strang = errors([strang[t] for t in sorted(strang)])
+    assert worst <= worst_strang
+    assert p11 <= p11_strang
 
 
 def test_evolve_uses_leading_block_of_larger_tables(reduced_collinear, reduced_grid,
@@ -259,7 +303,7 @@ def test_evolve_requires_forward_time(reduced_collinear, reduced_grid, reduced_c
 
 def test_truncation_error_and_escalation(reduced_collinear, reduced_grid):
     strong = replace(reduced_collinear, lam=0.05)  # lambda0 = 0.05: heavy excitation
-    config = ch.PropagatorConfig(dt=0.1, n_max=1)
+    config = ch.PropagatorConfig(n_max=1)
     state = ch.initialize_channels(strong, reduced_grid, 1)
     with pytest.raises(ch.TruncationError):
         ch.evolve(state, strong, config, 1.5 * strong.tau2)
@@ -271,7 +315,7 @@ def test_truncation_error_and_escalation(reduced_collinear, reduced_grid):
 
 def test_truncation_stops_at_first_breach(reduced_collinear, reduced_grid):
     strong = replace(reduced_collinear, lam=0.05)
-    config = ch.PropagatorConfig(dt=0.1, n_max=1)
+    config = ch.PropagatorConfig(n_max=1)
     t_final = 1.5 * strong.tau2
     with pytest.raises(ch.TruncationError) as info:
         ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong, config, t_final)
@@ -298,17 +342,17 @@ def test_failed_evolve_leaves_no_reference_cycle(reduced_collinear, reduced_grid
     # arrays alive while escalation allocates the next, larger one; the
     # calling thread fails a health check, the worker one of its halves
     strong = replace(reduced_collinear, lam=0.05)
-    config = ch.PropagatorConfig(dt=0.1, n_max=1)
+    config = ch.PropagatorConfig(n_max=1)
     state = ch.initialize_channels(strong, reduced_grid, 1)
     expected = ch.TruncationError
     if failing_half == "worker":
         expected = ZeroDivisionError
         caller, original = threading.current_thread(), ch._kinetic_rows
 
-        def failing(f, phase):
+        def failing(f, *factor):
             if threading.current_thread() is not caller:
                 raise ZeroDivisionError("worker failed")
-            original(f, phase)
+            original(f, *factor)
 
         monkeypatch.setattr(ch, "_kinetic_rows", failing)
     raised = None
@@ -339,7 +383,7 @@ def test_nonfinite_amplitude_fails_within_one_stride(reduced_collinear, reduced_
 def test_escalation_uses_tables_while_they_cover(reduced_collinear, reduced_grid,
                                                  monkeypatch):
     strong = replace(reduced_collinear, lam=0.05)
-    config = ch.PropagatorConfig(dt=0.1, n_max=1)
+    config = ch.PropagatorConfig(n_max=1)
     t_final = 1.5 * strong.tau2
     ff = ch.form_factor_pair(strong, reduced_grid, 1)
     built = []
@@ -357,7 +401,7 @@ def test_escalation_uses_tables_while_they_cover(reduced_collinear, reduced_grid
 
 def test_escalation_cap(reduced_collinear, reduced_grid):
     strong = replace(reduced_collinear, lam=0.05)
-    config = ch.PropagatorConfig(dt=0.1, n_max=1)
+    config = ch.PropagatorConfig(n_max=1)
     with pytest.raises(ch.TruncationError):
         ch.evolve_with_escalation(strong, reduced_grid, config, 1.5 * strong.tau2,
                                   n_max_cap=1)
@@ -388,7 +432,7 @@ def test_evolve_bitwise_under_short_switch_interval(case, n_max, coupled):
     grid = suggest_grid(p, p.tau2)
     # the top shell overfills at n_max = 1; the comparison only needs both
     # runs to reach the end
-    config = ch.PropagatorConfig(dt=0.1, n_max=n_max, top_shell_threshold=1.0)
+    config = ch.PropagatorConfig(n_max=n_max, top_shell_threshold=1.0)
     ff = ch.form_factor_pair(p, grid, n_max)
 
     def run():
@@ -421,13 +465,13 @@ def test_evolve_worker_failure_leaves_the_call(reduced_collinear, reduced_grid,
     original = ch._kinetic_rows
     caller = None
 
-    def failing(f, phase):
+    def failing(f, *factor):
         if threading.current_thread() is not caller:  # the worker's half
             workers.add(threading.current_thread())
             failing.calls += 1
             if failing.calls == 5:
                 raise boom
-        original(f, phase)
+        original(f, *factor)
 
     failing.calls = 0
     monkeypatch.setattr(ch, "_kinetic_rows", failing)
@@ -452,7 +496,7 @@ def test_evolve_worker_failure_leaves_the_call(reduced_collinear, reduced_grid,
 
 def test_escalation_leaves_no_worker_thread(reduced_collinear, reduced_grid):
     strong = replace(reduced_collinear, lam=0.05)
-    config = ch.PropagatorConfig(dt=0.1, n_max=1)
+    config = ch.PropagatorConfig(n_max=1)
     before = threading.active_count()
     failed = []
     _, used = ch.evolve_with_escalation(strong, reduced_grid, config, 1.5 * strong.tau2,

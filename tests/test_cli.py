@@ -12,7 +12,7 @@ def write_config(tmp_path: Path, name: str = "config.json", **overrides) -> Path
     cfg = {
         "scenario": {"case": "collinear", "epsilon": 0.25, "lambda0": 1e-3,
                      "engine": "pt"},
-        "numerics": {"n_max": 1, "dt_oracle": 0.1},
+        "numerics": {"n_max": 1},
     }
     for key, value in overrides.items():
         if value is None:
@@ -233,14 +233,33 @@ def test_run_numeric_failure_exit_and_manifest(tmp_path):
     # miniature truncation: strong coupling with n_max pinned to 1
     cfg = write_config(tmp_path, scenario={"case": "collinear", "lambda0": 0.05,
                                            "engine": "oracle"},
-                       numerics={"n_max": 1, "dt_oracle": 0.1,
-                                 "top_shell_threshold": 1e-12})
+                       numerics={"n_max": 1, "top_shell_threshold": 1e-12})
     out = tmp_path / "fail"
     code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
     assert code == cli.EXIT_NUMERIC
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert "error" in manifest
+
+
+def test_run_pt_non_finite_exit_and_manifest(tmp_path, monkeypatch):
+    # a NaN in the PT joint block fails the run with the numeric exit code
+    from mott1d import perturbation
+
+    original = perturbation._add_spectrum
+
+    def poisoned(acc, values, phase):
+        original(acc, values, phase)
+        acc[0, 0, 0] = float("nan")
+
+    monkeypatch.setattr(perturbation, "_add_spectrum", poisoned)
+    out = tmp_path / "fail"
+    code = cli.main(["run", "--config", str(write_config(tmp_path)), "--out", str(out),
+                     "--engine", "pt"])
+    assert code == cli.EXIT_NUMERIC
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert "non-finite" in manifest["error"]
 
 
 def test_run_failure_message_names_scenario(tmp_path, monkeypatch):

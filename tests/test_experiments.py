@@ -82,8 +82,7 @@ def _reduced_spec(case: str, engine: str, epsilon: float = 0.2, lambda0: float =
                   n_max: int = 2, shape: str = "gaussian") -> ex.ScenarioSpec:
     params = ex.default_params(case, epsilon=epsilon, lambda0=lambda0)
     return ex.ScenarioSpec(case=case, params=params, epsilon=epsilon, engine=engine,
-                           numerics=ex.NumericSettings(n_max=n_max, dt_oracle=0.1,
-                                                       potential_shape=shape))
+                           numerics=ex.NumericSettings(n_max=n_max, potential_shape=shape))
 
 
 def test_run_scenario_zero_coupling():
@@ -206,7 +205,7 @@ def test_run_scenario_records_pt_halving():
 def test_run_scenario_records_oracle_eval_times():
     spec = _reduced_spec("collinear", "oracle")
     t_final = 1.5 * spec.params.tau2
-    off_grid = 37.53  # dt_oracle = 0.1: snaps to step 375
+    off_grid = 37.53  # dt_oracle = 0.5: snaps to step 75
     spec = replace(spec, times=(off_grid, t_final))
     run = ex.run_scenario(spec).engines["oracle"]
     (want_a, used_a), (want_b, used_b) = run.convergence["eval_times"]
@@ -270,7 +269,7 @@ def test_sweep_hits_numerical_floor():
 def test_localization_collinear(reduced_collinear):
     spec = ex.ScenarioSpec(case="collinear", params=reduced_collinear, epsilon=0.2,
                            engine="oracle",
-                           numerics=ex.NumericSettings(n_max=2, dt_oracle=0.1))
+                           numerics=ex.NumericSettings(n_max=2))
     report = ex.localization_report(spec)
     entry = report.entry((1, 0))
     assert entry.defined
@@ -281,7 +280,7 @@ def test_localization_collinear(reduced_collinear):
 def test_localization_zero_coupling_undefined(reduced_collinear):
     p = replace(reduced_collinear, lam=0.0)
     spec = ex.ScenarioSpec(case="collinear", params=p, epsilon=0.2, engine="oracle",
-                           numerics=ex.NumericSettings(n_max=1, dt_oracle=0.1))
+                           numerics=ex.NumericSettings(n_max=1))
     report = ex.localization_report(spec)
     assert all(not e.defined for e in report.entries)
     assert all(e.mass_same_side is None for e in report.entries)
@@ -292,8 +291,7 @@ def test_elastic_channel_parity(reduced_collinear, reduced_grid, reduced_oracle_
     # the right-side oscillators imprint an O(lambda0) asymmetry, no more
     p0 = replace(reduced_collinear, lam=0.0)
     state = ch.initialize_channels(p0, reduced_grid, 1)
-    free = ch.evolve(state, p0, ch.PropagatorConfig(dt=0.1, n_max=1),
-                     1.5 * p0.tau2)
+    free = ch.evolve(state, p0, ch.PropagatorConfig(n_max=1), 1.5 * p0.tau2)
     rho = np.abs(free.amplitudes[0, 0]) ** 2
     assert np.max(np.abs(rho - reduced_grid.mirror(rho))) <= 1e-9
 
@@ -306,7 +304,7 @@ def test_localization_opposite_sides(reduced_opposite):
     # in the opposite geometry channel (0,1) localizes on the left
     spec = ex.ScenarioSpec(case="opposite", params=reduced_opposite, epsilon=0.2,
                            engine="oracle",
-                           numerics=ex.NumericSettings(n_max=2, dt_oracle=0.1))
+                           numerics=ex.NumericSettings(n_max=2))
     report = ex.localization_report(spec, t_eval=1.5 * reduced_opposite.tau2)
     right = report.entry((1, 0))
     left = report.entry((0, 1))

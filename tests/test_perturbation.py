@@ -13,7 +13,7 @@ import pytest
 
 import mott1d.perturbation as pt
 from mott1d import experiments as ex
-from mott1d.channels import form_factor_pair
+from mott1d.channels import NormDriftError, form_factor_pair
 from mott1d.core import (
     ModelParams,
     OscillatorBasis,
@@ -271,6 +271,66 @@ def test_dyson_run_worker_failure_leaves_the_call(reduced_collinear, reduced_gri
     assert [str(e) for e in outcome] == ["worker failed"]
     assert len(callers) == 1 and caller not in callers
     assert threading.active_count() == before
+
+
+def test_dyson_run_worker_failure_cancels_pending_sources(reduced_collinear, reduced_grid,
+                                                          monkeypatch):
+    # the sources submitted after the failing one are not added: at most the
+    # one the worker had already started runs
+    p = reduced_collinear
+    ff = form_factor_pair(p, reduced_grid, 1)
+    original = pt._add_spectrum
+
+    def failing(acc, values, phase):
+        failing.calls += 1
+        if failing.calls >= 3:
+            time.sleep(0.2)  # long enough for the calling thread to fill its three sources
+            raise RuntimeError("worker failed")
+        original(acc, values, phase)
+
+    failing.calls = 0
+    monkeypatch.setattr(pt, "_add_spectrum", failing)
+    with pytest.raises(RuntimeError, match="worker failed"):
+        pt.dyson_run(p, 1.5 * p.tau2, ff, reduced_grid, 1, 0.2)
+    assert failing.calls <= 4
+
+
+def test_non_finite_pass_raises_norm_drift(reduced_collinear, reduced_grid, monkeypatch):
+    # one NaN in the joint accumulator makes whole channels NaN; the halving
+    # comparison must fail on them instead of skipping them
+    p = reduced_collinear
+    ff = form_factor_pair(p, reduced_grid, 2)
+    original = pt._add_spectrum
+
+    def poisoned(acc, values, phase):
+        original(acc, values, phase)
+        acc[0, 0, acc.shape[-1] // 2] = np.nan
+
+    monkeypatch.setattr(pt, "_add_spectrum", poisoned)
+    passes = []
+    with pytest.raises(NormDriftError, match="non-finite") as info:
+        pt.converged_dyson_run(p, 1.5 * p.tau2, ff, reduced_grid, n_max=2,
+                               on_pass=passes.append)
+    assert len(passes) == 1
+    err = info.value
+    assert err.t == 1.5 * p.tau2 and err.n_max == 2 and not math.isfinite(err.norm)
+
+
+def test_max_rel_change_fails_on_non_finite():
+    assert pt._max_rel_change({"a": 1.0}, {"a": 1.0 + 1e-6}) == pytest.approx(1e-6, rel=1e-5)
+    for bad in (math.nan, math.inf):
+        assert pt._max_rel_change({"a": bad}, {"a": 1.0}) == math.inf
+        assert pt._max_rel_change({"a": 1.0}, {"a": bad}) == math.inf
+
+
+def test_non_finite_form_factor_table_rejected(reduced_collinear, reduced_grid):
+    # a NaN table would otherwise empty the kick slab and report P = 0
+    p = reduced_collinear
+    ff1, ff2 = form_factor_pair(p, reduced_grid, 1)
+    values = ff1.values.copy()
+    values[1, 0, reduced_grid.n_points // 2] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        pt.dyson_run(p, 1.5 * p.tau2, (replace(ff1, values=values), ff2), reduced_grid, 1)
 
 
 def test_failed_dyson_run_leaves_no_reference_cycle(reduced_collinear, reduced_grid,
