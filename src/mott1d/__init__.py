@@ -5,33 +5,29 @@ from .core import (
     DimensionlessGroup,
     GridError,
     ModelParams,
+    NormDriftError,
     OscillatorBasis,
     QuadratureError,
     SpatialGrid,
+    TruncationError,
     born_probability,
     free_spread,
-    interference_decomposition,
     make_gaussian_packet,
     make_spherical_wave_1d,
-    oscillator_eigenfunction,
     suggest_grid,
     uncertainty_product,
 )
 from .channels import (
     ChannelState,
     FormFactorTable,
-    NormDriftError,
     PropagatorConfig,
-    TruncationError,
     build_form_factors,
     channel_probabilities,
     evolve,
     evolve_with_escalation,
     form_factor_pair,
     initialize_channels,
-    potential_profile,
 )
-from .perturbation import free_propagate
 from .experiments import (
     ExcitationReport,
     RegimeReport,
@@ -41,7 +37,6 @@ from .experiments import (
     check_regime,
     default_params,
     load_thresholds,
-    localization_report,
     run_scenario,
     sweep_lambda,
 )

@@ -55,30 +55,16 @@ from .core import (
     ComplexField,
     GridError,
     ModelParams,
+    NormDriftError,
     OscillatorBasis,
     QuadratureError,
     SpatialGrid,
+    TruncationError,
+    _at_breach,
     hermite_functions,
     kinetic_phase,
     make_spherical_wave_1d,
 )
-
-
-class TruncationError(RuntimeError):
-    """Norm reached the top oscillator shell: n_max too small for this run.
-
-    Raised by the propagator with ``t`` (model time of the breach),
-    ``norm`` (the top-shell norm there) and ``n_max`` set.
-    """
-
-
-class NormDriftError(RuntimeError):
-    """Total norm drifted beyond tolerance, or became non-finite, during
-    propagation.
-
-    Raised by the propagator with ``t`` (model time of the breach),
-    ``norm`` (the total norm there) and ``n_max`` set.
-    """
 
 
 # ---------------------------------------------------------------------------
@@ -105,16 +91,6 @@ POTENTIAL_SHAPES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 }
 
 
-def potential_profile(x: np.ndarray | float, shape: str = "gaussian") -> np.ndarray | float:
-    """Dimensionless interaction profile V(x); unit height, O(1) range."""
-    try:
-        fn = POTENTIAL_SHAPES[shape]
-    except KeyError:
-        raise ValueError(f"unknown potential shape {shape!r}; known: {sorted(POTENTIAL_SHAPES)}")
-    out = fn(np.atleast_1d(x))
-    return float(out[0]) if np.isscalar(x) else out
-
-
 # ---------------------------------------------------------------------------
 # form factors
 
@@ -128,14 +104,10 @@ class FormFactorTable:
     the physical coupling.  Exactly symmetric in (n, n').
     """
 
-    oscillator_index: int
-    center: float
     n_max: int
     grid: SpatialGrid
     values: np.ndarray = field(repr=False)
     shape: str = "gaussian"
-    quad_nodes: int = 0
-    converged_delta: float = math.nan
 
 
 def build_form_factors(params: ModelParams, basis: OscillatorBasis, grid: SpatialGrid,
@@ -194,12 +166,8 @@ def build_form_factors(params: ModelParams, basis: OscillatorBasis, grid: Spatia
             raise QuadratureError(
                 f"form-factor quadrature not converged at {max_nodes} nodes")
         cur = table_with(n_nodes)
-        delta = float(np.max(np.abs(cur - prev)))
-        if delta < tol:
-            return FormFactorTable(
-                oscillator_index=1 if basis.a == params.a1 else 2,
-                center=a, n_max=n_max, grid=grid, values=cur, shape=shape,
-                quad_nodes=n_nodes, converged_delta=delta)
+        if float(np.max(np.abs(cur - prev))) < tol:
+            return FormFactorTable(n_max=n_max, grid=grid, values=cur, shape=shape)
         prev = cur
 
 
@@ -249,9 +217,6 @@ class ChannelState:
     def channel_field(self, n1: int, n2: int) -> ComplexField:
         return ComplexField(self.grid, self.amplitudes[n1, n2])
 
-    def copy(self) -> "ChannelState":
-        return ChannelState(self.t, self.grid, self.amplitudes.copy())
-
 
 def initialize_channels(params: ModelParams, grid: SpatialGrid, n_max: int) -> ChannelState:
     """Product initial state: both oscillators in their ground state,
@@ -295,7 +260,6 @@ class PropagatorConfig:
     dt: float = 0.5
     n_max: int = 4
     top_shell_threshold: float = 1e-6
-    potential_shape: str = "gaussian"
 
     def __post_init__(self) -> None:
         if not self.dt > 0:
@@ -380,8 +344,7 @@ def _couple_points(f3: np.ndarray, slabs1: Slabs, slabs2: Slabs) -> None:
 
 
 def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
-           t_final: float,
-           form_factors: tuple[FormFactorTable, FormFactorTable] | None = None,
+           t_final: float, form_factors: tuple[FormFactorTable, FormFactorTable],
            snapshot_times: Sequence[float] = (),
            on_snapshot: Callable[[ChannelState], None] | None = None) -> ChannelState:
     """Propagate the channel state to t_final in composed fourth-order steps.
@@ -401,6 +364,8 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     (the kinetic factor is a unitary phase on each channel), so they cost
     no extra transforms.
 
+    ``form_factors`` are both oscillators' tables on the state's grid, at
+    truncation ``config.n_max`` or above (only the leading block is read).
     ``snapshot_times`` are snapped to the nearest step boundary and passed
     to ``on_snapshot`` as state copies (final state included only if listed).
     """
@@ -413,8 +378,6 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     n_steps = max(1, int(math.ceil(horizon / config.dt - 1e-12)))
     h = horizon / n_steps
 
-    if form_factors is None:
-        form_factors = form_factor_pair(params, grid, config.n_max, config.potential_shape)
     ff1, ff2 = form_factors
     if ff1.grid != grid or ff2.grid != grid or ff1.n_max < config.n_max or ff2.n_max < config.n_max:
         raise GridError("form-factor tables do not match the propagation grid/truncation")
@@ -517,44 +480,39 @@ def _health_check(state: ChannelState, config: PropagatorConfig, norm0: float) -
     if not drift <= NORM_TOLERANCE:
         what = ("non-finite amplitudes" if not math.isfinite(norm)
                 else f"norm drift {drift:.3e} exceeds {NORM_TOLERANCE:.1e}")
-        raise _at_breach(NormDriftError(f"{what} at t={state.t:.6g}"), state, norm)
+        raise _at_breach(NormDriftError(f"{what} at t={state.t:.6g}"),
+                         state.t, norm, state.n_max)
     top = state.top_shell_norm()
     if not top <= config.top_shell_threshold:
         raise _at_breach(TruncationError(
             f"top-shell norm {top:.3e} exceeds {config.top_shell_threshold:.1e} "
-            f"at n_max={state.n_max}, t={state.t:.6g}"), state, top)
-
-
-def _at_breach(err: RuntimeError, state: ChannelState, norm: float) -> RuntimeError:
-    # attached here, not in the raising frame: a local name for the error
-    # there would make a cycle through its traceback that keeps the failed
-    # run's arrays alive until the garbage collector runs
-    err.t, err.norm, err.n_max = state.t, norm, state.n_max
-    return err
+            f"at n_max={state.n_max}, t={state.t:.6g}"), state.t, top, state.n_max)
 
 
 def evolve_with_escalation(params: ModelParams, grid: SpatialGrid, config: PropagatorConfig,
-                           t_final: float, snapshot_times: Sequence[float] = (),
+                           t_final: float,
+                           form_factors: tuple[FormFactorTable, FormFactorTable],
+                           snapshot_times: Sequence[float] = (),
                            on_snapshot: Callable[[ChannelState], None] | None = None,
                            n_max_cap: int = 10,
-                           form_factors: tuple[FormFactorTable, FormFactorTable] | None = None,
                            on_escalation: Callable[[TruncationError], None] | None = None,
                            ) -> tuple[ChannelState, PropagatorConfig]:
     """Run from the product initial state, raising n_max by 2 until the
     top-shell check passes.  Returns the final state and the config used.
 
-    ``form_factors`` are used by every attempt whose n_max they cover;
-    ``evolve`` builds its own tables for the attempts beyond.  Each failed
-    attempt's TruncationError is passed to ``on_escalation`` before the next
-    attempt starts.
+    ``form_factors`` serve every attempt whose n_max they cover; each
+    attempt beyond builds its own pair, in the given tables' potential
+    shape.  Each failed attempt's TruncationError is passed to
+    ``on_escalation`` before the next attempt starts.
     """
     cfg = config
     while True:
         state = initialize_channels(params, grid, cfg.n_max)
-        covered = form_factors is not None and min(t.n_max for t in form_factors) >= cfg.n_max
+        tables = form_factors
+        if min(t.n_max for t in form_factors) < cfg.n_max:
+            tables = form_factor_pair(params, grid, cfg.n_max, form_factors[0].shape)
         try:
-            final = evolve(state, params, cfg, t_final,
-                           form_factors=form_factors if covered else None,
+            final = evolve(state, params, cfg, t_final, tables,
                            snapshot_times=snapshot_times, on_snapshot=on_snapshot)
             return final, cfg
         except TruncationError as err:

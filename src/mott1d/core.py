@@ -1,4 +1,4 @@
-"""Grids, wave packets, oscillator eigenbasis and position-space diagnostics.
+"""Typed errors, grids, wave packets, oscillator eigenbasis and diagnostics.
 
 Model conventions used throughout the package:
 
@@ -12,8 +12,7 @@ Model conventions used throughout the package:
   which is stable far beyond the truncation levels used here; raw Hermite
   polynomials times an exponential overflow near n ~ 300.
 * natural units hbar = M = v0 = 1 are convenient but not assumed: every
-  formula carries hbar and the masses explicitly.  ``ModelParams.to_natural``
-  rescales an arbitrary parameter set into natural units.
+  formula carries hbar and the masses explicitly.
 """
 
 from __future__ import annotations
@@ -31,6 +30,32 @@ class GridError(ValueError):
 
 class QuadratureError(RuntimeError):
     """A quadrature rule failed to converge within its node/step budget."""
+
+
+class TruncationError(RuntimeError):
+    """Norm reached the top oscillator shell: n_max too small for this run.
+
+    Raised by the propagator with ``t`` (model time of the breach),
+    ``norm`` (the top-shell norm there) and ``n_max`` set.
+    """
+
+
+class NormDriftError(RuntimeError):
+    """Total norm drifted beyond tolerance, or became non-finite, during
+    propagation.
+
+    Raised by either engine with ``t`` (model time of the breach),
+    ``norm`` (the total norm there) and ``n_max`` set.
+    """
+
+
+def _at_breach(err: RuntimeError, t: float, norm: float, n_max: int) -> RuntimeError:
+    # the breach's t, norm and n_max are attached here, not in the raising
+    # frame: a local name for the error there would make a cycle through its
+    # traceback that keeps the failed run's arrays alive until the garbage
+    # collector runs
+    err.t, err.norm, err.n_max = t, norm, n_max
+    return err
 
 
 def _require_positive(**kwargs: float) -> None:
@@ -93,24 +118,6 @@ class ModelParams:
     def tau2(self) -> float:
         """Classical transit time from the origin to a2."""
         return abs(self.a2) / self.v0
-
-    def to_natural(self) -> "ModelParams":
-        """Rescale to hbar = M = v0 = 1 (lengths in hbar/(M v0), etc.)."""
-        length = self.hbar / (self.M * self.v0)
-        energy = self.M * self.v0 ** 2
-        time = self.hbar / energy
-        return ModelParams(
-            M=1.0,
-            m=self.m / self.M,
-            omega=self.omega * time,
-            lam=self.lam / energy,
-            delta=self.delta / length,
-            sigma=self.sigma / length,
-            P0=1.0,
-            a1=self.a1 / length,
-            a2=self.a2 / length,
-            hbar=1.0,
-        )
 
     def mirrored(self) -> "ModelParams":
         """Parameters of the spatially reflected setup (a1, a2) -> (-a1, -a2)."""
@@ -209,17 +216,6 @@ class SpatialGrid:
     def wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
-    def mirror(self, values: np.ndarray) -> np.ndarray:
-        """values at -x for each grid point x (exact on a symmetric grid).
-
-        Index 0 maps to itself (x_min is identified with x_max by
-        periodicity); index j maps to n - j.
-        """
-        out = np.empty_like(values)
-        out[..., 0] = values[..., 0]
-        out[..., 1:] = values[..., :0:-1]
-        return out
-
 
 @dataclass(frozen=True)
 class ComplexField:
@@ -248,11 +244,6 @@ class ComplexField:
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
-
-
-def _check_same_grid(a: ComplexField, b: ComplexField) -> None:
-    if a.grid != b.grid:
-        raise GridError("fields live on different grids")
 
 
 def _check_boundary(grid: SpatialGrid, envelope: np.ndarray, tol: float) -> None:
@@ -397,13 +388,6 @@ class OscillatorBasis:
         return hermite_functions(xi, self.n_max) / math.sqrt(self.length)
 
 
-def oscillator_eigenfunction(basis: OscillatorBasis, n: int, r_grid: SpatialGrid) -> ComplexField:
-    """Eigenfunction phi_n of ``basis`` sampled on ``r_grid`` (real-valued)."""
-    if not 0 <= n <= basis.n_max:
-        raise ValueError(f"level {n} outside basis range 0..{basis.n_max}")
-    return ComplexField(r_grid, basis.eigenfunctions(r_grid.points)[n].astype(np.complex128))
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 
@@ -452,25 +436,6 @@ def history_sums(pmap: Mapping[tuple[int, int], float]) -> dict[str, float]:
         elif n1 >= 1 and n2 >= 1:
             sums["both"] += p
     return sums
-
-
-class InterferenceParts(NamedTuple):
-    """Pointwise decomposition of |psi1 + psi2|^2 (all real arrays)."""
-
-    total: np.ndarray
-    part1: np.ndarray
-    part2: np.ndarray
-    cross: np.ndarray
-
-
-def interference_decomposition(psi1: ComplexField, psi2: ComplexField) -> InterferenceParts:
-    """|psi1 + psi2|^2 = |psi1|^2 + |psi2|^2 + 2 Re(psi1 conj(psi2))."""
-    _check_same_grid(psi1, psi2)
-    part1 = psi1.density()
-    part2 = psi2.density()
-    cross = 2.0 * np.real(psi1.values * np.conj(psi2.values))
-    total = np.abs(psi1.values + psi2.values) ** 2
-    return InterferenceParts(total=total, part1=part1, part2=part2, cross=cross)
 
 
 class UncertaintyResult(NamedTuple):

@@ -61,23 +61,17 @@ def default_params(case: str = COLLINEAR, epsilon: float = 0.1,
 # regime check
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Verdict bounds, all expressed as multiples of epsilon except the
-    epsilon bounds themselves."""
-
-    ratio_valid: float = 2.0      # every small ratio <= ratio_valid * eps
-    ratio_invalid: float = 5.0    # any ratio beyond this * eps -> invalid
-    lambda_valid: float = 0.1     # lambda0 <= lambda_valid * eps
-    lambda_invalid: float = 0.5
-    epsilon_valid: float = 0.2
-    epsilon_invalid: float = 0.5
+# Verdict bounds, as multiples of epsilon except the epsilon bounds
+# themselves: a value up to the first of a pair is "ok", one beyond the
+# second a violation
+RATIO_VALID, RATIO_INVALID = 2.0, 5.0       # every small ratio
+LAMBDA_VALID, LAMBDA_INVALID = 0.1, 0.5     # lambda0
+EPSILON_VALID, EPSILON_INVALID = 0.2, 0.5   # epsilon itself
 
 
 @dataclass(frozen=True)
 class RegimeReport:
     group: DimensionlessGroup
-    thresholds: RegimeThresholds
     checks: dict[str, dict]
     verdict: str  # "valid" | "marginal" | "invalid"
 
@@ -96,15 +90,13 @@ def _grade(value: float, ok_bound: float, bad_bound: float) -> str:
     return "violation"
 
 
-def check_regime(params: ModelParams, epsilon: float,
-                 thresholds: RegimeThresholds | None = None) -> RegimeReport:
+def check_regime(params: ModelParams, epsilon: float) -> RegimeReport:
     """Grade every dimensionless ratio against the declared epsilon.
 
     Valid only when the coupling satisfies lambda0 << eps and every small
     ratio is O(eps); an out-of-regime parameter set is a verdict here, never
     an error (exploring it is allowed, just flagged).
     """
-    th = thresholds or RegimeThresholds()
     group = DimensionlessGroup.from_params(params, epsilon)
     checks: dict[str, dict] = {}
 
@@ -112,10 +104,10 @@ def check_regime(params: ModelParams, epsilon: float,
         checks[name] = {"value": value, "ok_below": ok, "invalid_above": bad,
                         "verdict": _grade(value, ok, bad)}
 
-    record("epsilon", epsilon, th.epsilon_valid, th.epsilon_invalid)
-    record("lambda0", group.lambda0, th.lambda_valid * epsilon, th.lambda_invalid * epsilon)
+    record("epsilon", epsilon, EPSILON_VALID, EPSILON_INVALID)
+    record("lambda0", group.lambda0, LAMBDA_VALID * epsilon, LAMBDA_INVALID * epsilon)
     for name, value in group.epsilon_ratios().items():
-        record(name, value, th.ratio_valid * epsilon, th.ratio_invalid * epsilon)
+        record(name, value, RATIO_VALID * epsilon, RATIO_INVALID * epsilon)
 
     verdicts = [c["verdict"] for c in checks.values()]
     if any(v == "violation" for v in verdicts):
@@ -124,7 +116,7 @@ def check_regime(params: ModelParams, epsilon: float,
         overall = "valid"
     else:
         overall = "marginal"
-    return RegimeReport(group=group, thresholds=th, checks=checks, verdict=overall)
+    return RegimeReport(group=group, checks=checks, verdict=overall)
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +237,20 @@ class ExcitationReport:
         return out
 
 
-def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[float, ch.ChannelState]]:
+Tables = tuple[ch.FormFactorTable, ch.FormFactorTable]
+
+
+def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid,
+                form_factors: Tables) -> tuple[EngineRun, dict[float, ch.ChannelState]]:
     num = spec.numerics
     t_max = max(spec.eval_times)
     config = ch.PropagatorConfig(dt=num.dt_oracle, n_max=num.n_max,
-                                 top_shell_threshold=num.top_shell_threshold,
-                                 potential_shape=num.potential_shape)
+                                 top_shell_threshold=num.top_shell_threshold)
     states: dict[float, ch.ChannelState] = {}
     escalations: list[dict[str, float | int]] = []
     t0 = time.perf_counter()
     final, used_cfg = ch.evolve_with_escalation(
-        spec.params, grid, config, t_max,
+        spec.params, grid, config, t_max, form_factors,
         snapshot_times=spec.eval_times,
         on_snapshot=lambda s: states.__setitem__(s.t, s),
         on_escalation=lambda err: escalations.append(
@@ -288,9 +283,9 @@ def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[
     return run, {want: states[actual] for want, actual in eval_map.items()}
 
 
-def _run_pt(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[tuple[int, int], ComplexField]]:
+def _run_pt(spec: ScenarioSpec, grid: SpatialGrid,
+            form_factors: Tables) -> tuple[EngineRun, dict[tuple[int, int], ComplexField]]:
     num = spec.numerics
-    ff = ch.form_factor_pair(spec.params, grid, num.n_max, num.potential_shape)
     probabilities: dict[float, dict[tuple[int, int], float]] = {}
     histories: dict[float, tuple[float, float, float, float]] = {}
     fields: dict[tuple[int, int], ComplexField] = {}
@@ -307,7 +302,7 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[tupl
 
     t0 = time.perf_counter()
     for t_eval in spec.eval_times:
-        run = pt.converged_dyson_run(spec.params, t_eval, ff, grid, num.n_max,
+        run = pt.converged_dyson_run(spec.params, t_eval, form_factors, grid, num.n_max,
                                      num.dt_duhamel, num.pt_rtol,
                                      on_pass=lambda r: record(t_eval, r))
         pmap = run.probabilities()
@@ -341,9 +336,10 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid) -> tuple[EngineRun, dict[tupl
 def run_scenario(spec: ScenarioSpec, keep_oracle_states: bool = False) -> ExcitationReport:
     """Evaluate a scenario with the requested engine(s).
 
-    Out-of-regime parameters run anyway; the attached RegimeReport carries
-    the flag.  Engine failures propagate unchanged, with the scenario context
-    added as an exception note.
+    One pair of form-factor tables serves both engines.  Out-of-regime
+    parameters run anyway; the attached RegimeReport carries the flag.
+    Engine failures propagate unchanged, with the scenario context added as
+    an exception note.
     """
     regime = check_regime(spec.params, spec.epsilon)
     grid = spec.grid()
@@ -352,10 +348,12 @@ def run_scenario(spec: ScenarioSpec, keep_oracle_states: bool = False) -> Excita
     pt_fields: dict[tuple[int, int], ComplexField] = {}
     t0 = time.perf_counter()
     try:
+        ff = ch.form_factor_pair(spec.params, grid, spec.numerics.n_max,
+                                 spec.numerics.potential_shape)
         if spec.engine in ("pt", "both"):
-            engines["pt"], pt_fields = _run_pt(spec, grid)
+            engines["pt"], pt_fields = _run_pt(spec, grid, ff)
         if spec.engine in ("oracle", "both"):
-            engines["oracle"], states = _run_oracle(spec, grid)
+            engines["oracle"], states = _run_oracle(spec, grid, ff)
             if keep_oracle_states:
                 oracle_states = states
     except Exception as exc:
@@ -413,9 +411,10 @@ def sweep_lambda(spec: ScenarioSpec, lambda_values: Sequence[float],
     """Sweep the coupling and fit log10 P(target) vs log10 lambda.
 
     Needs at least 4 values spanning at least one decade, all inside the
-    validity regime.  The grid and form factors are shared across the sweep
-    (the form factors do not depend on the coupling); the oracle raises
-    n_max for a value that overfills the top shell, as ``run_scenario`` does.
+    validity regime.  Each value is solved as ``run_scenario`` solves it, on
+    one grid and one pair of form-factor tables (they do not depend on the
+    coupling), so the oracle raises n_max for a value that overfills the top
+    shell.
     """
     values = sorted(float(v) for v in lambda_values)
     if len(values) < 4:
@@ -435,23 +434,15 @@ def sweep_lambda(spec: ScenarioSpec, lambda_values: Sequence[float],
             raise ValueError(f"sweep value lambda={lam} is outside the regime")
 
     grid = spec.grid()
-    num = spec.numerics
     t_eval = max(spec.eval_times)
-    ff = ch.form_factor_pair(spec.params, grid, num.n_max, num.potential_shape)
+    ff = ch.form_factor_pair(spec.params, grid, spec.numerics.n_max,
+                             spec.numerics.potential_shape)
+    solve = _run_pt if engine == "pt" else _run_oracle
     probs: list[float] = []
     for lam in values:
-        params = replace(spec.params, lam=lam)
-        if engine == "pt":
-            run = pt.converged_dyson_run(params, t_eval, ff, grid, num.n_max,
-                                         num.dt_duhamel, num.pt_rtol)
-            p = run.probabilities()[target]
-        else:
-            config = ch.PropagatorConfig(dt=num.dt_oracle, n_max=num.n_max,
-                                         top_shell_threshold=num.top_shell_threshold,
-                                         potential_shape=num.potential_shape)
-            final, _ = ch.evolve_with_escalation(params, grid, config, t_eval,
-                                                 form_factors=ff)
-            p = ch.channel_probabilities(final)[target]
+        point = replace(spec, params=replace(spec.params, lam=lam), times=(t_eval,))
+        run, _ = solve(point, grid, ff)
+        p = run.probabilities[t_eval][target]
         if not p > 0.0:
             raise RuntimeError(
                 f"non-positive probability {p!r} at lambda={lam}: numerical floor reached")
@@ -512,14 +503,6 @@ def localization_from_state(state: ch.ChannelState, params: ModelParams,
                                              channel_probability=p_ch, side=side,
                                              mass_same_side=mass, defined=True))
     return LocalizationReport(t=state.t, entries=tuple(entries))
-
-
-def localization_report(spec: ScenarioSpec, t_eval: float | None = None) -> LocalizationReport:
-    """Run the oracle to t_eval (default 1.5 tau1) and summarize localization."""
-    t_eval = t_eval if t_eval is not None else 1.5 * spec.params.tau1
-    probe = replace(spec, engine="oracle", times=(t_eval,))
-    report = run_scenario(probe, keep_oracle_states=True)
-    return localization_from_state(report.oracle_states[t_eval], spec.params)
 
 
 # ---------------------------------------------------------------------------

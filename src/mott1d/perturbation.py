@@ -48,13 +48,14 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .channels import FormFactorTable, NormDriftError
+from .channels import FormFactorTable
 from .core import (
-    ComplexField,
     ModelParams,
+    NormDriftError,
     OscillatorBasis,
     QuadratureError,
     SpatialGrid,
+    _at_breach,
     history_sums,
     kinetic_phase,
     make_spherical_wave_1d,
@@ -69,12 +70,6 @@ KICK_FLOOR = 1e-14
 # amplitude ~1e-15 of the unit-norm packet they are rounding, and their
 # relative changes carry no information.
 NOISE_FLOOR = 1e-30
-
-
-def free_propagate(psi: ComplexField, dt: float, params: ModelParams) -> ComplexField:
-    """Exact spectral free-particle propagation by dt (negative dt allowed)."""
-    values = np.fft.ifft(np.fft.fft(psi.values) * kinetic_phase(psi.grid, params, dt))
-    return ComplexField(psi.grid, values)
 
 
 def default_duhamel_step(params: ModelParams) -> float:
@@ -252,7 +247,8 @@ def converged_dyson_run(params: ModelParams, t_final: float,
 
     Returns the first pass whose probabilities changed by at most ``rtol``
     from the previous pass's (the only pass when lam is 0); raises
-    QuadratureError when the halving budget runs out before that.  Each
+    QuadratureError when the halving budget runs out before that, and
+    NormDriftError at the first pass with a non-finite probability.  Each
     pass's result goes to ``on_pass`` once its changes are set (NaN on the
     first pass).  Probabilities below ``NOISE_FLOOR`` are left out of the
     metric.
@@ -261,11 +257,13 @@ def converged_dyson_run(params: ModelParams, t_final: float,
     run = dyson_run(params, t_final, form_factors, grid, n_max, step)
     if on_pass is not None:
         on_pass(run)
+    probs = run.probabilities()
+    if not all(math.isfinite(p) for p in probs.values()):
+        raise _non_finite(run)
     if params.lam == 0.0:
         run.halving_rel_change = 0.0
         run.halving_obs_change = 0.0
         return run
-    probs = run.probabilities()
     sums = history_sums(probs)
     for _ in range(max_halvings):
         step /= 2.0
@@ -302,9 +300,6 @@ def _max_rel_change(a: Mapping, b: Mapping) -> float:
 
 
 def _non_finite(run: DysonResult) -> NormDriftError:
-    # built here, not in the raising frame, so that no local name for the
-    # error makes a cycle through its traceback
     norm = math.sqrt(run._norm_sq(run.psi_free) + sum(run.probabilities().values()))
     err = NormDriftError(f"non-finite amplitudes at t={run.t:.6g} (dt={run.dt:.6g})")
-    err.t, err.norm, err.n_max = run.t, norm, run.n_max
-    return err
+    return _at_breach(err, run.t, norm, run.n_max)

@@ -38,7 +38,23 @@ def reduced_config():
 
 
 @pytest.fixture(scope="session")
-def reduced_splitting_order(reduced_collinear, reduced_grid):
+def tables():
+    """tables(params, grid, n_max, shape="gaussian"): the form-factor pair
+    ``evolve`` needs, built once per session for each set of arguments
+    (the coupling strength does not enter the tables)."""
+    cache = {}
+
+    def get(params, grid, n_max, shape="gaussian"):
+        key = (replace(params, lam=0.0), grid, n_max, shape)
+        if key not in cache:
+            cache[key] = ch.form_factor_pair(params, grid, n_max, shape)
+        return cache[key]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def reduced_splitting_order(reduced_collinear, reduced_grid, tables):
     """Richardson estimate of the oracle's order in its step, from the
     reduced collinear P11 at 1.5 tau2 for the steps (2h, h, h/2) about the
     default step h; every step divides 1.5 tau2."""
@@ -47,18 +63,20 @@ def reduced_splitting_order(reduced_collinear, reduced_grid):
     p11 = []
     for dt in (2.0 * h, h, 0.5 * h):
         state = ch.initialize_channels(p, reduced_grid, 2)
-        final = ch.evolve(state, p, ch.PropagatorConfig(dt=dt, n_max=2), 1.5 * p.tau2)
+        final = ch.evolve(state, p, ch.PropagatorConfig(dt=dt, n_max=2), 1.5 * p.tau2,
+                          tables(p, reduced_grid, 2))
         p11.append(ch.channel_probabilities(final)[(1, 1)])
     coarse, mid, fine = p11
     return math.log2(abs(coarse - mid) / abs(mid - fine))
 
 
 @pytest.fixture(scope="session")
-def reduced_oracle_final(reduced_collinear, reduced_grid, reduced_config):
+def reduced_oracle_final(reduced_collinear, reduced_grid, reduced_config, tables):
     """Coupled-channel run of the reduced collinear scenario to 1.5 tau2."""
     p = reduced_collinear
-    state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
-    return ch.evolve(state, p, reduced_config, 1.5 * p.tau2)
+    n_max = reduced_config.n_max
+    state = ch.initialize_channels(p, reduced_grid, n_max)
+    return ch.evolve(state, p, reduced_config, 1.5 * p.tau2, tables(p, reduced_grid, n_max))
 
 
 # --- full default-scale fixtures (built lazily; only the acceptance suite

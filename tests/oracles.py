@@ -4,7 +4,9 @@ Most are derived in closed form, separately from the code under test: free
 Gaussian evolution from the exact k-space integral, the two-Gaussian
 convolution for the ground-state form factor, the overlap normalization of
 the two-packet superposition, and high-order finite-difference momentum
-moments.  ``reference_dyson_stack`` is the plain 41-row (at n_max = 4)
+moments.  ``mirror`` (reflection about the origin of a symmetric grid) and
+``free_propagate`` (the free step through ``core.kinetic_phase``) are test
+tools.  ``reference_dyson_stack`` is the plain 41-row (at n_max = 4)
 Dyson kernel with a per-pair Python kick loop and both interaction
 orderings carried separately, kept as the differential reference for the
 production engine.  ``reference_channel_evolve`` is the coupled-channel
@@ -18,6 +20,27 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from mott1d.core import ComplexField, ModelParams, kinetic_phase
+
+
+def mirror(values: np.ndarray) -> np.ndarray:
+    """values at -x for each point x of a symmetric grid (exact).
+
+    Index 0 maps to itself (x_min is identified with x_max by periodicity);
+    index j maps to n - j.
+    """
+    out = np.empty_like(values)
+    out[..., 0] = values[..., 0]
+    out[..., 1:] = values[..., :0:-1]
+    return out
+
+
+def free_propagate(psi: ComplexField, dt: float, params: ModelParams) -> ComplexField:
+    """Exact spectral free-particle propagation by dt (negative dt allowed),
+    through the engines' shared kinetic phase."""
+    values = np.fft.ifft(np.fft.fft(psi.values) * kinetic_phase(psi.grid, params, dt))
+    return ComplexField(psi.grid, values)
 
 
 def free_gaussian(x: np.ndarray, t: float, sigma: float, k0: float,

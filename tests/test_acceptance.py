@@ -132,7 +132,7 @@ def test_criterion_5_localization(oracle_collinear_full):
 
 
 def test_criterion_6_conservation_suite(oracle_collinear_full, oracle_opposite_full,
-                                        reduced_opposite, reduced_grid, reduced_config):
+                                        reduced_opposite, reduced_grid, reduced_config, tables):
     # norm drift of the full oracle runs
     drifts = [r.engines["oracle"].convergence["norm_drift"]
               for r in (oracle_collinear_full, oracle_opposite_full)]
@@ -157,7 +157,8 @@ def test_criterion_6_conservation_suite(oracle_collinear_full, oracle_opposite_f
     maps = {}
     for tag, params in (("base", p), ("mirrored", p.mirrored())):
         state = ch.initialize_channels(params, reduced_grid, reduced_config.n_max)
-        final = ch.evolve(state, params, reduced_config, 1.5 * p.tau2)
+        final = ch.evolve(state, params, reduced_config, 1.5 * p.tau2,
+                          tables(params, reduced_grid, reduced_config.n_max))
         maps[tag] = ch.channel_probabilities(final)
     parity_gap = max(abs(maps["base"][k] - maps["mirrored"][k]) for k in maps["base"])
     assert parity_gap <= 1e-9
@@ -185,7 +186,7 @@ def _observables(probs: dict) -> dict[str, float]:
 
 
 @pytest.fixture(scope="module")
-def truncation_changes():
+def truncation_changes(tables):
     """n_max 4 -> 6 comparison at the default and at a deep-regime coupling."""
     grid = SpatialGrid.symmetric(768.0, 2 ** 13)
     base = ex.default_params("collinear", epsilon=0.1, lambda0=LAMBDA0)
@@ -197,7 +198,8 @@ def truncation_changes():
         for n_max in (4, 6):
             config = ch.PropagatorConfig(n_max=n_max)
             state = ch.initialize_channels(params, grid, n_max)
-            pmap = ch.channel_probabilities(ch.evolve(state, params, config, t))
+            final = ch.evolve(state, params, config, t, tables(params, grid, n_max))
+            pmap = ch.channel_probabilities(final)
             probs[n_max] = {k: v for k, v in pmap.items()
                             if k != (0, 0) and k[0] <= 3 and k[1] <= 3}
         abs_change = max(abs(probs[4][k] - probs[6][k]) for k in probs[4])

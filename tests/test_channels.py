@@ -18,37 +18,43 @@ from mott1d.core import (
     SpatialGrid,
     suggest_grid,
 )
-from oracles import free_two_packet, gaussian_form_factor_00, reference_channel_evolve
+from oracles import free_two_packet, gaussian_form_factor_00, mirror, reference_channel_evolve
 
 
 # ---------------------------------------------------------------------------
 # potential profiles
 
 
+def profile(x, shape="gaussian"):
+    """V(x) of ``shape`` at the scalar x."""
+    return ch.POTENTIAL_SHAPES[shape](np.array([x]))[0]
+
+
 def test_potential_peak_value():
-    assert ch.potential_profile(0.0) == 1.0
+    assert profile(0.0) == 1.0
 
 
 @settings(max_examples=30, deadline=None)
 @given(x=st.floats(-10.0, 10.0), shape=st.sampled_from(["gaussian", "bump"]))
 def test_potential_even(x, shape):
-    assert ch.potential_profile(x, shape) == ch.potential_profile(-x, shape)
+    assert profile(x, shape) == profile(-x, shape)
 
 
 def test_potential_gaussian_tail():
-    assert ch.potential_profile(8.0) < 1e-13
+    assert profile(8.0) < 1e-13
 
 
 def test_potential_bump_compact_support():
-    assert ch.potential_profile(0.0, "bump") == 1.0
-    assert ch.potential_profile(1.0, "bump") == 0.0
-    assert ch.potential_profile(-1.5, "bump") == 0.0
-    assert 0.0 < ch.potential_profile(0.9, "bump") < 1.0
+    assert profile(0.0, "bump") == 1.0
+    assert profile(1.0, "bump") == 0.0
+    assert profile(-1.5, "bump") == 0.0
+    assert 0.0 < profile(0.9, "bump") < 1.0
 
 
-def test_potential_unknown_shape():
+def test_potential_unknown_shape(ff_setup):
+    params, grid, basis, _ = ff_setup
     with pytest.raises(ValueError):
-        ch.potential_profile(0.0, "square-well")
+        ch.build_form_factors(params, basis, grid, shape="square-well")
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +107,7 @@ def test_form_factor_against_dense_quadrature(ff_setup):
     for table in (gaussian, bump):
         for j in (grid.n_points // 2 + 80, grid.n_points // 2 + 60):
             x = grid.points[j]
-            v = ch.potential_profile((x - r) / params.delta, table.shape)
+            v = ch.POTENTIAL_SHAPES[table.shape]((x - r) / params.delta)
             for (n, k) in [(1, 2), (0, 3), (2, 2)]:
                 brute = float(np.sum(phi[n] * phi[k] * v) * dr)
                 assert table.values[n, k, j] == pytest.approx(brute, abs=1e-9), table.shape
@@ -123,7 +129,7 @@ def test_initialize_channels(reduced_collinear, reduced_grid):
     assert np.all(state.amplitudes[1:, :, :] == 0.0)
     assert np.all(state.amplitudes[0, 1:, :] == 0.0)
     f00 = state.amplitudes[0, 0]
-    assert np.max(np.abs(f00 - reduced_grid.mirror(f00))) <= 1e-12
+    assert np.max(np.abs(f00 - mirror(f00))) <= 1e-12
 
 
 def test_initial_probabilities(reduced_collinear, reduced_grid):
@@ -142,21 +148,22 @@ def test_probabilities_sum_to_norm(reduced_oracle_final):
 # propagator
 
 
-def test_free_evolution_matches_analytic(reduced_collinear, reduced_grid):
+def test_free_evolution_matches_analytic(reduced_collinear, reduced_grid, tables):
     p = replace(reduced_collinear, lam=0.0)
     config = ch.PropagatorConfig(n_max=1)
     state = ch.initialize_channels(p, reduced_grid, 1)
-    final = ch.evolve(state, p, config, p.tau2)
+    final = ch.evolve(state, p, config, p.tau2, tables(p, reduced_grid, 1))
     probs = ch.channel_probabilities(final)
     assert probs[(0, 0)] == pytest.approx(1.0, abs=1e-12)
     exact = free_two_packet(reduced_grid.points, p.tau2, p.sigma, p.P0, p.hbar, p.M)
     assert np.max(np.abs(np.abs(final.amplitudes[0, 0]) - np.abs(exact))) <= 1e-8
 
 
-def test_single_step_norm_preserving(reduced_collinear, reduced_grid):
+def test_single_step_norm_preserving(reduced_collinear, reduced_grid, tables):
     config = ch.PropagatorConfig(dt=0.1, n_max=2)
     state = ch.initialize_channels(reduced_collinear, reduced_grid, 2)
-    stepped = ch.evolve(state, reduced_collinear, config, 0.1)
+    stepped = ch.evolve(state, reduced_collinear, config, 0.1,
+                        tables(reduced_collinear, reduced_grid, 2))
     assert abs(stepped.norm() - 1.0) <= 1e-12
 
 
@@ -169,36 +176,40 @@ def test_top_shell_is_healthy(reduced_oracle_final):
 
 
 def test_mirrored_run_has_identical_probabilities(reduced_opposite, reduced_grid,
-                                                  reduced_config):
+                                                  reduced_config, tables):
     p = reduced_opposite
     t_final = 1.5 * p.tau2
+    n_max = reduced_config.n_max
     runs = {}
     for tag, params in (("base", p), ("mirrored", p.mirrored())):
-        state = ch.initialize_channels(params, reduced_grid, reduced_config.n_max)
-        final = ch.evolve(state, params, reduced_config, t_final)
+        state = ch.initialize_channels(params, reduced_grid, n_max)
+        final = ch.evolve(state, params, reduced_config, t_final,
+                          tables(params, reduced_grid, n_max))
         runs[tag] = ch.channel_probabilities(final)
     for key in runs["base"]:
         assert runs["base"][key] == pytest.approx(runs["mirrored"][key], abs=1e-9)
 
 
 def test_evolve_is_deterministic(reduced_collinear, reduced_grid, reduced_config,
-                                 reduced_oracle_final):
-    state = ch.initialize_channels(reduced_collinear, reduced_grid, reduced_config.n_max)
-    again = ch.evolve(state, reduced_collinear, reduced_config, 1.5 * reduced_collinear.tau2)
+                                 reduced_oracle_final, tables):
+    p, n_max = reduced_collinear, reduced_config.n_max
+    state = ch.initialize_channels(p, reduced_grid, n_max)
+    again = ch.evolve(state, p, reduced_config, 1.5 * p.tau2, tables(p, reduced_grid, n_max))
     np.testing.assert_array_equal(again.amplitudes, reduced_oracle_final.amplitudes)
 
 
-def test_snapshot_equals_direct_run(reduced_collinear, reduced_grid, reduced_config):
+def test_snapshot_equals_direct_run(reduced_collinear, reduced_grid, reduced_config, tables):
     p = reduced_collinear
     t_mid, t_final = 0.75 * p.tau2, 1.5 * p.tau2
+    ff = tables(p, reduced_grid, reduced_config.n_max)
     seen = []
     state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
-    ch.evolve(state, p, reduced_config, t_final,
+    ch.evolve(state, p, reduced_config, t_final, ff,
               snapshot_times=[t_mid], on_snapshot=seen.append)
     assert len(seen) == 1
     # the same step sequence reaches the snapshot (up to the re-derived dt)
     state2 = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
-    direct = ch.evolve(state2, p, reduced_config, seen[0].t)
+    direct = ch.evolve(state2, p, reduced_config, seen[0].t, ff)
     assert seen[0].t == pytest.approx(t_mid, rel=1e-12)
     np.testing.assert_allclose(seen[0].amplitudes, direct.amplitudes, rtol=0, atol=1e-12)
 
@@ -220,7 +231,7 @@ def test_evolve_matches_reference_kernel(case, n_max, lambda0, hbar):
     ff = ch.form_factor_pair(p, grid, n_max)
     seen = []
     state = ch.initialize_channels(p, grid, n_max)
-    final = ch.evolve(state, p, config, t_final, form_factors=ff,
+    final = ch.evolve(state, p, config, t_final, ff,
                       snapshot_times=[t_mid], on_snapshot=seen.append)
     energies = [OscillatorBasis.for_oscillator(p, i, n_max).energies for i in (1, 2)]
     ref = reference_channel_evolve(state.amplitudes, ff[0].values, ff[1].values, *energies,
@@ -252,8 +263,8 @@ def test_default_step_at_least_as_accurate_as_strang(case, reduced_grid, request
 
     def composed(dt):
         seen = []
-        ch.evolve(start, p, ch.PropagatorConfig(dt=dt, n_max=n_max), times[-1],
-                  form_factors=ff, snapshot_times=times, on_snapshot=seen.append)
+        ch.evolve(start, p, ch.PropagatorConfig(dt=dt, n_max=n_max), times[-1], ff,
+                  snapshot_times=times, on_snapshot=seen.append)
         return [s.amplitudes for s in seen]
 
     energies = [OscillatorBasis.for_oscillator(p, i, n_max).energies for i in (1, 2)]
@@ -282,43 +293,47 @@ def test_evolve_uses_leading_block_of_larger_tables(reduced_collinear, reduced_g
     n_max = reduced_config.n_max
     state = ch.initialize_channels(p, reduced_grid, n_max)
     runs = [ch.evolve(state, p, reduced_config, p.tau1,
-                      form_factors=ch.form_factor_pair(p, reduced_grid, n))
+                      ch.form_factor_pair(p, reduced_grid, n))
             for n in (n_max, n_max + 2)]
     # the two tables agree to the quadrature tolerance, not bit for bit
     np.testing.assert_allclose(runs[1].amplitudes, runs[0].amplitudes, rtol=0, atol=1e-10)
 
 
-def test_snapshot_time_out_of_range(reduced_collinear, reduced_grid, reduced_config):
-    state = ch.initialize_channels(reduced_collinear, reduced_grid, reduced_config.n_max)
+def test_snapshot_time_out_of_range(reduced_collinear, reduced_grid, reduced_config, tables):
+    p, n_max = reduced_collinear, reduced_config.n_max
+    state = ch.initialize_channels(p, reduced_grid, n_max)
     with pytest.raises(ValueError):
-        ch.evolve(state, reduced_collinear, reduced_config, 10.0,
+        ch.evolve(state, p, reduced_config, 10.0, tables(p, reduced_grid, n_max),
                   snapshot_times=[20.0], on_snapshot=lambda s: None)
 
 
-def test_evolve_requires_forward_time(reduced_collinear, reduced_grid, reduced_config):
-    state = ch.initialize_channels(reduced_collinear, reduced_grid, reduced_config.n_max)
+def test_evolve_requires_forward_time(reduced_collinear, reduced_grid, reduced_config, tables):
+    p, n_max = reduced_collinear, reduced_config.n_max
+    state = ch.initialize_channels(p, reduced_grid, n_max)
     with pytest.raises(ValueError):
-        ch.evolve(state, reduced_collinear, reduced_config, 0.0)
+        ch.evolve(state, p, reduced_config, 0.0, tables(p, reduced_grid, n_max))
 
 
-def test_truncation_error_and_escalation(reduced_collinear, reduced_grid):
+def test_truncation_error_and_escalation(reduced_collinear, reduced_grid, tables):
     strong = replace(reduced_collinear, lam=0.05)  # lambda0 = 0.05: heavy excitation
     config = ch.PropagatorConfig(n_max=1)
+    ff = tables(strong, reduced_grid, 1)
     state = ch.initialize_channels(strong, reduced_grid, 1)
     with pytest.raises(ch.TruncationError):
-        ch.evolve(state, strong, config, 1.5 * strong.tau2)
+        ch.evolve(state, strong, config, 1.5 * strong.tau2, ff)
     final, used = ch.evolve_with_escalation(strong, reduced_grid, config,
-                                            1.5 * strong.tau2)
+                                            1.5 * strong.tau2, ff)
     assert used.n_max > 1
     assert final.top_shell_norm() < used.top_shell_threshold
 
 
-def test_truncation_stops_at_first_breach(reduced_collinear, reduced_grid):
+def test_truncation_stops_at_first_breach(reduced_collinear, reduced_grid, tables):
     strong = replace(reduced_collinear, lam=0.05)
     config = ch.PropagatorConfig(n_max=1)
     t_final = 1.5 * strong.tau2
+    ff = tables(strong, reduced_grid, 1)
     with pytest.raises(ch.TruncationError) as info:
-        ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong, config, t_final)
+        ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong, config, t_final, ff)
     breach = info.value
     assert breach.n_max == 1
     assert breach.norm > config.top_shell_threshold
@@ -329,7 +344,7 @@ def test_truncation_stops_at_first_breach(reduced_collinear, reduced_grid):
     times = [t for t in (breach.t - ch.HEALTH_STRIDE * dt, breach.t) if t > 0.0]
     seen = []
     ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong,
-              replace(config, top_shell_threshold=1.0), t_final,
+              replace(config, top_shell_threshold=1.0), t_final, ff,
               snapshot_times=times, on_snapshot=seen.append)
     assert seen[-1].top_shell_norm() == pytest.approx(breach.norm, rel=1e-9)
     assert all(s.top_shell_norm() <= config.top_shell_threshold for s in seen[:-1])
@@ -337,13 +352,14 @@ def test_truncation_stops_at_first_breach(reduced_collinear, reduced_grid):
 
 @pytest.mark.parametrize("failing_half", ["caller", "worker"])
 def test_failed_evolve_leaves_no_reference_cycle(reduced_collinear, reduced_grid,
-                                                 monkeypatch, failing_half):
+                                                 monkeypatch, failing_half, tables):
     # a cycle through the error's traceback would keep the failed attempt's
     # arrays alive while escalation allocates the next, larger one; the
     # calling thread fails a health check, the worker one of its halves
     strong = replace(reduced_collinear, lam=0.05)
     config = ch.PropagatorConfig(n_max=1)
     state = ch.initialize_channels(strong, reduced_grid, 1)
+    ff = tables(strong, reduced_grid, 1)
     expected = ch.TruncationError
     if failing_half == "worker":
         expected = ZeroDivisionError
@@ -360,7 +376,7 @@ def test_failed_evolve_leaves_no_reference_cycle(reduced_collinear, reduced_grid
     gc.disable()
     try:
         try:
-            ch.evolve(state, strong, config, 1.5 * strong.tau2)
+            ch.evolve(state, strong, config, 1.5 * strong.tau2, ff)
         except (ch.TruncationError, ZeroDivisionError) as exc:
             raised = type(exc)
         assert raised is expected
@@ -370,13 +386,14 @@ def test_failed_evolve_leaves_no_reference_cycle(reduced_collinear, reduced_grid
 
 
 def test_nonfinite_amplitude_fails_within_one_stride(reduced_collinear, reduced_grid,
-                                                     reduced_config):
+                                                     reduced_config, tables):
     p = reduced_collinear
+    ff = tables(p, reduced_grid, reduced_config.n_max)
     state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
-    mid = ch.evolve(state, p, reduced_config, 0.5 * p.tau2)
+    mid = ch.evolve(state, p, reduced_config, 0.5 * p.tau2, ff)
     mid.amplitudes[0, 0, reduced_grid.n_points // 2] = np.nan
     with pytest.raises(ch.NormDriftError, match="non-finite") as info:
-        ch.evolve(mid, p, reduced_config, 1.5 * p.tau2)
+        ch.evolve(mid, p, reduced_config, 1.5 * p.tau2, ff)
     assert mid.t < info.value.t <= mid.t + ch.HEALTH_STRIDE * reduced_config.dt * (1 + 1e-12)
 
 
@@ -391,20 +408,36 @@ def test_escalation_uses_tables_while_they_cover(reduced_collinear, reduced_grid
     monkeypatch.setattr(ch, "build_form_factors",
                         lambda *a, **k: built.append(a[1].n_max) or build(*a, **k))
     failed = []
-    final, used = ch.evolve_with_escalation(strong, reduced_grid, config, t_final,
-                                            form_factors=ff, on_escalation=failed.append)
+    final, used = ch.evolve_with_escalation(strong, reduced_grid, config, t_final, ff,
+                                            on_escalation=failed.append)
     assert [e.n_max for e in failed] == list(range(1, used.n_max, 2))
     # the given n_max = 1 tables serve the first attempt only
     assert built == [n for n in range(3, used.n_max + 1, 2) for _ in (1, 2)]
     assert final.top_shell_norm() < used.top_shell_threshold
 
 
-def test_escalation_cap(reduced_collinear, reduced_grid):
+def test_bump_escalation_builds_bump_tables(reduced_collinear, reduced_grid, monkeypatch,
+                                            tables):
+    # an attempt beyond the given tables builds its own in their shape
+    strong = replace(reduced_collinear, lam=0.05)
+    ff = tables(strong, reduced_grid, 1, "bump")
+    shapes = []
+    build = ch.build_form_factors
+    monkeypatch.setattr(ch, "build_form_factors",
+                        lambda *a, **k: shapes.append(k["shape"]) or build(*a, **k))
+    final, used = ch.evolve_with_escalation(strong, reduced_grid, ch.PropagatorConfig(n_max=1),
+                                            1.5 * strong.tau2, ff)
+    assert used.n_max > 1
+    assert shapes == ["bump"] * (used.n_max - 1)
+    assert final.top_shell_norm() < used.top_shell_threshold
+
+
+def test_escalation_cap(reduced_collinear, reduced_grid, tables):
     strong = replace(reduced_collinear, lam=0.05)
     config = ch.PropagatorConfig(n_max=1)
     with pytest.raises(ch.TruncationError):
         ch.evolve_with_escalation(strong, reduced_grid, config, 1.5 * strong.tau2,
-                                  n_max_cap=1)
+                                  tables(strong, reduced_grid, 1), n_max_cap=1)
 
 
 def test_config_validation():
@@ -437,9 +470,8 @@ def test_evolve_bitwise_under_short_switch_interval(case, n_max, coupled):
 
     def run():
         seen = []
-        final = ch.evolve(ch.initialize_channels(p, grid, n_max), p, config, p.tau2,
-                          form_factors=ff, snapshot_times=[p.tau1],
-                          on_snapshot=seen.append)
+        final = ch.evolve(ch.initialize_channels(p, grid, n_max), p, config, p.tau2, ff,
+                          snapshot_times=[p.tau1], on_snapshot=seen.append)
         return final, seen
 
     base, base_seen = run()
@@ -456,10 +488,11 @@ def test_evolve_bitwise_under_short_switch_interval(case, n_max, coupled):
 
 
 def test_evolve_worker_failure_leaves_the_call(reduced_collinear, reduced_grid,
-                                               reduced_config, monkeypatch):
+                                               reduced_config, monkeypatch, tables):
     # a failure in the worker's half surfaces from evolve unchanged, and the
     # executor's thread is joined before evolve raises
     p = reduced_collinear
+    ff = tables(p, reduced_grid, reduced_config.n_max)
     boom = RuntimeError("worker failed")
     workers = set()
     original = ch._kinetic_rows
@@ -481,7 +514,7 @@ def test_evolve_worker_failure_leaves_the_call(reduced_collinear, reduced_grid,
     def call():
         state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
         try:
-            ch.evolve(state, p, reduced_config, 1.5 * p.tau2)
+            ch.evolve(state, p, reduced_config, 1.5 * p.tau2, ff)
         except RuntimeError as exc:
             outcome.append(exc)
 
@@ -494,12 +527,13 @@ def test_evolve_worker_failure_leaves_the_call(reduced_collinear, reduced_grid,
     assert threading.active_count() == before
 
 
-def test_escalation_leaves_no_worker_thread(reduced_collinear, reduced_grid):
+def test_escalation_leaves_no_worker_thread(reduced_collinear, reduced_grid, tables):
     strong = replace(reduced_collinear, lam=0.05)
     config = ch.PropagatorConfig(n_max=1)
+    ff = tables(strong, reduced_grid, 1)
     before = threading.active_count()
     failed = []
-    _, used = ch.evolve_with_escalation(strong, reduced_grid, config, 1.5 * strong.tau2,
+    _, used = ch.evolve_with_escalation(strong, reduced_grid, config, 1.5 * strong.tau2, ff,
                                         on_escalation=failed.append)
     assert failed[0].n_max == 1 and used.n_max > 1
     assert threading.active_count() == before

@@ -265,7 +265,7 @@ def test_run_pt_non_finite_exit_and_manifest(tmp_path, monkeypatch):
 def test_run_failure_message_names_scenario(tmp_path, monkeypatch):
     from mott1d import channels, experiments
 
-    def fail(spec, grid):
+    def fail(spec, grid, form_factors):
         raise channels.TruncationError("top shell full")
 
     monkeypatch.setattr(experiments, "_run_oracle", fail)

@@ -16,13 +16,11 @@ from mott1d.core import (
     born_probability,
     free_spread,
     hermite_functions,
-    interference_decomposition,
     make_gaussian_packet,
     make_spherical_wave_1d,
-    oscillator_eigenfunction,
     uncertainty_product,
 )
-from oracles import fd_momentum_moments, spherical_wave_norm_sq
+from oracles import fd_momentum_moments, mirror, spherical_wave_norm_sq
 
 
 def grid_for_packet(sigma=1.0, x_max=32.0, n=2048):
@@ -44,9 +42,8 @@ def test_grid_points_and_mirror_are_exact():
     g = SpatialGrid.symmetric(32.0, 256)
     x = g.points
     assert x[g.n_points // 2] == 0.0
-    mirrored = g.mirror(x)
-    assert mirrored[0] == x[0]
-    np.testing.assert_array_equal(mirrored[1:], -x[1:])
+    # x_j = -x_(n-j): the reflection about the origin maps points to points
+    np.testing.assert_array_equal(x[:0:-1], -x[1:])
 
 
 def test_field_requires_matching_shape_and_is_readonly():
@@ -66,7 +63,7 @@ def test_gaussian_packet_zero_momentum_is_real_and_even():
     g = grid_for_packet()
     psi = make_gaussian_packet(g, sigma=1.0, P0=0.0)
     assert np.max(np.abs(psi.values.imag)) == 0.0
-    assert np.max(np.abs(psi.values - g.mirror(psi.values))) <= 1e-12
+    assert np.max(np.abs(psi.values - mirror(psi.values))) <= 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -104,7 +101,7 @@ def test_gaussian_packet_rejects_bad_sign():
 def test_spherical_wave_is_even_pointwise():
     g = grid_for_packet()
     psi = make_spherical_wave_1d(g, sigma=1.0, P0=5.0)
-    assert np.max(np.abs(psi.values - g.mirror(psi.values))) <= 1e-12
+    assert np.max(np.abs(psi.values - mirror(psi.values))) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -133,23 +130,16 @@ def test_spherical_wave_normalization_against_closed_form():
 def test_ground_state_value_at_center():
     basis = OscillatorBasis(a=0.0, m=1.0, omega=1.0, hbar=1.0, n_max=2)
     g = SpatialGrid.symmetric(16.0, 1024)
-    phi0 = oscillator_eigenfunction(basis, 0, g)
-    at_zero = phi0.values[g.n_points // 2].real
+    phi0 = basis.eigenfunctions(g.points)[0]
+    at_zero = phi0[g.n_points // 2]
     assert at_zero == pytest.approx(np.pi ** -0.25, abs=1e-12)
 
 
 def test_first_excited_vanishes_at_center():
     basis = OscillatorBasis(a=0.0, m=1.0, omega=1.0, hbar=1.0, n_max=2)
     g = SpatialGrid.symmetric(16.0, 1024)
-    phi1 = oscillator_eigenfunction(basis, 1, g)
-    assert phi1.values[g.n_points // 2] == 0.0
-
-
-def test_level_out_of_range():
-    basis = OscillatorBasis(a=0.0, m=1.0, omega=1.0, hbar=1.0, n_max=2)
-    g = SpatialGrid.symmetric(16.0, 256)
-    with pytest.raises(ValueError):
-        oscillator_eigenfunction(basis, 3, g)
+    phi1 = basis.eigenfunctions(g.points)[1]
+    assert phi1[g.n_points // 2] == 0.0
 
 
 def test_orthonormality_up_to_ten():
@@ -240,32 +230,6 @@ def test_born_additive_over_disjoint(a, b, c):
 # interference
 
 
-def test_interference_disjoint_supports():
-    g = SpatialGrid.symmetric(64.0, 4096)
-    x = g.points
-    psi1 = ComplexField(g, np.exp(-(x + 20.0) ** 2 / 2.0)).normalized()
-    psi2 = ComplexField(g, np.exp(-(x - 20.0) ** 2 / 2.0)).normalized()
-    parts = interference_decomposition(psi1, psi2)
-    assert np.max(np.abs(parts.cross)) < 1e-12
-    np.testing.assert_allclose(parts.total, parts.part1 + parts.part2 + parts.cross,
-                               rtol=0, atol=1e-14)
-
-
-def test_interference_identical_fields():
-    g = grid_for_packet()
-    psi = make_gaussian_packet(g, 1.0, 2.0)
-    parts = interference_decomposition(psi, psi)
-    np.testing.assert_allclose(parts.total, 4.0 * parts.part1, rtol=0, atol=1e-12)
-
-
-def test_interference_grid_mismatch():
-    g1 = grid_for_packet(n=2048)
-    g2 = SpatialGrid.symmetric(32.0, 1024)
-    with pytest.raises(GridError):
-        interference_decomposition(make_gaussian_packet(g1, 1.0, 0.0),
-                                   make_gaussian_packet(g2, 1.0, 0.0))
-
-
 def test_fringe_spacing_matches_momentum():
     # zero crossings of the psi+/psi- cross term sit pi*hbar/(2 P0) apart,
     # so the fringe period (two crossings) is pi*hbar/P0
@@ -273,10 +237,11 @@ def test_fringe_spacing_matches_momentum():
     p0, hbar = 5.0, 1.0
     plus = make_gaussian_packet(g, 1.0, p0, +1, hbar)
     minus = make_gaussian_packet(g, 1.0, p0, -1, hbar)
-    parts = interference_decomposition(plus, minus)
+    # the cross term of |psi+ + psi-|^2
+    cross_term = np.abs(plus.values + minus.values) ** 2 - plus.density() - minus.density()
     x = g.points
     window = np.abs(x) < 2.0
-    cross = parts.cross[window]
+    cross = cross_term[window]
     signs = np.sign(cross)
     crossings = x[window][:-1][signs[:-1] * signs[1:] < 0]
     spacing = np.diff(crossings)
@@ -352,17 +317,6 @@ def test_params_derived_quantities():
     assert p.v0 == 1.5
     assert p.tau2 == pytest.approx(10.0 / 1.5, rel=1e-15)
     assert p.tau1 == pytest.approx(5.0 / 1.5, rel=1e-15)
-
-
-def test_to_natural_preserves_ratios():
-    p = ModelParams(M=3.0, m=0.3, omega=0.05, lam=2e-3, delta=7.0, sigma=4.0,
-                    P0=2.0, a1=40.0, a2=-80.0, hbar=0.7)
-    q = p.to_natural()
-    assert (q.M, q.P0, q.hbar) == (1.0, 1.0, 1.0)
-    g_p = DimensionlessGroup.from_params(p, 0.1).as_dict()
-    g_q = DimensionlessGroup.from_params(q, 0.1).as_dict()
-    for key in g_p:
-        assert g_p[key] == pytest.approx(g_q[key], rel=1e-13), key
 
 
 @settings(max_examples=25, deadline=None)

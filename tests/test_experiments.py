@@ -11,6 +11,7 @@ import mott1d.channels as ch
 import mott1d.experiments as ex
 import mott1d.perturbation as pt
 from mott1d.core import history_sums
+from oracles import mirror
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,7 @@ class _TwoArgumentError(RuntimeError):
 
 
 def test_run_scenario_keeps_error_object(monkeypatch):
-    def fail(spec, grid):
+    def fail(spec, grid, form_factors):
         raise _TwoArgumentError("breach", 3.2)
 
     monkeypatch.setattr(ex, "_run_oracle", fail)
@@ -160,6 +161,17 @@ def test_run_scenario_keeps_error_object(monkeypatch):
         ex.run_scenario(_reduced_spec("collinear", "oracle"))
     assert info.value.where == 3.2
     assert info.traceback[-1].name == "fail"
+
+
+def test_run_scenario_builds_one_table_pair(monkeypatch):
+    # both engines read the same tables
+    built = []
+    build = ch.build_form_factors
+    monkeypatch.setattr(ch, "build_form_factors",
+                        lambda *a, **k: built.append(a) or build(*a, **k))
+    report = ex.run_scenario(_reduced_spec("collinear", "both"))
+    assert set(report.engines) == {"pt", "oracle"}
+    assert len(built) == 2
 
 
 def test_run_scenario_records_escalations():
@@ -266,11 +278,17 @@ def test_sweep_hits_numerical_floor():
 # localization
 
 
+def _localization(spec: ex.ScenarioSpec, t_eval: float) -> ex.LocalizationReport:
+    """Localization of the oracle state at t_eval."""
+    report = ex.run_scenario(replace(spec, times=(t_eval,)), keep_oracle_states=True)
+    return ex.localization_from_state(report.oracle_states[t_eval], spec.params)
+
+
 def test_localization_collinear(reduced_collinear):
     spec = ex.ScenarioSpec(case="collinear", params=reduced_collinear, epsilon=0.2,
                            engine="oracle",
                            numerics=ex.NumericSettings(n_max=2))
-    report = ex.localization_report(spec)
+    report = _localization(spec, 1.5 * reduced_collinear.tau1)
     entry = report.entry((1, 0))
     assert entry.defined
     assert entry.side == "right"
@@ -281,22 +299,23 @@ def test_localization_zero_coupling_undefined(reduced_collinear):
     p = replace(reduced_collinear, lam=0.0)
     spec = ex.ScenarioSpec(case="collinear", params=p, epsilon=0.2, engine="oracle",
                            numerics=ex.NumericSettings(n_max=1))
-    report = ex.localization_report(spec)
+    report = _localization(spec, 1.5 * p.tau1)
     assert all(not e.defined for e in report.entries)
     assert all(e.mass_same_side is None for e in report.entries)
 
 
-def test_elastic_channel_parity(reduced_collinear, reduced_grid, reduced_oracle_final):
+def test_elastic_channel_parity(reduced_collinear, reduced_grid, reduced_oracle_final, tables):
     # decoupled: the even initial state stays even to rounding; with coupling
     # the right-side oscillators imprint an O(lambda0) asymmetry, no more
     p0 = replace(reduced_collinear, lam=0.0)
     state = ch.initialize_channels(p0, reduced_grid, 1)
-    free = ch.evolve(state, p0, ch.PropagatorConfig(n_max=1), 1.5 * p0.tau2)
+    free = ch.evolve(state, p0, ch.PropagatorConfig(n_max=1), 1.5 * p0.tau2,
+                     tables(p0, reduced_grid, 1))
     rho = np.abs(free.amplitudes[0, 0]) ** 2
-    assert np.max(np.abs(rho - reduced_grid.mirror(rho))) <= 1e-9
+    assert np.max(np.abs(rho - mirror(rho))) <= 1e-9
 
     rho_coupled = np.abs(reduced_oracle_final.amplitudes[0, 0]) ** 2
-    asym = np.max(np.abs(rho_coupled - reduced_grid.mirror(rho_coupled)))
+    asym = np.max(np.abs(rho_coupled - mirror(rho_coupled)))
     assert 0.0 < asym <= 1e-3
 
 
@@ -305,7 +324,7 @@ def test_localization_opposite_sides(reduced_opposite):
     spec = ex.ScenarioSpec(case="opposite", params=reduced_opposite, epsilon=0.2,
                            engine="oracle",
                            numerics=ex.NumericSettings(n_max=2))
-    report = ex.localization_report(spec, t_eval=1.5 * reduced_opposite.tau2)
+    report = _localization(spec, 1.5 * reduced_opposite.tau2)
     right = report.entry((1, 0))
     left = report.entry((0, 1))
     assert right.side == "right" and right.mass_same_side >= 0.99

@@ -13,9 +13,10 @@ import pytest
 
 import mott1d.perturbation as pt
 from mott1d import experiments as ex
-from mott1d.channels import NormDriftError, form_factor_pair
+from mott1d.channels import form_factor_pair
 from mott1d.core import (
     ModelParams,
+    NormDriftError,
     OscillatorBasis,
     QuadratureError,
     SpatialGrid,
@@ -25,7 +26,7 @@ from mott1d.core import (
     history_sums,
     suggest_grid,
 )
-from oracles import free_two_packet, reference_dyson_stack
+from oracles import free_propagate, free_two_packet, reference_dyson_stack
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +42,7 @@ def free_params():
 def test_free_propagate_zero_time_is_identity(free_params):
     g = SpatialGrid.symmetric(64.0, 2048)
     psi = make_gaussian_packet(g, 1.0, 2.0)
-    out = pt.free_propagate(psi, 0.0, free_params)
+    out = free_propagate(psi, 0.0, free_params)
     assert np.max(np.abs(out.values - psi.values)) <= 1e-14
 
 
@@ -50,7 +51,7 @@ def test_free_propagate_center_and_width(free_params):
     p = free_params
     psi = make_gaussian_packet(g, p.sigma, p.P0, hbar=p.hbar)
     t = 5.0
-    out = pt.free_propagate(psi, t, p)
+    out = free_propagate(psi, t, p)
     x = g.points
     rho = out.density() * g.dx
     mean = float(np.sum(rho * x))
@@ -63,7 +64,7 @@ def test_free_propagate_center_and_width(free_params):
 def test_free_propagate_group_property(free_params):
     g = SpatialGrid.symmetric(64.0, 2048)
     psi = make_gaussian_packet(g, 1.0, 2.0)
-    out = pt.free_propagate(pt.free_propagate(psi, 3.7, free_params), -3.7, free_params)
+    out = free_propagate(free_propagate(psi, 3.7, free_params), -3.7, free_params)
     assert np.max(np.abs(out.values - psi.values)) <= 1e-12
 
 
@@ -79,7 +80,7 @@ def test_dyson_free_row_honours_hbar(free_params):
                                                               p.hbar, p.M)
     assert np.max(np.abs(run.psi_free - exact)) <= 1e-10
     psi0 = make_spherical_wave_1d(g, p.sigma, p.P0, p.hbar)
-    free = pt.free_propagate(psi0, t, p).values
+    free = free_propagate(psi0, t, p).values
     assert np.max(np.abs(run.psi_free - np.exp(-1j * e00 * t / p.hbar) * free)) <= 1e-12
 
 
@@ -296,22 +297,25 @@ def test_dyson_run_worker_failure_cancels_pending_sources(reduced_collinear, red
 
 
 def test_non_finite_pass_raises_norm_drift(reduced_collinear, reduced_grid, monkeypatch):
-    # one NaN in the joint accumulator makes whole channels NaN; the halving
-    # comparison must fail on them instead of skipping them
+    # one NaN in the joint accumulator makes whole channels NaN; the first
+    # pass must fail on them, with no second pass and no halving comparison
     p = reduced_collinear
     ff = form_factor_pair(p, reduced_grid, 2)
-    original = pt._add_spectrum
+    original, dyson_run = pt._add_spectrum, pt.dyson_run
 
     def poisoned(acc, values, phase):
         original(acc, values, phase)
         acc[0, 0, acc.shape[-1] // 2] = np.nan
 
     monkeypatch.setattr(pt, "_add_spectrum", poisoned)
+    runs = []
+    monkeypatch.setattr(pt, "dyson_run", lambda *a, **k: runs.append(a) or dyson_run(*a, **k))
     passes = []
     with pytest.raises(NormDriftError, match="non-finite") as info:
         pt.converged_dyson_run(p, 1.5 * p.tau2, ff, reduced_grid, n_max=2,
                                on_pass=passes.append)
     assert len(passes) == 1
+    assert len(runs) == 1
     err = info.value
     assert err.t == 1.5 * p.tau2 and err.n_max == 2 and not math.isfinite(err.norm)
 
