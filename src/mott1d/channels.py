@@ -94,6 +94,11 @@ POTENTIAL_SHAPES: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 # ---------------------------------------------------------------------------
 # form factors
 
+# build_form_factors doubles its nodes from QUAD_START_NODES to QUAD_MAX_NODES
+QUAD_TOL = 1e-10
+QUAD_START_NODES = 16
+QUAD_MAX_NODES = 256
+
 
 @dataclass(frozen=True)
 class FormFactorTable:
@@ -111,8 +116,7 @@ class FormFactorTable:
 
 
 def build_form_factors(params: ModelParams, basis: OscillatorBasis, grid: SpatialGrid,
-                       shape: str = "gaussian", tol: float = 1e-10,
-                       start_nodes: int = 16, max_nodes: int = 256) -> FormFactorTable:
+                       shape: str = "gaussian") -> FormFactorTable:
     """Quadrature of the potential matrix elements.
 
     In the scaled oscillator coordinate xi = (r - a)/l the element is the
@@ -122,7 +126,7 @@ def build_form_factors(params: ModelParams, basis: OscillatorBasis, grid: Spatia
     vanishes outside |u| < 1, u = (R - a - l*xi)/delta, where Gauss–Hermite
     nodes land only sparsely; it is integrated with Gauss–Legendre nodes in
     u over that support, dxi = (delta/l) du.  The node count doubles until
-    the table changes by less than ``tol`` in max norm.
+    the table changes by less than ``QUAD_TOL`` in max norm.
     """
     profile = POTENTIAL_SHAPES.get(shape)
     if profile is None:
@@ -158,15 +162,15 @@ def build_form_factors(params: ModelParams, basis: OscillatorBasis, grid: Spatia
         return out
 
     table_with = support_table if shape == "bump" else hermite_table
-    n_nodes = start_nodes
+    n_nodes = QUAD_START_NODES
     prev = table_with(n_nodes)
     while True:
         n_nodes *= 2
-        if n_nodes > max_nodes:
+        if n_nodes > QUAD_MAX_NODES:
             raise QuadratureError(
-                f"form-factor quadrature not converged at {max_nodes} nodes")
+                f"form-factor quadrature not converged at {QUAD_MAX_NODES} nodes")
         cur = table_with(n_nodes)
-        if float(np.max(np.abs(cur - prev))) < tol:
+        if float(np.max(np.abs(cur - prev))) < QUAD_TOL:
             return FormFactorTable(n_max=n_max, grid=grid, values=cur, shape=shape)
         prev = cur
 
@@ -250,6 +254,8 @@ NORM_TOLERANCE = 1e-8
 # zeroing couplings below the floor costs at most this much amplitude over
 # the whole run
 COUPLING_ERROR_BUDGET = 1e-14
+# evolve_with_escalation raises n_max by 2 up to this cap
+N_MAX_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -494,7 +500,6 @@ def evolve_with_escalation(params: ModelParams, grid: SpatialGrid, config: Propa
                            form_factors: tuple[FormFactorTable, FormFactorTable],
                            snapshot_times: Sequence[float] = (),
                            on_snapshot: Callable[[ChannelState], None] | None = None,
-                           n_max_cap: int = 10,
                            on_escalation: Callable[[TruncationError], None] | None = None,
                            ) -> tuple[ChannelState, PropagatorConfig]:
     """Run from the product initial state, raising n_max by 2 until the
@@ -516,7 +521,7 @@ def evolve_with_escalation(params: ModelParams, grid: SpatialGrid, config: Propa
                            snapshot_times=snapshot_times, on_snapshot=on_snapshot)
             return final, cfg
         except TruncationError as err:
-            if cfg.n_max + 2 > n_max_cap:
+            if cfg.n_max + 2 > N_MAX_CAP:
                 raise
             if on_escalation is not None:
                 on_escalation(err)

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from . import channels as ch
 from . import experiments as ex
-from .core import GridError, ModelParams, QuadratureError
+from .core import GridError, ModelParams
 
 EXIT_OK = 0
 EXIT_MARGINAL = 1
@@ -320,9 +320,9 @@ def _dump_fields(config: RunConfig, report: ex.ExcitationReport,
 
 
 # GridError is a ValueError but signals a numeric failure (grid too narrow);
-# any other ValueError is a bad value the config let through
-_NUMERIC_ERRORS = (QuadratureError, ch.TruncationError, ch.NormDriftError, GridError,
-                   RuntimeError)
+# any other ValueError is a bad value the config let through.  Every typed
+# engine failure is a RuntimeError.
+_NUMERIC_ERRORS = (GridError, RuntimeError)
 
 
 def _failed(manifest: _Manifest, err: Exception) -> int:

@@ -246,12 +246,18 @@ class ComplexField:
         return np.abs(self.values) ** 2
 
 
-def _check_boundary(grid: SpatialGrid, envelope: np.ndarray, tol: float) -> None:
+# a packet's envelope at the grid edge may reach this fraction of its peak
+BOUNDARY_TOL = 1e-12
+# suggest_grid pads the farthest reach of the packet by this many spread widths
+PAD_SIGMAS = 8.0
+
+
+def _check_boundary(grid: SpatialGrid, envelope: np.ndarray) -> None:
     peak = float(np.max(envelope))
     edge = max(float(envelope[0]), float(envelope[-1]))
-    if edge > tol * peak:
-        raise GridError(
-            f"grid too narrow: boundary amplitude {edge:.3e} exceeds {tol:.1e} of peak {peak:.3e}")
+    if edge > BOUNDARY_TOL * peak:
+        raise GridError(f"grid too narrow: boundary amplitude {edge:.3e} exceeds "
+                        f"{BOUNDARY_TOL:.1e} of peak {peak:.3e}")
 
 
 def free_spread(sigma: float, t: float, hbar: float, M: float) -> float:
@@ -270,16 +276,15 @@ def kinetic_phase(grid: SpatialGrid, params: ModelParams, dt: float,
     return np.exp(-1j * omega * dt)
 
 
-def suggest_grid(params: ModelParams, t_max: float, n_points: int | None = None,
-                 pad_sigmas: float = 8.0) -> SpatialGrid:
+def suggest_grid(params: ModelParams, t_max: float, n_points: int | None = None) -> SpatialGrid:
     """Symmetric grid wide enough that nothing reaches the boundary by t_max.
 
     Half-width rule: farthest oscillator + ballistic distance v0*t_max +
-    pad_sigmas spread widths.  The default point count keeps dx at least
+    PAD_SIGMAS spread widths.  The default point count keeps dx at least
     4x finer than the shortest wavelength carried by the state.
     """
     spread = free_spread(params.sigma, t_max, params.hbar, params.M)
-    x_max = max(abs(params.a1), abs(params.a2)) + params.v0 * t_max + pad_sigmas * spread
+    x_max = max(abs(params.a1), abs(params.a2)) + params.v0 * t_max + PAD_SIGMAS * spread
     x_max = float(math.ceil(x_max))
     if n_points is None:
         k_need = params.P0 / params.hbar + 8.0 / params.sigma
@@ -293,12 +298,11 @@ def suggest_grid(params: ModelParams, t_max: float, n_points: int | None = None,
 
 
 def make_gaussian_packet(grid: SpatialGrid, sigma: float, P0: float,
-                         momentum_sign: int = +1, hbar: float = 1.0,
-                         boundary_tol: float = 1e-12) -> ComplexField:
+                         momentum_sign: int = +1, hbar: float = 1.0) -> ComplexField:
     """Unit-norm Gaussian packet exp(-R^2/2sigma^2) exp(+-i P0 R / hbar).
 
     Raises GridError when the envelope at the grid edge exceeds
-    ``boundary_tol`` of its peak (grid too narrow for this packet).
+    ``BOUNDARY_TOL`` of its peak (grid too narrow for this packet).
     """
     _require_positive(sigma=sigma, hbar=hbar)
     if P0 < 0:
@@ -307,13 +311,13 @@ def make_gaussian_packet(grid: SpatialGrid, sigma: float, P0: float,
         raise ValueError(f"momentum_sign must be +1 or -1, got {momentum_sign!r}")
     x = grid.points
     envelope = np.exp(-x ** 2 / (2.0 * sigma ** 2)) / math.sqrt(sigma)
-    _check_boundary(grid, envelope, boundary_tol)
+    _check_boundary(grid, envelope)
     psi = envelope * np.exp(1j * momentum_sign * P0 * x / hbar)
     return ComplexField(grid, psi).normalized()
 
 
 def make_spherical_wave_1d(grid: SpatialGrid, sigma: float, P0: float,
-                           hbar: float = 1.0, boundary_tol: float = 1e-12) -> ComplexField:
+                           hbar: float = 1.0) -> ComplexField:
     """The 1D stand-in for an isotropically emitted wave: psi+ + psi-.
 
     Equal-weight superposition of two Gaussian packets with opposite momenta,
@@ -323,7 +327,7 @@ def make_spherical_wave_1d(grid: SpatialGrid, sigma: float, P0: float,
     _require_positive(sigma=sigma, hbar=hbar)
     x = grid.points
     envelope = np.exp(-x ** 2 / (2.0 * sigma ** 2)) / math.sqrt(sigma)
-    _check_boundary(grid, envelope, boundary_tol)
+    _check_boundary(grid, envelope)
     psi = envelope * 2.0 * np.cos(P0 * x / hbar)
     return ComplexField(grid, psi).normalized()
 

@@ -12,7 +12,6 @@ for how they were produced).
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -289,45 +288,32 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid,
     probabilities: dict[float, dict[tuple[int, int], float]] = {}
     histories: dict[float, tuple[float, float, float, float]] = {}
     fields: dict[tuple[int, int], ComplexField] = {}
-    step = math.nan
-    halving_change = 0.0
-    halving_obs_change = 0.0
     halving: list[dict[str, float | None]] = []
-
-    def record(t_eval: float, run: pt.DysonResult) -> None:
-        first = math.isnan(run.halving_rel_change)  # no change yet: null, not NaN
-        halving.append({"t": t_eval, "dt": run.dt,
-                        "rel_change": None if first else run.halving_rel_change,
-                        "obs_change": None if first else run.halving_obs_change})
-
+    accepted: list[dict[str, float | None]] = []
     t0 = time.perf_counter()
     for t_eval in spec.eval_times:
         run = pt.converged_dyson_run(spec.params, t_eval, form_factors, grid, num.n_max,
-                                     num.dt_duhamel, num.pt_rtol,
-                                     on_pass=lambda r: record(t_eval, r))
+                                     num.dt_duhamel, num.pt_rtol)
         pmap = run.probabilities()
         sums = history_sums(pmap)
         probabilities[t_eval] = pmap
         histories[t_eval] = (1.0 - sums["right"] - sums["left"] - sums["both"],
                              sums["right"], sums["left"], sums["both"])
-        step = run.dt
-        halving_change = max(halving_change, run.halving_rel_change)
-        halving_obs_change = max(halving_obs_change, run.halving_obs_change)
+        halving += [{"t": t_eval, **h} for h in run.halving]
+        accepted.append(run.halving[-1])
         if t_eval == max(spec.eval_times):
-            fields[(0, 0)] = ComplexField(grid, run.psi_free)
-            for n in range(1, num.n_max + 1):
-                fields[(n, 0)] = ComplexField(grid, run.b1[n])
-                fields[(0, n)] = ComplexField(grid, run.b2[n])
-            for n1 in range(1, num.n_max + 1):
-                for n2 in range(1, num.n_max + 1):
-                    fields[(n1, n2)] = ComplexField(grid, run.joint[n1, n2])
+            fields = {(n1, n2): ComplexField(grid, run.amplitudes[n1, n2])
+                      for n1 in range(num.n_max + 1) for n2 in range(num.n_max + 1)}
     wall = time.perf_counter() - t0
+    # a lone pass at lam = 0 has no change: it counts as 0.0
+    rel_change = max(h["rel_change"] or 0.0 for h in accepted)
+    obs_change = max(h["obs_change"] or 0.0 for h in accepted)
     engine_run = EngineRun(engine="pt", probabilities=probabilities, histories=histories,
-                           convergence={"dt": step, "n_max": num.n_max,
+                           convergence={"dt": run.dt, "n_max": num.n_max,
                                         # an unconverged run raises QuadratureError
                                         "converged": True,
-                                        "halving_rel_change": halving_change,
-                                        "halving_rel_change_observables": halving_obs_change,
+                                        "halving_rel_change": rel_change,
+                                        "halving_rel_change_observables": obs_change,
                                         "halving": halving},
                            wall_time=wall)
     return engine_run, fields
@@ -476,8 +462,11 @@ class LocalizationReport:
         raise KeyError(channel)
 
 
-def localization_from_state(state: ch.ChannelState, params: ModelParams,
-                            norm_floor: float = 1e-200) -> LocalizationReport:
+# a channel at or below this probability has no conditional state
+LOCALIZATION_NORM_FLOOR = 1e-200
+
+
+def localization_from_state(state: ch.ChannelState, params: ModelParams) -> LocalizationReport:
     """Conditional position statistics of every singly-excited channel.
 
     For each channel (n, 0) / (0, n) with n >= 1 the conditional state
@@ -491,7 +480,7 @@ def localization_from_state(state: ch.ChannelState, params: ModelParams,
         for channel, center in (((n, 0), params.a1), ((0, n), params.a2)):
             p_ch = pmap[channel]
             side = "right" if center > 0 else "left"
-            if p_ch <= norm_floor:
+            if p_ch <= LOCALIZATION_NORM_FLOOR:
                 entries.append(LocalizationEntry(channel=channel, t=state.t,
                                                  channel_probability=p_ch, side=side,
                                                  mass_same_side=None, defined=False))

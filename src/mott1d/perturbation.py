@@ -36,6 +36,9 @@ The two interaction orderings (oscillator 1 first vs oscillator 2 first)
 share their channel energies, so one joint block carries both orderings'
 sum.  The kick touches only the index slabs where the bare form factors
 exceed ``KICK_FLOOR`` of their maximum, so the slabs are independent of lam.
+A pass returns psi, b and c in one (n_max+1, n_max+1, N) channel stack, laid
+out as the oracle's: psi at (0, 0), b1[n] at (n, 0), b2[n] at (0, n) and c
+at (n1, n2).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import math
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -71,6 +74,9 @@ KICK_FLOOR = 1e-14
 # relative changes carry no information.
 NOISE_FLOOR = 1e-30
 
+# Step halvings converged_dyson_run makes before it gives up.
+MAX_HALVINGS = 6
+
 
 def default_duhamel_step(params: ModelParams) -> float:
     """Step resolving both the oscillator phase and the transit through the
@@ -80,38 +86,25 @@ def default_duhamel_step(params: ModelParams) -> float:
 
 @dataclass
 class DysonResult:
-    """Raw stacked amplitudes of one engine run (all targets at once)."""
+    """One pass's channel stack, and converged_dyson_run's record of its passes.
 
-    params: ModelParams
+    ``halving`` has one {dt, rel_change, obs_change} entry per pass: the
+    change from the pass before over every channel, and over the outcome
+    sums, which the weak top-shell channels cannot dominate; None at first.
+    """
+
     grid: SpatialGrid
     t: float
     n_max: int
     dt: float
-    psi_free: np.ndarray = field(repr=False)
-    b1: np.ndarray = field(repr=False)  # (n_max+1, n) rows 1.. used
-    b2: np.ndarray = field(repr=False)
-    # (n_max+1, n_max+1, n) rows/cols 1.. used; both orderings summed
-    joint: np.ndarray = field(repr=False)
-    # relative changes over the last step halving, filled in by
-    # converged_dyson_run: over every channel, and over the outcome sums
-    # (single-left, single-right, joint) which the weak top-shell channels
-    # cannot dominate
-    halving_rel_change: float = math.nan
-    halving_obs_change: float = math.nan
-
-    def _norm_sq(self, values: np.ndarray) -> float:
-        return float(np.sum(np.abs(values) ** 2)) * self.grid.dx
+    amplitudes: np.ndarray = field(repr=False)  # (n_max+1, n_max+1, n_points)
+    halving: list[dict[str, float | None]] = field(default_factory=list)
 
     def probabilities(self) -> dict[tuple[int, int], float]:
         """Every excited channel's probability at this order of the series."""
-        out: dict[tuple[int, int], float] = {}
-        for n in range(1, self.n_max + 1):
-            out[(n, 0)] = self._norm_sq(self.b1[n])
-            out[(0, n)] = self._norm_sq(self.b2[n])
-        for n1 in range(1, self.n_max + 1):
-            for n2 in range(1, self.n_max + 1):
-                out[(n1, n2)] = self._norm_sq(self.joint[n1, n2])
-        return out
+        return {(n1, n2): float(np.sum(np.abs(self.amplitudes[n1, n2]) ** 2)) * self.grid.dx
+                for n1 in range(self.n_max + 1) for n2 in range(self.n_max + 1)
+                if (n1, n2) != (0, 0)}
 
 
 def _kick_slab(g: np.ndarray) -> slice:
@@ -226,62 +219,52 @@ def dyson_run(params: ModelParams, t_final: float,
             for future in in_flight:
                 future.cancel()
 
-    b1, b2 = np.zeros((2, n + 1, grid.n_points), dtype=np.complex128)
-    b1[1:], b2[1:] = st[1:1 + n], st[1 + n:]
     e_joint = (e1[1:, None] + e2[None, 1:]).ravel()
     acc *= kinetic_phase(grid, params, t_final, e_joint).reshape(n, n, -1)
-    joint = np.zeros((n + 1, n + 1, grid.n_points), dtype=np.complex128)
-    joint[1:, 1:] = np.fft.ifft(acc, axis=-1)
-    return DysonResult(params=params, grid=grid, t=t_final, n_max=n_max, dt=dt,
-                       psi_free=st[0], b1=b1, b2=b2, joint=joint)
+    # allocated after the phase's temporaries are gone, so they never coexist
+    amplitudes = np.empty((n + 1, n + 1, grid.n_points), dtype=np.complex128)
+    amplitudes[0, 0], amplitudes[1:, 0], amplitudes[0, 1:] = st[0], st[1:1 + n], st[1 + n:]
+    amplitudes[1:, 1:] = np.fft.ifft(acc, axis=-1)
+    return DysonResult(grid=grid, t=t_final, n_max=n_max, dt=dt, amplitudes=amplitudes)
 
 
 def converged_dyson_run(params: ModelParams, t_final: float,
                         form_factors: tuple[FormFactorTable, FormFactorTable],
                         grid: SpatialGrid, n_max: int = 4,
-                        dt: float | None = None, rtol: float = 1e-3,
-                        max_halvings: int = 6,
-                        on_pass: Callable[[DysonResult], None] | None = None
-                        ) -> DysonResult:
+                        dt: float | None = None, rtol: float = 1e-3) -> DysonResult:
     """Halve the Duhamel step until every reported probability is stable.
 
     Returns the first pass whose probabilities changed by at most ``rtol``
-    from the previous pass's (the only pass when lam is 0); raises
-    QuadratureError when the halving budget runs out before that, and
-    NormDriftError at the first pass with a non-finite probability.  Each
-    pass's result goes to ``on_pass`` once its changes are set (NaN on the
-    first pass).  Probabilities below ``NOISE_FLOOR`` are left out of the
-    metric.
+    from the previous pass's (the only pass when lam is 0), with every
+    pass's entry in its ``halving``; raises QuadratureError when
+    ``MAX_HALVINGS`` halvings do not get there, and NormDriftError at the
+    first pass with a non-finite probability.  Probabilities below
+    ``NOISE_FLOOR`` are left out of the metric.
     """
     step = dt if dt is not None else default_duhamel_step(params)
-    run = dyson_run(params, t_final, form_factors, grid, n_max, step)
-    if on_pass is not None:
-        on_pass(run)
-    probs = run.probabilities()
-    if not all(math.isfinite(p) for p in probs.values()):
-        raise _non_finite(run)
-    if params.lam == 0.0:
-        run.halving_rel_change = 0.0
-        run.halving_obs_change = 0.0
-        return run
-    sums = history_sums(probs)
-    for _ in range(max_halvings):
-        step /= 2.0
-        del run  # the next pass needs only this one's probabilities, not its fields
+    halving: list[dict[str, float | None]] = []
+    probs = sums = None
+    for _ in range(MAX_HALVINGS + 1):
         run = dyson_run(params, t_final, form_factors, grid, n_max, step)
         cur_probs = run.probabilities()
+        if not all(math.isfinite(p) for p in cur_probs.values()):
+            norm = math.sqrt(float(np.sum(np.abs(run.amplitudes) ** 2)) * grid.dx)
+            raise _at_breach(NormDriftError(f"non-finite amplitudes at t={run.t:.6g} "
+                                            f"(dt={run.dt:.6g})"), run.t, norm, n_max)
         cur_sums = history_sums(cur_probs)
-        run.halving_rel_change = _max_rel_change(probs, cur_probs)
-        run.halving_obs_change = _max_rel_change(sums, cur_sums)
-        if not math.isfinite(run.halving_rel_change):
-            raise _non_finite(run)
-        if on_pass is not None:
-            on_pass(run)
-        if run.halving_rel_change <= rtol:
+        rel = obs = None
+        if probs is not None:
+            rel, obs = _max_rel_change(probs, cur_probs), _max_rel_change(sums, cur_sums)
+        halving.append({"dt": run.dt, "rel_change": rel, "obs_change": obs})
+        done = params.lam == 0.0 if rel is None else rel <= rtol
+        if done:
+            run.halving = halving
             return run
         probs, sums = cur_probs, cur_sums
+        step /= 2.0
+        del run  # the next pass needs only this one's probabilities, not its fields
     raise QuadratureError(
-        f"Duhamel quadrature not converged to rtol={rtol} after {max_halvings} halvings")
+        f"Duhamel quadrature not converged to rtol={rtol} after {MAX_HALVINGS} halvings")
 
 
 def _max_rel_change(a: Mapping, b: Mapping) -> float:
@@ -297,9 +280,3 @@ def _max_rel_change(a: Mapping, b: Mapping) -> float:
         if ref > NOISE_FLOOR:
             worst = max(worst, abs(pa - pb) / ref)
     return worst
-
-
-def _non_finite(run: DysonResult) -> NormDriftError:
-    norm = math.sqrt(run._norm_sq(run.psi_free) + sum(run.probabilities().values()))
-    err = NormDriftError(f"non-finite amplitudes at t={run.t:.6g} (dt={run.dt:.6g})")
-    return _at_breach(err, run.t, norm, run.n_max)

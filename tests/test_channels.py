@@ -113,10 +113,12 @@ def test_form_factor_against_dense_quadrature(ff_setup):
                 assert table.values[n, k, j] == pytest.approx(brute, abs=1e-9), table.shape
 
 
-def test_form_factor_quadrature_budget_error(ff_setup):
+def test_form_factor_quadrature_budget_error(ff_setup, monkeypatch):
     params, grid, basis, _ = ff_setup
+    monkeypatch.setattr(ch, "QUAD_TOL", 1e-16)
+    monkeypatch.setattr(ch, "QUAD_MAX_NODES", 32)
     with pytest.raises(QuadratureError):
-        ch.build_form_factors(params, basis, grid, tol=1e-16, max_nodes=32)
+        ch.build_form_factors(params, basis, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +434,13 @@ def test_bump_escalation_builds_bump_tables(reduced_collinear, reduced_grid, mon
     assert final.top_shell_norm() < used.top_shell_threshold
 
 
-def test_escalation_cap(reduced_collinear, reduced_grid, tables):
+def test_escalation_cap(reduced_collinear, reduced_grid, tables, monkeypatch):
     strong = replace(reduced_collinear, lam=0.05)
     config = ch.PropagatorConfig(n_max=1)
+    monkeypatch.setattr(ch, "N_MAX_CAP", 1)
     with pytest.raises(ch.TruncationError):
         ch.evolve_with_escalation(strong, reduced_grid, config, 1.5 * strong.tau2,
-                                  tables(strong, reduced_grid, 1), n_max_cap=1)
+                                  tables(strong, reduced_grid, 1))
 
 
 def test_config_validation():

@@ -78,10 +78,10 @@ def test_dyson_free_row_honours_hbar(free_params):
     e00 = p.hbar * p.omega  # two oscillators at hbar omega / 2 each
     exact = np.exp(-1j * e00 * t / p.hbar) * free_two_packet(g.points, t, p.sigma, p.P0,
                                                               p.hbar, p.M)
-    assert np.max(np.abs(run.psi_free - exact)) <= 1e-10
+    assert np.max(np.abs(run.amplitudes[0, 0] - exact)) <= 1e-10
     psi0 = make_spherical_wave_1d(g, p.sigma, p.P0, p.hbar)
     free = free_propagate(psi0, t, p).values
-    assert np.max(np.abs(run.psi_free - np.exp(-1j * e00 * t / p.hbar) * free)) <= 1e-12
+    assert np.max(np.abs(run.amplitudes[0, 0] - np.exp(-1j * e00 * t / p.hbar) * free)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_first_order_zero_coupling(reduced_collinear, reduced_grid):
     p = replace(reduced_collinear, lam=0.0)
     run = pt.converged_dyson_run(p, 0.5 * p.tau2, form_factor_pair(p, reduced_grid, 1),
                                  reduced_grid, n_max=1)
-    assert np.all(run.b1[1] == 0.0)
+    assert np.all(run.amplitudes[1, 0] == 0.0)
     assert run.probabilities()[(1, 0)] == 0.0
 
 
@@ -123,7 +123,7 @@ def test_second_order_zero_coupling(reduced_collinear, reduced_grid):
     p = replace(reduced_collinear, lam=0.0)
     run = pt.converged_dyson_run(p, 1.5 * p.tau2, form_factor_pair(p, reduced_grid, 1),
                                  reduced_grid, n_max=1)
-    assert np.all(run.joint[1, 1] == 0.0)
+    assert np.all(run.amplitudes[1, 1] == 0.0)
     assert run.probabilities()[(1, 1)] == 0.0
 
 
@@ -210,14 +210,14 @@ def test_dyson_run_matches_reference_kernel(case, shape, n_max, hbar, dt):
     # compared with the reference kicking on the engine's own slabs
     ref = _reference(p, t, ff, grid, n_max, dt, on_kick_slabs=True)
     for n in range(1, n_max + 1):
-        for got, want, label in ((run.b1[n], ref["b1"][n], ("b1", n)),
-                                 (run.b2[n], ref["b2"][n], ("b2", n))):
+        for got, want, label in ((run.amplitudes[n, 0], ref["b1"][n], ("b1", n)),
+                                 (run.amplitudes[0, n], ref["b2"][n], ("b2", n))):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), label
     for n1 in range(1, n_max + 1):
         for n2 in range(1, n_max + 1):
             c12, c21 = ref["c12"][n1, n2], ref["c21"][n1, n2]
             tol = 1e-12 * (np.max(np.abs(c12)) + np.max(np.abs(c21)))
-            assert np.max(np.abs(run.joint[n1, n2] - (c12 + c21))) <= tol, (n1, n2)
+            assert np.max(np.abs(run.amplitudes[n1, n2] - (c12 + c21))) <= tol, (n1, n2)
 
 
 def test_dyson_run_bitwise_under_short_switch_interval(reduced_collinear, reduced_grid):
@@ -233,8 +233,7 @@ def test_dyson_run_bitwise_under_short_switch_interval(reduced_collinear, reduce
         fast = pt.dyson_run(*args)
     finally:
         sys.setswitchinterval(interval)
-    for name in ("psi_free", "b1", "b2", "joint"):
-        assert np.array_equal(getattr(fast, name), getattr(base, name)), name
+    assert np.array_equal(fast.amplitudes, base.amplitudes)
 
 
 def test_dyson_run_worker_failure_leaves_the_call(reduced_collinear, reduced_grid, monkeypatch):
@@ -310,11 +309,8 @@ def test_non_finite_pass_raises_norm_drift(reduced_collinear, reduced_grid, monk
     monkeypatch.setattr(pt, "_add_spectrum", poisoned)
     runs = []
     monkeypatch.setattr(pt, "dyson_run", lambda *a, **k: runs.append(a) or dyson_run(*a, **k))
-    passes = []
     with pytest.raises(NormDriftError, match="non-finite") as info:
-        pt.converged_dyson_run(p, 1.5 * p.tau2, ff, reduced_grid, n_max=2,
-                               on_pass=passes.append)
-    assert len(passes) == 1
+        pt.converged_dyson_run(p, 1.5 * p.tau2, ff, reduced_grid, n_max=2)
     assert len(runs) == 1
     err = info.value
     assert err.t == 1.5 * p.tau2 and err.n_max == 2 and not math.isfinite(err.norm)
@@ -362,21 +358,26 @@ def test_failed_dyson_run_leaves_no_reference_cycle(reduced_collinear, reduced_g
         gc.enable()
 
 
-def test_converged_run_drops_previous_pass_fields(reduced_collinear, reduced_grid):
+def test_converged_run_drops_previous_pass_fields(reduced_collinear, reduced_grid,
+                                                  monkeypatch):
     # only the previous pass's probabilities outlive it: its fields are freed
     # before the next pass runs
     p = reduced_collinear
     ff = form_factor_pair(p, reduced_grid, 1)
     refs = []
+    dyson_run = pt.dyson_run
 
-    def on_pass(run):
+    def tracked(*args, **kwargs):
         gc.collect()
-        assert all(ref() is None for ref in refs), "an earlier pass's joint field is alive"
-        refs.append(weakref.ref(run.joint))
+        assert all(ref() is None for ref in refs), "an earlier pass's amplitudes are alive"
+        run = dyson_run(*args, **kwargs)
+        refs.append(weakref.ref(run.amplitudes))
+        return run
 
+    monkeypatch.setattr(pt, "dyson_run", tracked)
+    monkeypatch.setattr(pt, "MAX_HALVINGS", 2)
     with pytest.raises(QuadratureError):
-        pt.converged_dyson_run(p, 1.5 * p.tau2, ff, reduced_grid, 1, 0.4, rtol=0.0,
-                               max_halvings=2, on_pass=on_pass)
+        pt.converged_dyson_run(p, 1.5 * p.tau2, ff, reduced_grid, 1, 0.4, rtol=0.0)
     assert len(refs) == 3
 
 
@@ -430,15 +431,26 @@ def test_histories_parity(reduced_opposite, reduced_grid):
 # quadrature control
 
 
-def test_quadrature_convergence_error(reduced_collinear, reduced_grid):
+def test_quadrature_convergence_error(reduced_collinear, reduced_grid, monkeypatch):
     p = reduced_collinear
+    monkeypatch.setattr(pt, "MAX_HALVINGS", 1)
     with pytest.raises(QuadratureError):
         pt.converged_dyson_run(p, p.tau2, form_factor_pair(p, reduced_grid, 1), reduced_grid,
-                               n_max=1, rtol=0.0, max_halvings=1)
+                               n_max=1, rtol=0.0)
 
 
-def test_converged_run_reports_step(reduced_collinear, reduced_grid):
+def test_converged_run_reports_step(reduced_collinear, reduced_grid, monkeypatch):
     p = reduced_collinear
+    calls = []
+    dyson_run = pt.dyson_run
+    monkeypatch.setattr(pt, "dyson_run", lambda *a, **k: calls.append(a) or dyson_run(*a, **k))
     run = pt.converged_dyson_run(p, p.tau2, form_factor_pair(p, reduced_grid, 1), reduced_grid,
                                  n_max=1)
     assert 0.0 < run.dt < pt.default_duhamel_step(p)
+    # one halving entry per pass, each step half the last, the last accepted
+    assert len(run.halving) == len(calls) >= 2
+    assert run.halving[0]["rel_change"] is None and run.halving[0]["obs_change"] is None
+    for prev, cur in zip(run.halving, run.halving[1:]):
+        assert cur["dt"] == pytest.approx(prev["dt"] / 2.0, rel=1e-12)
+    assert run.halving[-1]["dt"] == run.dt
+    assert run.halving[-1]["rel_change"] <= 1e-3
