@@ -2,7 +2,6 @@
 
 from .core import (
     ComplexField,
-    DimensionlessGroup,
     GridError,
     ModelParams,
     NormDriftError,

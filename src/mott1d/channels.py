@@ -351,8 +351,8 @@ def _couple_points(f3: np.ndarray, slabs1: Slabs, slabs2: Slabs) -> None:
 
 def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
            t_final: float, form_factors: tuple[FormFactorTable, FormFactorTable],
-           snapshot_times: Sequence[float] = (),
-           on_snapshot: Callable[[ChannelState], None] | None = None) -> ChannelState:
+           snapshot_times: Sequence[float] = ()
+           ) -> tuple[ChannelState, dict[float, ChannelState]]:
     """Propagate the channel state to t_final in composed fourth-order steps.
 
     Each step of h = ``config.dt`` (shortened so that whole steps reach
@@ -372,8 +372,10 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
 
     ``form_factors`` are both oscillators' tables on the state's grid, at
     truncation ``config.n_max`` or above (only the leading block is read).
-    ``snapshot_times`` are snapped to the nearest step boundary and passed
-    to ``on_snapshot`` as state copies (final state included only if listed).
+    Returns the final state and the snapshots, keyed by the requested
+    ``snapshot_times``: each is a copy of the state at the step boundary
+    nearest to its time, except that one on the last boundary is the final
+    state itself, at t_final.
     """
     if not t_final > state.t:
         raise ValueError(f"t_final={t_final} must exceed state.t={state.t}")
@@ -407,12 +409,15 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     inner = kinetic(0.5 * (W1 + W0) * h)  # between two stages of a step
     seam = kinetic(W1 * h)                # between two steps
 
-    snap_steps: dict[int, float] = {}
+    # each requested snapshot time -> the step it snaps to, and each such
+    # step -> its state, filled in as the run passes it
+    snap_of: dict[float, int] = {}
     for ts in snapshot_times:
         s = int(round((ts - state.t) / h))
         if not 1 <= s <= n_steps:
             raise ValueError(f"snapshot time {ts} outside ({state.t}, {t_final}]")
-        snap_steps[s] = state.t + s * h
+        snap_of[ts] = s
+    at_step: dict[int, ChannelState | None] = dict.fromkeys(snap_of.values())
 
     n_lvl = config.n_max + 1
     f = state.amplitudes.reshape(n_lvl * n_lvl, grid.n_points).copy()
@@ -444,16 +449,10 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
         free, energy = factor
         halves(_kinetic_rows, (f[:r], free, energy[:r]), (f[r:], free, energy[r:]))
 
-    def emit(step: int) -> None:
-        if on_snapshot is not None and step in snap_steps:
-            snap = ChannelState(snap_steps[step], grid, f3.copy())
-            _health_check(snap, config, norm0)
-            on_snapshot(snap)
-
     with pool:
         # K(W1 h/2) [C1 K' C0 K' C1 K(W1 h)]^{n-1} C1 K' C0 K' C1 K(W1 h/2),
         # with C1, C0 the coupling stages and K' = K((W1 + W0) h/2); a
-        # snapshot splits the seam so the emitted state sits on a step
+        # snapshot splits the seam so the copied state sits on a step
         # boundary
         kin(edge)
         for step in range(1, n_steps + 1):
@@ -464,9 +463,11 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
             halves(_couple_points, *outer)
             if step == n_steps:
                 kin(edge)
-            elif step in snap_steps:
+            elif step in at_step:
                 kin(edge)
-                emit(step)
+                snap = ChannelState(state.t + step * h, grid, f3.copy())
+                _health_check(snap, config, norm0)
+                at_step[step] = snap
                 kin(edge)
             else:
                 kin(seam)
@@ -475,8 +476,8 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
 
     out = ChannelState(t_final, grid, f3)
     _health_check(out, config, norm0)
-    emit(n_steps)
-    return out
+    at_step[n_steps] = out
+    return out, {ts: at_step[s] for ts, s in snap_of.items()}
 
 
 def _health_check(state: ChannelState, config: PropagatorConfig, norm0: float) -> None:
@@ -499,17 +500,19 @@ def evolve_with_escalation(params: ModelParams, grid: SpatialGrid, config: Propa
                            t_final: float,
                            form_factors: tuple[FormFactorTable, FormFactorTable],
                            snapshot_times: Sequence[float] = (),
-                           on_snapshot: Callable[[ChannelState], None] | None = None,
-                           on_escalation: Callable[[TruncationError], None] | None = None,
-                           ) -> tuple[ChannelState, PropagatorConfig]:
+                           ) -> tuple[ChannelState, dict[float, ChannelState],
+                                      list[dict[str, float | int]]]:
     """Run from the product initial state, raising n_max by 2 until the
-    top-shell check passes.  Returns the final state and the config used.
+    top-shell check passes.
 
-    ``form_factors`` serve every attempt whose n_max they cover; each
-    attempt beyond builds its own pair, in the given tables' potential
-    shape.  Each failed attempt's TruncationError is passed to
-    ``on_escalation`` before the next attempt starts.
+    Returns ``evolve``'s final state and snapshots from the attempt that
+    passed (its n_max is the final state's), and one {n_max, t,
+    top_shell_norm} entry for each failed attempt, read from its
+    TruncationError.  ``form_factors`` serve every attempt whose n_max they
+    cover; each attempt beyond builds its own pair, in the given tables'
+    potential shape.
     """
+    attempts: list[dict[str, float | int]] = []
     cfg = config
     while True:
         state = initialize_channels(params, grid, cfg.n_max)
@@ -517,14 +520,12 @@ def evolve_with_escalation(params: ModelParams, grid: SpatialGrid, config: Propa
         if min(t.n_max for t in form_factors) < cfg.n_max:
             tables = form_factor_pair(params, grid, cfg.n_max, form_factors[0].shape)
         try:
-            final = evolve(state, params, cfg, t_final, tables,
-                           snapshot_times=snapshot_times, on_snapshot=on_snapshot)
-            return final, cfg
+            final, snapshots = evolve(state, params, cfg, t_final, tables, snapshot_times)
+            return final, snapshots, attempts
         except TruncationError as err:
             if cfg.n_max + 2 > N_MAX_CAP:
                 raise
-            if on_escalation is not None:
-                on_escalation(err)
+            attempts.append({"n_max": err.n_max, "t": err.t, "top_shell_norm": err.norm})
             cfg = replace(cfg, n_max=cfg.n_max + 2)
 
 

@@ -21,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -109,11 +109,13 @@ class RunConfig:
                 raise ConfigError(f"scenario invalid: {err}") from err
 
         engine = scenario.get("engine", "both")
-        targets = tuple(_as_channel(t, "scenario.targets") for t in scenario.get("targets", [[1, 1]]))
+        targets = _as_list(scenario.get("targets", [[1, 1]]), "scenario.targets", _as_channel)
         if "times" in scenario and "t_factor" in scenario:
             raise ConfigError("scenario.times and scenario.t_factor are mutually exclusive")
         if "times" in scenario:
-            times = tuple(_as_number(t, "scenario.times") for t in scenario["times"])
+            times = _as_list(scenario["times"], "scenario.times", _as_number)
+            if not times:
+                raise ConfigError("scenario.times must not be empty")
         else:
             t_factor = _as_number(scenario.get("t_factor", 1.5), "scenario.t_factor")
             times = (t_factor * params.tau2,)
@@ -151,12 +153,11 @@ class RunConfig:
             if ("lambda_values" in ssec) == ("lambda0_values" in ssec):
                 raise ConfigError("sweep needs exactly one of lambda_values / lambda0_values")
             if "lambda_values" in ssec:
-                sweep_values = tuple(_as_number(v, "sweep.lambda_values")
-                                     for v in ssec["lambda_values"])
+                sweep_values = _as_list(ssec["lambda_values"], "sweep.lambda_values", _as_number)
             else:
                 scale = params.M * params.v0 ** 2
-                sweep_values = tuple(scale * _as_number(v, "sweep.lambda0_values")
-                                     for v in ssec["lambda0_values"])
+                sweep_values = tuple(scale * v for v in _as_list(
+                    ssec["lambda0_values"], "sweep.lambda0_values", _as_number))
             if len(sweep_values) < 4:
                 raise ConfigError(f"sweep needs >= 4 values, got {len(sweep_values)}")
             if "target" in ssec:
@@ -166,12 +167,9 @@ class RunConfig:
         if not isinstance(output, dict):
             raise ConfigError("config.output must be an object")
         _reject_unknown(output, _OUTPUT_KEYS, "output")
-        formats = tuple(output.get("formats", ["json", "csv"]))
-        for fmt in formats:
-            if fmt not in ("json", "csv"):
-                raise ConfigError(f"output.formats entry {fmt!r} must be 'json' or 'csv'")
-        density_channels = tuple(_as_channel(c, "output.density_channels")
-                                 for c in output.get("density_channels", [[0, 0], [1, 0]]))
+        formats = _as_list(output.get("formats", ["json", "csv"]), "output.formats", _as_format)
+        density_channels = _as_list(output.get("density_channels", [[0, 0], [1, 0]]),
+                                    "output.density_channels", _as_channel)
         snapshot = bool(output.get("channel_snapshot", False))
 
         return cls(spec=spec, sweep_values=sweep_values, sweep_target=sweep_target,
@@ -189,6 +187,19 @@ def _as_int(value: Any, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return value
+
+
+def _as_format(value: Any, where: str) -> str:
+    if value not in ("json", "csv"):
+        raise ConfigError(f"{where} entry {value!r} must be 'json' or 'csv'")
+    return value
+
+
+def _as_list(value: Any, where: str, entry: Callable[[Any, str], Any]) -> tuple:
+    """The entries of a list-valued key, each checked by ``entry``."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be a list, got {value!r}")
+    return tuple(entry(v, where) for v in value)
 
 
 def _as_channel(value: Any, where: str) -> tuple[int, int]:

@@ -124,57 +124,25 @@ class ModelParams:
         return replace(self, a1=-self.a1, a2=-self.a2)
 
 
-@dataclass(frozen=True)
-class DimensionlessGroup:
-    """The coupling ratio and the five small-parameter ratios, per oscillator."""
-
-    lambda0: float
-    m_over_M: float
-    hbar_omega_over_M_v0_sq: float
-    sigma_over_a1: float
-    sigma_over_a2: float
-    delta_over_a1: float
-    delta_over_a2: float
-    v0_over_omega_a1: float
-    v0_over_omega_a2: float
-    epsilon: float
-
-    @classmethod
-    def from_params(cls, params: ModelParams, epsilon: float) -> "DimensionlessGroup":
-        if not (epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-        v0 = params.v0
-        e_kin = params.M * v0 ** 2
-        return cls(
-            lambda0=params.lam / e_kin,
-            m_over_M=params.m / params.M,
-            hbar_omega_over_M_v0_sq=params.hbar * params.omega / e_kin,
-            sigma_over_a1=params.sigma / abs(params.a1),
-            sigma_over_a2=params.sigma / abs(params.a2),
-            delta_over_a1=params.delta / abs(params.a1),
-            delta_over_a2=params.delta / abs(params.a2),
-            v0_over_omega_a1=v0 / (params.omega * abs(params.a1)),
-            v0_over_omega_a2=v0 / (params.omega * abs(params.a2)),
-            epsilon=epsilon,
-        )
-
-    def epsilon_ratios(self) -> dict[str, float]:
-        """The small-parameter ratios (everything except lambda0 and epsilon)."""
-        return {
-            "m_over_M": self.m_over_M,
-            "hbar_omega_over_M_v0_sq": self.hbar_omega_over_M_v0_sq,
-            "sigma_over_a1": self.sigma_over_a1,
-            "sigma_over_a2": self.sigma_over_a2,
-            "delta_over_a1": self.delta_over_a1,
-            "delta_over_a2": self.delta_over_a2,
-            "v0_over_omega_a1": self.v0_over_omega_a1,
-            "v0_over_omega_a2": self.v0_over_omega_a2,
-        }
-
-    def as_dict(self) -> dict[str, float]:
-        out = {"lambda0": self.lambda0, "epsilon": self.epsilon}
-        out.update(self.epsilon_ratios())
-        return out
+def dimensionless_group(params: ModelParams, epsilon: float) -> dict[str, float]:
+    """The coupling ratio lambda0, the declared epsilon, and the eight
+    small-parameter ratios (four per oscillator)."""
+    if not (epsilon > 0):
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    v0 = params.v0
+    e_kin = params.M * v0 ** 2
+    return {
+        "lambda0": params.lam / e_kin,
+        "epsilon": epsilon,
+        "m_over_M": params.m / params.M,
+        "hbar_omega_over_M_v0_sq": params.hbar * params.omega / e_kin,
+        "sigma_over_a1": params.sigma / abs(params.a1),
+        "sigma_over_a2": params.sigma / abs(params.a2),
+        "delta_over_a1": params.delta / abs(params.a1),
+        "delta_over_a2": params.delta / abs(params.a2),
+        "v0_over_omega_a1": v0 / (params.omega * abs(params.a1)),
+        "v0_over_omega_a2": v0 / (params.omega * abs(params.a2)),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ from . import channels as ch
 from . import perturbation as pt
 from .core import (
     ComplexField,
-    DimensionlessGroup,
     ModelParams,
     SpatialGrid,
     born_probability,
+    dimensionless_group,
     history_sums,
     suggest_grid,
 )
@@ -70,14 +70,14 @@ EPSILON_VALID, EPSILON_INVALID = 0.2, 0.5   # epsilon itself
 
 @dataclass(frozen=True)
 class RegimeReport:
-    group: DimensionlessGroup
+    group: dict[str, float]  # core.dimensionless_group
     checks: dict[str, dict]
     verdict: str  # "valid" | "marginal" | "invalid"
 
     def as_dict(self) -> dict:
         return {"verdict": self.verdict,
-                "epsilon": self.group.epsilon,
-                "group": self.group.as_dict(),
+                "epsilon": self.group["epsilon"],
+                "group": self.group,
                 "checks": self.checks}
 
 
@@ -96,7 +96,7 @@ def check_regime(params: ModelParams, epsilon: float) -> RegimeReport:
     ratio is O(eps); an out-of-regime parameter set is a verdict here, never
     an error (exploring it is allowed, just flagged).
     """
-    group = DimensionlessGroup.from_params(params, epsilon)
+    group = dimensionless_group(params, epsilon)
     checks: dict[str, dict] = {}
 
     def record(name: str, value: float, ok: float, bad: float) -> None:
@@ -104,9 +104,10 @@ def check_regime(params: ModelParams, epsilon: float) -> RegimeReport:
                         "verdict": _grade(value, ok, bad)}
 
     record("epsilon", epsilon, EPSILON_VALID, EPSILON_INVALID)
-    record("lambda0", group.lambda0, LAMBDA_VALID * epsilon, LAMBDA_INVALID * epsilon)
-    for name, value in group.epsilon_ratios().items():
-        record(name, value, RATIO_VALID * epsilon, RATIO_INVALID * epsilon)
+    record("lambda0", group["lambda0"], LAMBDA_VALID * epsilon, LAMBDA_INVALID * epsilon)
+    for name, value in group.items():
+        if name not in ("lambda0", "epsilon"):
+            record(name, value, RATIO_VALID * epsilon, RATIO_INVALID * epsilon)
 
     verdicts = [c["verdict"] for c in checks.values()]
     if any(v == "violation" for v in verdicts):
@@ -245,41 +246,30 @@ def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid,
     t_max = max(spec.eval_times)
     config = ch.PropagatorConfig(dt=num.dt_oracle, n_max=num.n_max,
                                  top_shell_threshold=num.top_shell_threshold)
-    states: dict[float, ch.ChannelState] = {}
-    escalations: list[dict[str, float | int]] = []
     t0 = time.perf_counter()
-    final, used_cfg = ch.evolve_with_escalation(
-        spec.params, grid, config, t_max, form_factors,
-        snapshot_times=spec.eval_times,
-        on_snapshot=lambda s: states.__setitem__(s.t, s),
-        on_escalation=lambda err: escalations.append(
-            {"n_max": err.n_max, "t": err.t, "top_shell_norm": err.norm}))
+    final, states, escalations = ch.evolve_with_escalation(
+        spec.params, grid, config, t_max, form_factors, snapshot_times=spec.eval_times)
     wall = time.perf_counter() - t0
-    if final.t not in states:
-        states[final.t] = final
 
     probabilities: dict[float, dict[tuple[int, int], float]] = {}
     histories: dict[float, tuple[float, float, float, float]] = {}
-    eval_map: dict[float, float] = {}
-    for want in spec.eval_times:
-        actual = min(states, key=lambda s: abs(s - want))
-        eval_map[want] = actual
-        pmap = ch.channel_probabilities(states[actual])
+    for want, state in states.items():
+        pmap = ch.channel_probabilities(state)
         probabilities[want] = pmap
         sums = history_sums(pmap)
         histories[want] = (pmap.get((0, 0), 0.0), sums["right"], sums["left"], sums["both"])
     convergence = {
-        "dt": used_cfg.dt,
-        "n_max": used_cfg.n_max,
+        "dt": config.dt,
+        "n_max": final.n_max,
         "escalations": escalations,
         # requested -> snapped to the step grid, as pairs (JSON keys are strings)
-        "eval_times": [[want, actual] for want, actual in eval_map.items()],
+        "eval_times": [[want, state.t] for want, state in states.items()],
         "top_shell_norm": final.top_shell_norm(),
         "norm_drift": abs(final.norm() - 1.0),
     }
     run = EngineRun(engine="oracle", probabilities=probabilities,
                     histories=histories, convergence=convergence, wall_time=wall)
-    return run, {want: states[actual] for want, actual in eval_map.items()}
+    return run, states
 
 
 def _run_pt(spec: ScenarioSpec, grid: SpatialGrid,

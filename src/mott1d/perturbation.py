@@ -141,6 +141,8 @@ def dyson_run(params: ModelParams, t_final: float,
         raise ValueError("form-factor tables truncated below requested n_max")
     if dt is None:
         dt = default_duhamel_step(params)
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt!r}")
     n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
     dt = t_final / n_steps
 
@@ -269,13 +271,10 @@ def converged_dyson_run(params: ModelParams, t_final: float,
 
 def _max_rel_change(a: Mapping, b: Mapping) -> float:
     """Largest relative change between the entries of a and b above
-    NOISE_FLOOR; inf when an entry of either is not finite, which a
-    comparison with the floor would skip."""
+    NOISE_FLOOR; converged_dyson_run passes only finite entries."""
     worst = 0.0
     for key, pb in b.items():
         pa = a[key]
-        if not (math.isfinite(pa) and math.isfinite(pb)):
-            return math.inf
         ref = max(abs(pa), abs(pb))
         if ref > NOISE_FLOOR:
             worst = max(worst, abs(pa - pb) / ref)

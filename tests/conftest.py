@@ -63,8 +63,8 @@ def reduced_splitting_order(reduced_collinear, reduced_grid, tables):
     p11 = []
     for dt in (2.0 * h, h, 0.5 * h):
         state = ch.initialize_channels(p, reduced_grid, 2)
-        final = ch.evolve(state, p, ch.PropagatorConfig(dt=dt, n_max=2), 1.5 * p.tau2,
-                          tables(p, reduced_grid, 2))
+        final, _ = ch.evolve(state, p, ch.PropagatorConfig(dt=dt, n_max=2), 1.5 * p.tau2,
+                             tables(p, reduced_grid, 2))
         p11.append(ch.channel_probabilities(final)[(1, 1)])
     coarse, mid, fine = p11
     return math.log2(abs(coarse - mid) / abs(mid - fine))
@@ -76,7 +76,8 @@ def reduced_oracle_final(reduced_collinear, reduced_grid, reduced_config, tables
     p = reduced_collinear
     n_max = reduced_config.n_max
     state = ch.initialize_channels(p, reduced_grid, n_max)
-    return ch.evolve(state, p, reduced_config, 1.5 * p.tau2, tables(p, reduced_grid, n_max))
+    final, _ = ch.evolve(state, p, reduced_config, 1.5 * p.tau2, tables(p, reduced_grid, n_max))
+    return final
 
 
 # --- full default-scale fixtures (built lazily; only the acceptance suite

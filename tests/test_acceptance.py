@@ -157,8 +157,8 @@ def test_criterion_6_conservation_suite(oracle_collinear_full, oracle_opposite_f
     maps = {}
     for tag, params in (("base", p), ("mirrored", p.mirrored())):
         state = ch.initialize_channels(params, reduced_grid, reduced_config.n_max)
-        final = ch.evolve(state, params, reduced_config, 1.5 * p.tau2,
-                          tables(params, reduced_grid, reduced_config.n_max))
+        final, _ = ch.evolve(state, params, reduced_config, 1.5 * p.tau2,
+                             tables(params, reduced_grid, reduced_config.n_max))
         maps[tag] = ch.channel_probabilities(final)
     parity_gap = max(abs(maps["base"][k] - maps["mirrored"][k]) for k in maps["base"])
     assert parity_gap <= 1e-9
@@ -198,7 +198,7 @@ def truncation_changes(tables):
         for n_max in (4, 6):
             config = ch.PropagatorConfig(n_max=n_max)
             state = ch.initialize_channels(params, grid, n_max)
-            final = ch.evolve(state, params, config, t, tables(params, grid, n_max))
+            final, _ = ch.evolve(state, params, config, t, tables(params, grid, n_max))
             pmap = ch.channel_probabilities(final)
             probs[n_max] = {k: v for k, v in pmap.items()
                             if k != (0, 0) and k[0] <= 3 and k[1] <= 3}

@@ -154,7 +154,7 @@ def test_free_evolution_matches_analytic(reduced_collinear, reduced_grid, tables
     p = replace(reduced_collinear, lam=0.0)
     config = ch.PropagatorConfig(n_max=1)
     state = ch.initialize_channels(p, reduced_grid, 1)
-    final = ch.evolve(state, p, config, p.tau2, tables(p, reduced_grid, 1))
+    final, _ = ch.evolve(state, p, config, p.tau2, tables(p, reduced_grid, 1))
     probs = ch.channel_probabilities(final)
     assert probs[(0, 0)] == pytest.approx(1.0, abs=1e-12)
     exact = free_two_packet(reduced_grid.points, p.tau2, p.sigma, p.P0, p.hbar, p.M)
@@ -164,8 +164,8 @@ def test_free_evolution_matches_analytic(reduced_collinear, reduced_grid, tables
 def test_single_step_norm_preserving(reduced_collinear, reduced_grid, tables):
     config = ch.PropagatorConfig(dt=0.1, n_max=2)
     state = ch.initialize_channels(reduced_collinear, reduced_grid, 2)
-    stepped = ch.evolve(state, reduced_collinear, config, 0.1,
-                        tables(reduced_collinear, reduced_grid, 2))
+    stepped, _ = ch.evolve(state, reduced_collinear, config, 0.1,
+                           tables(reduced_collinear, reduced_grid, 2))
     assert abs(stepped.norm() - 1.0) <= 1e-12
 
 
@@ -185,8 +185,8 @@ def test_mirrored_run_has_identical_probabilities(reduced_opposite, reduced_grid
     runs = {}
     for tag, params in (("base", p), ("mirrored", p.mirrored())):
         state = ch.initialize_channels(params, reduced_grid, n_max)
-        final = ch.evolve(state, params, reduced_config, t_final,
-                          tables(params, reduced_grid, n_max))
+        final, _ = ch.evolve(state, params, reduced_config, t_final,
+                             tables(params, reduced_grid, n_max))
         runs[tag] = ch.channel_probabilities(final)
     for key in runs["base"]:
         assert runs["base"][key] == pytest.approx(runs["mirrored"][key], abs=1e-9)
@@ -196,7 +196,7 @@ def test_evolve_is_deterministic(reduced_collinear, reduced_grid, reduced_config
                                  reduced_oracle_final, tables):
     p, n_max = reduced_collinear, reduced_config.n_max
     state = ch.initialize_channels(p, reduced_grid, n_max)
-    again = ch.evolve(state, p, reduced_config, 1.5 * p.tau2, tables(p, reduced_grid, n_max))
+    again, _ = ch.evolve(state, p, reduced_config, 1.5 * p.tau2, tables(p, reduced_grid, n_max))
     np.testing.assert_array_equal(again.amplitudes, reduced_oracle_final.amplitudes)
 
 
@@ -204,16 +204,17 @@ def test_snapshot_equals_direct_run(reduced_collinear, reduced_grid, reduced_con
     p = reduced_collinear
     t_mid, t_final = 0.75 * p.tau2, 1.5 * p.tau2
     ff = tables(p, reduced_grid, reduced_config.n_max)
-    seen = []
     state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
-    ch.evolve(state, p, reduced_config, t_final, ff,
-              snapshot_times=[t_mid], on_snapshot=seen.append)
-    assert len(seen) == 1
+    final, seen = ch.evolve(state, p, reduced_config, t_final, ff,
+                            snapshot_times=[t_mid, t_final])
+    # a snapshot on the last step is the final state itself, not a copy
+    assert seen[t_final] is final and final.t == t_final
+    snap = seen[t_mid]
     # the same step sequence reaches the snapshot (up to the re-derived dt)
     state2 = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
-    direct = ch.evolve(state2, p, reduced_config, seen[0].t, ff)
-    assert seen[0].t == pytest.approx(t_mid, rel=1e-12)
-    np.testing.assert_allclose(seen[0].amplitudes, direct.amplitudes, rtol=0, atol=1e-12)
+    direct, _ = ch.evolve(state2, p, reduced_config, snap.t, ff)
+    assert snap.t == pytest.approx(t_mid, rel=1e-12)
+    np.testing.assert_allclose(snap.amplitudes, direct.amplitudes, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
@@ -231,17 +232,15 @@ def test_evolve_matches_reference_kernel(case, n_max, lambda0, hbar):
     # only needs both kernels to run to the end
     config = ch.PropagatorConfig(dt=0.75, n_max=n_max, top_shell_threshold=1.0)
     ff = ch.form_factor_pair(p, grid, n_max)
-    seen = []
     state = ch.initialize_channels(p, grid, n_max)
-    final = ch.evolve(state, p, config, t_final, ff,
-                      snapshot_times=[t_mid], on_snapshot=seen.append)
+    final, seen = ch.evolve(state, p, config, t_final, ff, snapshot_times=[t_mid])
+    [snap] = seen.values()
     energies = [OscillatorBasis.for_oscillator(p, i, n_max).energies for i in (1, 2)]
     ref = reference_channel_evolve(state.amplitudes, ff[0].values, ff[1].values, *energies,
                                    grid.dx, t_final, config.dt, p.lam, p.hbar, p.M,
                                    ch.COUPLING_ERROR_BUDGET, snapshot_times=(t_mid,))
-    assert [s.t for s in seen] == list(ref["snapshots"])
-    np.testing.assert_allclose(seen[0].amplitudes, ref["snapshots"][seen[0].t],
-                               rtol=0, atol=1e-12)
+    assert [snap.t] == list(ref["snapshots"])
+    np.testing.assert_allclose(snap.amplitudes, ref["snapshots"][snap.t], rtol=0, atol=1e-12)
     np.testing.assert_allclose(final.amplitudes, ref["final"], rtol=0, atol=1e-12)
 
 
@@ -264,10 +263,9 @@ def test_default_step_at_least_as_accurate_as_strang(case, reduced_grid, request
     start = ch.initialize_channels(p, reduced_grid, n_max)
 
     def composed(dt):
-        seen = []
-        ch.evolve(start, p, ch.PropagatorConfig(dt=dt, n_max=n_max), times[-1], ff,
-                  snapshot_times=times, on_snapshot=seen.append)
-        return [s.amplitudes for s in seen]
+        _, seen = ch.evolve(start, p, ch.PropagatorConfig(dt=dt, n_max=n_max), times[-1], ff,
+                            snapshot_times=times)
+        return [seen[t].amplitudes for t in times]
 
     energies = [OscillatorBasis.for_oscillator(p, i, n_max).energies for i in (1, 2)]
     strang = reference_channel_evolve(start.amplitudes, ff[0].values, ff[1].values, *energies,
@@ -295,7 +293,7 @@ def test_evolve_uses_leading_block_of_larger_tables(reduced_collinear, reduced_g
     n_max = reduced_config.n_max
     state = ch.initialize_channels(p, reduced_grid, n_max)
     runs = [ch.evolve(state, p, reduced_config, p.tau1,
-                      ch.form_factor_pair(p, reduced_grid, n))
+                      ch.form_factor_pair(p, reduced_grid, n))[0]
             for n in (n_max, n_max + 2)]
     # the two tables agree to the quadrature tolerance, not bit for bit
     np.testing.assert_allclose(runs[1].amplitudes, runs[0].amplitudes, rtol=0, atol=1e-10)
@@ -306,7 +304,7 @@ def test_snapshot_time_out_of_range(reduced_collinear, reduced_grid, reduced_con
     state = ch.initialize_channels(p, reduced_grid, n_max)
     with pytest.raises(ValueError):
         ch.evolve(state, p, reduced_config, 10.0, tables(p, reduced_grid, n_max),
-                  snapshot_times=[20.0], on_snapshot=lambda s: None)
+                  snapshot_times=[20.0])
 
 
 def test_evolve_requires_forward_time(reduced_collinear, reduced_grid, reduced_config, tables):
@@ -323,10 +321,10 @@ def test_truncation_error_and_escalation(reduced_collinear, reduced_grid, tables
     state = ch.initialize_channels(strong, reduced_grid, 1)
     with pytest.raises(ch.TruncationError):
         ch.evolve(state, strong, config, 1.5 * strong.tau2, ff)
-    final, used = ch.evolve_with_escalation(strong, reduced_grid, config,
+    final, _, _ = ch.evolve_with_escalation(strong, reduced_grid, config,
                                             1.5 * strong.tau2, ff)
-    assert used.n_max > 1
-    assert final.top_shell_norm() < used.top_shell_threshold
+    assert final.n_max > 1
+    assert final.top_shell_norm() < config.top_shell_threshold
 
 
 def test_truncation_stops_at_first_breach(reduced_collinear, reduced_grid, tables):
@@ -344,12 +342,12 @@ def test_truncation_stops_at_first_breach(reduced_collinear, reduced_grid, table
     # reads the same top-shell norm at the breach on a step boundary
     dt = t_final / round(t_final / config.dt)
     times = [t for t in (breach.t - ch.HEALTH_STRIDE * dt, breach.t) if t > 0.0]
-    seen = []
-    ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong,
-              replace(config, top_shell_threshold=1.0), t_final, ff,
-              snapshot_times=times, on_snapshot=seen.append)
-    assert seen[-1].top_shell_norm() == pytest.approx(breach.norm, rel=1e-9)
-    assert all(s.top_shell_norm() <= config.top_shell_threshold for s in seen[:-1])
+    _, seen = ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong,
+                        replace(config, top_shell_threshold=1.0), t_final, ff,
+                        snapshot_times=times)
+    *before, at_breach = (seen[t] for t in times)
+    assert at_breach.top_shell_norm() == pytest.approx(breach.norm, rel=1e-9)
+    assert all(s.top_shell_norm() <= config.top_shell_threshold for s in before)
 
 
 @pytest.mark.parametrize("failing_half", ["caller", "worker"])
@@ -392,7 +390,7 @@ def test_nonfinite_amplitude_fails_within_one_stride(reduced_collinear, reduced_
     p = reduced_collinear
     ff = tables(p, reduced_grid, reduced_config.n_max)
     state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
-    mid = ch.evolve(state, p, reduced_config, 0.5 * p.tau2, ff)
+    mid, _ = ch.evolve(state, p, reduced_config, 0.5 * p.tau2, ff)
     mid.amplitudes[0, 0, reduced_grid.n_points // 2] = np.nan
     with pytest.raises(ch.NormDriftError, match="non-finite") as info:
         ch.evolve(mid, p, reduced_config, 1.5 * p.tau2, ff)
@@ -409,13 +407,11 @@ def test_escalation_uses_tables_while_they_cover(reduced_collinear, reduced_grid
     build = ch.build_form_factors
     monkeypatch.setattr(ch, "build_form_factors",
                         lambda *a, **k: built.append(a[1].n_max) or build(*a, **k))
-    failed = []
-    final, used = ch.evolve_with_escalation(strong, reduced_grid, config, t_final, ff,
-                                            on_escalation=failed.append)
-    assert [e.n_max for e in failed] == list(range(1, used.n_max, 2))
+    final, _, failed = ch.evolve_with_escalation(strong, reduced_grid, config, t_final, ff)
+    assert [e["n_max"] for e in failed] == list(range(1, final.n_max, 2))
     # the given n_max = 1 tables serve the first attempt only
-    assert built == [n for n in range(3, used.n_max + 1, 2) for _ in (1, 2)]
-    assert final.top_shell_norm() < used.top_shell_threshold
+    assert built == [n for n in range(3, final.n_max + 1, 2) for _ in (1, 2)]
+    assert final.top_shell_norm() < config.top_shell_threshold
 
 
 def test_bump_escalation_builds_bump_tables(reduced_collinear, reduced_grid, monkeypatch,
@@ -427,11 +423,11 @@ def test_bump_escalation_builds_bump_tables(reduced_collinear, reduced_grid, mon
     build = ch.build_form_factors
     monkeypatch.setattr(ch, "build_form_factors",
                         lambda *a, **k: shapes.append(k["shape"]) or build(*a, **k))
-    final, used = ch.evolve_with_escalation(strong, reduced_grid, ch.PropagatorConfig(n_max=1),
-                                            1.5 * strong.tau2, ff)
-    assert used.n_max > 1
-    assert shapes == ["bump"] * (used.n_max - 1)
-    assert final.top_shell_norm() < used.top_shell_threshold
+    config = ch.PropagatorConfig(n_max=1)
+    final, _, _ = ch.evolve_with_escalation(strong, reduced_grid, config, 1.5 * strong.tau2, ff)
+    assert final.n_max > 1
+    assert shapes == ["bump"] * (final.n_max - 1)
+    assert final.top_shell_norm() < config.top_shell_threshold
 
 
 def test_escalation_cap(reduced_collinear, reduced_grid, tables, monkeypatch):
@@ -472,22 +468,20 @@ def test_evolve_bitwise_under_short_switch_interval(case, n_max, coupled):
     ff = ch.form_factor_pair(p, grid, n_max)
 
     def run():
-        seen = []
-        final = ch.evolve(ch.initialize_channels(p, grid, n_max), p, config, p.tau2, ff,
-                          snapshot_times=[p.tau1], on_snapshot=seen.append)
-        return final, seen
+        final, seen = ch.evolve(ch.initialize_channels(p, grid, n_max), p, config, p.tau2, ff,
+                                snapshot_times=[p.tau1])
+        return final, seen[p.tau1]
 
-    base, base_seen = run()
+    base, base_snap = run()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        fast, fast_seen = run()
+        fast, fast_snap = run()
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(fast.amplitudes, base.amplitudes)
-    assert len(fast_seen) == len(base_seen) == 1
-    assert fast_seen[0].t == base_seen[0].t
-    assert np.array_equal(fast_seen[0].amplitudes, base_seen[0].amplitudes)
+    assert fast_snap.t == base_snap.t
+    assert np.array_equal(fast_snap.amplitudes, base_snap.amplitudes)
 
 
 def test_evolve_worker_failure_leaves_the_call(reduced_collinear, reduced_grid,
@@ -535,8 +529,7 @@ def test_escalation_leaves_no_worker_thread(reduced_collinear, reduced_grid, tab
     config = ch.PropagatorConfig(n_max=1)
     ff = tables(strong, reduced_grid, 1)
     before = threading.active_count()
-    failed = []
-    _, used = ch.evolve_with_escalation(strong, reduced_grid, config, 1.5 * strong.tau2, ff,
-                                        on_escalation=failed.append)
-    assert failed[0].n_max == 1 and used.n_max > 1
+    final, _, failed = ch.evolve_with_escalation(strong, reduced_grid, config,
+                                                 1.5 * strong.tau2, ff)
+    assert failed[0]["n_max"] == 1 and final.n_max > 1
     assert threading.active_count() == before

@@ -104,6 +104,20 @@ def test_type_errors_are_reported(tmp_path):
         cli.load_config(path)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("scenario", "times", 5), ("scenario", "times", []), ("scenario", "targets", 5),
+    ("sweep", "lambda_values", 5), ("sweep", "lambda0_values", 5),
+    ("output", "density_channels", 5), ("output", "formats", 5),
+], ids=["times", "times-empty", "targets", "lambda_values", "lambda0_values",
+        "density_channels", "formats"])
+def test_list_keys_must_be_lists(tmp_path, section, key, value):
+    path = write_config(tmp_path, **{section: {key: value}})
+    with pytest.raises(cli.ConfigError, match=f"{section}.{key}"):
+        cli.load_config(path)
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+
+
 # ---------------------------------------------------------------------------
 # regime command
 
@@ -260,6 +274,20 @@ def test_run_pt_non_finite_exit_and_manifest(tmp_path, monkeypatch):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert "non-finite" in manifest["error"]
+
+
+@pytest.mark.parametrize("dt", [0, -1.0], ids=["zero", "negative"])
+def test_non_positive_duhamel_step_fails_cleanly(tmp_path, capsys, dt):
+    cfg = write_config(tmp_path, numerics={"dt_duhamel": dt},
+                       sweep={"lambda0_values": [1e-4, 2.5e-4, 5e-4, 1e-3]})
+    for command in ("run", "sweep"):
+        out = tmp_path / command
+        code = cli.main([command, "--config", str(cfg), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG, command
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "dt must be positive" in manifest["error"]
+    assert "dt must be positive" in capsys.readouterr().err
 
 
 def test_run_failure_message_names_scenario(tmp_path, monkeypatch):

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from mott1d.core import (
     ComplexField,
-    DimensionlessGroup,
     GridError,
     ModelParams,
     OscillatorBasis,
     SpatialGrid,
     born_probability,
+    dimensionless_group,
     free_spread,
     hermite_functions,
     make_gaussian_packet,
@@ -325,11 +325,11 @@ def test_params_derived_quantities():
 def test_dimensionless_group_recomputes(m, omega, lam, sigma, a1):
     p = ModelParams(M=1.0, m=m, omega=omega, lam=lam, delta=sigma, sigma=sigma,
                     P0=1.0, a1=a1, a2=-2.0 * a1)
-    g = DimensionlessGroup.from_params(p, 0.1)
-    assert g.lambda0 == lam / (p.M * p.v0 ** 2)
-    assert g.sigma_over_a2 == sigma / abs(p.a2)
-    assert g.v0_over_omega_a1 == p.v0 / (omega * a1)
-    assert all(np.isfinite(v) and v >= 0 for v in g.as_dict().values())
+    g = dimensionless_group(p, 0.1)
+    assert g["lambda0"] == lam / (p.M * p.v0 ** 2)
+    assert g["sigma_over_a2"] == sigma / abs(p.a2)
+    assert g["v0_over_omega_a1"] == p.v0 / (omega * a1)
+    assert all(np.isfinite(v) and v >= 0 for v in g.values())
 
 
 def test_free_spread_law():

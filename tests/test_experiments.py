@@ -228,6 +228,20 @@ def test_run_scenario_records_oracle_eval_times():
                                                                      [want_b, used_b]]
 
 
+def test_run_scenario_keeps_escalated_snapshots():
+    # every kept state comes from the attempt that passed, and the last
+    # requested time lands on t_final itself
+    spec = _reduced_spec("collinear", "oracle", lambda0=0.05, n_max=1)
+    t_final = 1.5 * spec.params.tau2
+    spec = replace(spec, times=(1.5 * spec.params.tau1, t_final))
+    report = ex.run_scenario(spec, keep_oracle_states=True)
+    conv = report.engines["oracle"].convergence
+    assert conv["escalations"]
+    assert list(report.oracle_states) == list(spec.eval_times)
+    assert {s.n_max for s in report.oracle_states.values()} == {conv["n_max"]}
+    assert conv["eval_times"][-1] == [t_final, t_final]
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -309,8 +323,8 @@ def test_elastic_channel_parity(reduced_collinear, reduced_grid, reduced_oracle_
     # the right-side oscillators imprint an O(lambda0) asymmetry, no more
     p0 = replace(reduced_collinear, lam=0.0)
     state = ch.initialize_channels(p0, reduced_grid, 1)
-    free = ch.evolve(state, p0, ch.PropagatorConfig(n_max=1), 1.5 * p0.tau2,
-                     tables(p0, reduced_grid, 1))
+    free, _ = ch.evolve(state, p0, ch.PropagatorConfig(n_max=1), 1.5 * p0.tau2,
+                        tables(p0, reduced_grid, 1))
     rho = np.abs(free.amplitudes[0, 0]) ** 2
     assert np.max(np.abs(rho - mirror(rho))) <= 1e-9
 
