@@ -52,6 +52,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
+    NORM_TOLERANCE,
     ComplexField,
     GridError,
     ModelParams,
@@ -249,8 +250,6 @@ W0 = 1.0 - 2.0 * W1
 # counted in steps so that where a failing run stops does not depend on the
 # machine
 HEALTH_STRIDE = 3
-# the largest total-norm drift a healthy run may show
-NORM_TOLERANCE = 1e-8
 # zeroing couplings below the floor costs at most this much amplitude over
 # the whole run
 COUPLING_ERROR_BUDGET = 1e-14

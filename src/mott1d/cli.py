@@ -110,6 +110,8 @@ class RunConfig:
 
         engine = scenario.get("engine", "both")
         targets = _as_list(scenario.get("targets", [[1, 1]]), "scenario.targets", _as_channel)
+        if not targets:
+            raise ConfigError("scenario.targets must not be empty")
         if "times" in scenario and "t_factor" in scenario:
             raise ConfigError("scenario.times and scenario.t_factor are mutually exclusive")
         if "times" in scenario:

@@ -49,6 +49,10 @@ class NormDriftError(RuntimeError):
     """
 
 
+# the largest norm drift a healthy run may show, in either engine
+NORM_TOLERANCE = 1e-8
+
+
 def _at_breach(err: RuntimeError, t: float, norm: float, n_max: int) -> RuntimeError:
     # the breach's t, norm and n_max are attached here, not in the raising
     # frame: a local name for the error there would make a cycle through its

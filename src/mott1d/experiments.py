@@ -240,6 +240,27 @@ class ExcitationReport:
 Tables = tuple[ch.FormFactorTable, ch.FormFactorTable]
 
 
+def _engine_run(engine: str, states: dict[float, ch.ChannelState],
+                convergence: dict, wall: float) -> EngineRun:
+    """Probabilities and outcome histories at each requested time.  PT's
+    (0, 0) row is the undepleted free packet, so PT reports no (0, 0) entry
+    and its "none" outcome is 1 minus the others."""
+    probabilities: dict[float, dict[tuple[int, int], float]] = {}
+    histories: dict[float, tuple[float, float, float, float]] = {}
+    for want, state in states.items():
+        pmap = ch.channel_probabilities(state)
+        sums = history_sums(pmap)
+        if engine == "pt":
+            del pmap[(0, 0)]
+            none = 1.0 - sums["right"] - sums["left"] - sums["both"]
+        else:
+            none = pmap[(0, 0)]
+        probabilities[want] = pmap
+        histories[want] = (none, sums["right"], sums["left"], sums["both"])
+    return EngineRun(engine=engine, probabilities=probabilities, histories=histories,
+                     convergence=convergence, wall_time=wall)
+
+
 def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid,
                 form_factors: Tables) -> tuple[EngineRun, dict[float, ch.ChannelState]]:
     num = spec.numerics
@@ -250,14 +271,6 @@ def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid,
     final, states, escalations = ch.evolve_with_escalation(
         spec.params, grid, config, t_max, form_factors, snapshot_times=spec.eval_times)
     wall = time.perf_counter() - t0
-
-    probabilities: dict[float, dict[tuple[int, int], float]] = {}
-    histories: dict[float, tuple[float, float, float, float]] = {}
-    for want, state in states.items():
-        pmap = ch.channel_probabilities(state)
-        probabilities[want] = pmap
-        sums = history_sums(pmap)
-        histories[want] = (pmap.get((0, 0), 0.0), sums["right"], sums["left"], sums["both"])
     convergence = {
         "dt": config.dt,
         "n_max": final.n_max,
@@ -267,46 +280,30 @@ def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid,
         "top_shell_norm": final.top_shell_norm(),
         "norm_drift": abs(final.norm() - 1.0),
     }
-    run = EngineRun(engine="oracle", probabilities=probabilities,
-                    histories=histories, convergence=convergence, wall_time=wall)
-    return run, states
+    return _engine_run("oracle", states, convergence, wall), states
 
 
 def _run_pt(spec: ScenarioSpec, grid: SpatialGrid,
             form_factors: Tables) -> tuple[EngineRun, dict[tuple[int, int], ComplexField]]:
     num = spec.numerics
-    probabilities: dict[float, dict[tuple[int, int], float]] = {}
-    histories: dict[float, tuple[float, float, float, float]] = {}
-    fields: dict[tuple[int, int], ComplexField] = {}
-    halving: list[dict[str, float | None]] = []
-    accepted: list[dict[str, float | None]] = []
     t0 = time.perf_counter()
-    for t_eval in spec.eval_times:
-        run = pt.converged_dyson_run(spec.params, t_eval, form_factors, grid, num.n_max,
-                                     num.dt_duhamel, num.pt_rtol)
-        pmap = run.probabilities()
-        sums = history_sums(pmap)
-        probabilities[t_eval] = pmap
-        histories[t_eval] = (1.0 - sums["right"] - sums["left"] - sums["both"],
-                             sums["right"], sums["left"], sums["both"])
-        halving += [{"t": t_eval, **h} for h in run.halving]
-        accepted.append(run.halving[-1])
-        if t_eval == max(spec.eval_times):
-            fields = {(n1, n2): ComplexField(grid, run.amplitudes[n1, n2])
-                      for n1 in range(num.n_max + 1) for n2 in range(num.n_max + 1)}
+    final, states, halving = pt.converged_dyson_run(
+        spec.params, max(spec.eval_times), form_factors, grid, num.n_max, num.dt_duhamel,
+        num.pt_rtol, snapshot_times=spec.eval_times)
     wall = time.perf_counter() - t0
-    # a lone pass at lam = 0 has no change: it counts as 0.0
-    rel_change = max(h["rel_change"] or 0.0 for h in accepted)
-    obs_change = max(h["obs_change"] or 0.0 for h in accepted)
-    engine_run = EngineRun(engine="pt", probabilities=probabilities, histories=histories,
-                           convergence={"dt": run.dt, "n_max": num.n_max,
-                                        # an unconverged run raises QuadratureError
-                                        "converged": True,
-                                        "halving_rel_change": rel_change,
-                                        "halving_rel_change_observables": obs_change,
-                                        "halving": halving},
-                           wall_time=wall)
-    return engine_run, fields
+    # the accepted pass's entry for each time (the last); a lone pass at
+    # lam = 0 has no change: it counts as 0.0
+    accepted = {h["t"]: h for h in halving}.values()
+    convergence = {"dt": halving[-1]["dt"], "n_max": num.n_max,
+                   # an unconverged run raises QuadratureError
+                   "converged": True,
+                   "halving_rel_change": max(h["rel_change"] or 0.0 for h in accepted),
+                   "halving_rel_change_observables": max(h["obs_change"] or 0.0
+                                                         for h in accepted),
+                   "halving": halving}
+    fields = {(n1, n2): final.channel_field(n1, n2)
+              for n1 in range(num.n_max + 1) for n2 in range(num.n_max + 1)}
+    return _engine_run("pt", states, convergence, wall), fields
 
 
 def run_scenario(spec: ScenarioSpec, keep_oracle_states: bool = False) -> ExcitationReport:

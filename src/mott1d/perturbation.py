@@ -21,7 +21,9 @@ structural, independent of the step size.  Only psi and b take that chain
 in x-space: c feeds no other row, so its kick source S_j at
 tau_j = (j - 1/2) dt is summed in k-space, A += exp(+i w tau_j) FFT(S_j)
 with w = hbar k^2/2M + E/hbar, and c = ifft(exp(-i w T) A): 34 transforms
-per step at n_max = 4 instead of 50.
+per step at n_max = 4 instead of 50.  A pass reaches each requested time
+exactly: between two of them it takes the fewest equal steps no longer than
+dt, with a closing half step on each, and reads c there from a copy of A.
 
 The two halves of a step are independent kernels, so they run on two
 threads.  The calling thread keeps the x-space chain (kick and propagate of
@@ -36,9 +38,9 @@ The two interaction orderings (oscillator 1 first vs oscillator 2 first)
 share their channel energies, so one joint block carries both orderings'
 sum.  The kick touches only the index slabs where the bare form factors
 exceed ``KICK_FLOOR`` of their maximum, so the slabs are independent of lam.
-A pass returns psi, b and c in one (n_max+1, n_max+1, N) channel stack, laid
-out as the oracle's: psi at (0, 0), b1[n] at (n, 0), b2[n] at (0, n) and c
-at (n1, n2).
+A pass returns psi, b and c as the oracle's ``ChannelState``, one
+(n_max+1, n_max+1, N) channel stack: psi at (0, 0), b1[n] at (n, 0), b2[n]
+at (0, n) and c at (n1, n2).
 """
 
 from __future__ import annotations
@@ -46,13 +48,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import FormFactorTable
+from .channels import ChannelState, FormFactorTable, channel_probabilities
 from .core import (
+    NORM_TOLERANCE,
     ModelParams,
     NormDriftError,
     OscillatorBasis,
@@ -77,6 +79,11 @@ NOISE_FLOOR = 1e-30
 # Step halvings converged_dyson_run makes before it gives up.
 MAX_HALVINGS = 6
 
+# dyson_run checks psi's norm and that psi and b are finite every
+# HEALTH_STRIDE steps, counted in steps so that where a failing run stops
+# does not depend on the machine
+HEALTH_STRIDE = 10
+
 
 def default_duhamel_step(params: ModelParams) -> float:
     """Step resolving both the oscillator phase and the transit through the
@@ -84,27 +91,15 @@ def default_duhamel_step(params: ModelParams) -> float:
     return min(0.02 / params.omega, 0.02 * params.delta / params.v0)
 
 
-@dataclass
-class DysonResult:
-    """One pass's channel stack, and converged_dyson_run's record of its passes.
-
-    ``halving`` has one {dt, rel_change, obs_change} entry per pass: the
-    change from the pass before over every channel, and over the outcome
-    sums, which the weak top-shell channels cannot dominate; None at first.
-    """
-
-    grid: SpatialGrid
-    t: float
-    n_max: int
-    dt: float
-    amplitudes: np.ndarray = field(repr=False)  # (n_max+1, n_max+1, n_points)
-    halving: list[dict[str, float | None]] = field(default_factory=list)
-
-    def probabilities(self) -> dict[tuple[int, int], float]:
-        """Every excited channel's probability at this order of the series."""
-        return {(n1, n2): float(np.sum(np.abs(self.amplitudes[n1, n2]) ** 2)) * self.grid.dx
-                for n1 in range(self.n_max + 1) for n2 in range(self.n_max + 1)
-                if (n1, n2) != (0, 0)}
+def _segments(t_final: float, snapshot_times: Sequence[float],
+              dt: float) -> list[tuple[float, float, int]]:
+    """(start, end, steps) from 0 to each requested time in turn: the fewest
+    equal steps no longer than dt that reach the segment's end exactly."""
+    ends = sorted({*snapshot_times, t_final})
+    if not 0 < ends[0] or ends[-1] != t_final:
+        raise ValueError(f"snapshot times must lie in (0, {t_final}], got {snapshot_times!r}")
+    return [(a, b, max(1, int(math.ceil((b - a) / dt - 1e-12))))
+            for a, b in zip([0.0, *ends[:-1]], ends)]
 
 
 def _kick_slab(g: np.ndarray) -> slice:
@@ -128,10 +123,44 @@ def _add_spectrum(acc: np.ndarray, values: np.ndarray, phase: np.ndarray) -> Non
     acc += np.multiply(f, phase, out=f)
 
 
+def _propagate(st: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """ifft(phase * FFT(st)) along the last axis: the free step of each row."""
+    f = np.fft.fft(st, axis=-1)
+    f *= phase
+    return np.fft.ifft(f, axis=-1)
+
+
+def _norm(rows: np.ndarray, dx: float) -> float:
+    # not np.vdot: a BLAS call would wake BLAS threads that then spin beside
+    # the pass's two threads
+    return math.sqrt(float(np.sum(np.abs(rows) ** 2)) * dx)
+
+
+def _check_rows(rows: np.ndarray, t: float, norm0: float, n_max: int, dx: float) -> None:
+    """Raise NormDriftError unless psi = rows[0] keeps its norm norm0 to
+    NORM_TOLERANCE and every row is finite; written as "not ok" so that a
+    NaN, which compares False, fails."""
+    drift = abs(_norm(rows[0], dx) - norm0)
+    if not (drift <= NORM_TOLERANCE and np.isfinite(rows).all()):
+        norm = _norm(rows, dx)
+        what = ("non-finite amplitudes" if not math.isfinite(norm)
+                else f"free-packet norm drift {drift:.3e} exceeds {NORM_TOLERANCE:.1e}")
+        raise _at_breach(NormDriftError(f"{what} at t={t:.6g}"), t, norm, n_max)
+
+
 def dyson_run(params: ModelParams, t_final: float,
               form_factors: tuple[FormFactorTable, FormFactorTable], grid: SpatialGrid,
-              n_max: int = 4, dt: float | None = None) -> DysonResult:
-    """One kick–propagate pass of the whole amplitude stack up to t_final."""
+              n_max: int = 4, dt: float | None = None, snapshot_times: Sequence[float] = ()
+              ) -> tuple[ChannelState, dict[float, ChannelState]]:
+    """One kick–propagate pass of the whole amplitude stack up to t_final.
+
+    From 0 to each requested time in turn it takes the fewest equal steps no
+    longer than ``dt``, so it lands exactly on each.  Returns the final state
+    and the snapshots keyed by the requested ``snapshot_times``; one at
+    t_final is the final state itself.  Raises NormDriftError when psi's
+    norm drifts or psi or b is not finite, checked every ``HEALTH_STRIDE``
+    steps, or when a state at a requested time is not finite.
+    """
     if not t_final > 0:
         raise ValueError(f"t_final must be positive, got {t_final!r}")
     if n_max < 1:
@@ -143,8 +172,7 @@ def dyson_run(params: ModelParams, t_final: float,
         dt = default_duhamel_step(params)
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    n_steps = max(1, int(math.ceil(t_final / dt - 1e-12)))
-    dt = t_final / n_steps
+    segments = _segments(t_final, snapshot_times, dt)
 
     n = n_max
     g1 = ff1.values[1:n + 1, 0, :]  # V1_{n 0}(R) for n = 1..n_max
@@ -154,26 +182,23 @@ def dyson_run(params: ModelParams, t_final: float,
 
     # x-space rows: [psi, b1[1..n], b2[1..n]]; the joint rows live in k-space
     e_rows = np.concatenate(([e1[0] + e2[0]], e1[1:] + e2[0], e1[0] + e2[1:]))
-    kin_half = kinetic_phase(grid, params, dt / 2.0, e_rows)
-    kin_full = kin_half * kin_half
+    e_joint = (e1[1:, None] + e2[None, 1:]).ravel()
 
     # the kick only touches the slabs where the bare form factors matter;
     # joint entries need both, the simultaneous (quadratic) term the overlap
     s1, s2 = _kick_slab(g1), _kick_slab(g2)
     s12 = slice(max(s1.start, s2.start), min(s1.stop, s2.stop))  # empty if disjoint
     span = slice(min(s1.start, s2.start), max(s1.stop, s2.stop))
-    kappa = -1j * params.lam * dt / params.hbar
-    k1 = kappa * g1[:, s1]
-    k2 = kappa * g2[:, s2]
-    k12 = kappa * kappa * g1[:, None, s12] * g2[None, :, s12]
 
     st = np.zeros((len(e_rows), grid.n_points), dtype=np.complex128)
     st[0] = make_spherical_wave_1d(grid, params.sigma, params.P0, params.hbar).values
+    norm0 = _norm(st[0], grid.dx)
     acc = np.zeros((n, n, grid.n_points), dtype=np.complex128)
     # the slabs relative to the span, which is all a source covers
     r1, r2, r12 = (slice(s.start - span.start, s.stop - span.start) for s in (s1, s2, s12))
 
-    def kick(st: np.ndarray, tau: float) -> np.ndarray:
+    def kick(st: np.ndarray, tau: float, k1: np.ndarray, k2: np.ndarray,
+             k12: np.ndarray) -> np.ndarray:
         """Kick psi's slabs into b in place; return the joint source on the span."""
         psi, b1, b2 = st[0], st[1:1 + n], st[1 + n:]
         # the joint source from the pre-kick b (psi is never kicked), with
@@ -188,90 +213,114 @@ def dyson_run(params: ModelParams, t_final: float,
         b2[:, s2] += k2 * psi[s2]
         return src
 
-    def propagate(st: np.ndarray, phase: np.ndarray) -> np.ndarray:
-        f = np.fft.fft(st, axis=-1)
-        f *= phase
-        return np.fft.ifft(f, axis=-1)
-
-    # exp(+i omega_k tau_j) at the kick times tau_j = (j - 1/2) dt; from
-    # here on only the worker touches phase, padded and acc
-    phase, advance = kinetic_phase(grid, params, -dt / 2.0), kinetic_phase(grid, params, -dt)
+    # exp(+i omega_k tau_j) at the kick times tau_j; from here on only the
+    # worker touches phase, padded and acc
+    phase = np.empty(grid.n_points, dtype=np.complex128)
     padded = np.zeros_like(acc)  # zero off the span for the whole run
 
-    def accumulate(src: np.ndarray) -> None:
+    def accumulate(src: np.ndarray, advance: np.ndarray, restart: float | None) -> None:
+        # a segment's first source restarts the phase at its kick time
+        if restart is not None:
+            phase[...] = kinetic_phase(grid, params, -restart)
         padded[..., span] = src
         _add_spectrum(acc, padded, phase)
         np.multiply(phase, advance, out=phase)
 
+    def stack(t: float, joint: np.ndarray) -> ChannelState:
+        """The checked channel stack at t, c formed from the accumulator ``joint``."""
+        joint *= kinetic_phase(grid, params, t, e_joint).reshape(n, n, -1)
+        # allocated after the phase's temporaries are gone, so they never coexist
+        amplitudes = np.empty((n + 1, n + 1, grid.n_points), dtype=np.complex128)
+        amplitudes[0, 0], amplitudes[1:, 0], amplitudes[0, 1:] = st[0], st[1:1 + n], st[1 + n:]
+        amplitudes[1:, 1:] = np.fft.ifft(joint, axis=-1)
+        _check_rows(amplitudes.reshape(-1, grid.n_points), t, norm0, n, grid.dx)
+        return ChannelState(t, grid, amplitudes)
+
+    at_time: dict[float, ChannelState] = {}
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dyson-joint") as pool:
         # one source being added and two waiting, at most
         in_flight: deque[Future] = deque()
         try:
-            st = propagate(st, kin_half)
-            for step in range(1, n_steps + 1):
-                if len(in_flight) == 3:
+            for start, end, n_steps in segments:
+                h = (end - start) / n_steps
+                kappa = -1j * params.lam * h / params.hbar
+                k1 = kappa * g1[:, s1]
+                k2 = kappa * g2[:, s2]
+                k12 = kappa * kappa * g1[:, None, s12] * g2[None, :, s12]
+                kin_half = kinetic_phase(grid, params, h / 2.0, e_rows)
+                kin_full = kin_half * kin_half
+                advance = kinetic_phase(grid, params, -h)
+                st = _propagate(st, kin_half)
+                for step in range(1, n_steps + 1):
+                    if len(in_flight) == 3:
+                        in_flight.popleft().result()
+                    tau = start + (step - 0.5) * h
+                    in_flight.append(pool.submit(accumulate, kick(st, tau, k1, k2, k12),
+                                                 advance, tau if step == 1 else None))
+                    st = _propagate(st, kin_half if step == n_steps else kin_full)
+                    if step % HEALTH_STRIDE == 0 and step < n_steps:
+                        _check_rows(st, start + step * h, norm0, n, grid.dx)
+                while in_flight:
                     in_flight.popleft().result()
-                in_flight.append(pool.submit(accumulate, kick(st, (step - 0.5) * dt)))
-                st = propagate(st, kin_half if step == n_steps else kin_full)
-            while in_flight:
-                in_flight.popleft().result()
+                # c from a copy of the accumulator, except at the end
+                at_time[end] = stack(end, acc if end == t_final else acc.copy())
         finally:
             # after a failure, the sources not yet started are not added:
             # leaving the executor would otherwise wait for each of them
             for future in in_flight:
                 future.cancel()
-
-    e_joint = (e1[1:, None] + e2[None, 1:]).ravel()
-    acc *= kinetic_phase(grid, params, t_final, e_joint).reshape(n, n, -1)
-    # allocated after the phase's temporaries are gone, so they never coexist
-    amplitudes = np.empty((n + 1, n + 1, grid.n_points), dtype=np.complex128)
-    amplitudes[0, 0], amplitudes[1:, 0], amplitudes[0, 1:] = st[0], st[1:1 + n], st[1 + n:]
-    amplitudes[1:, 1:] = np.fft.ifft(acc, axis=-1)
-    return DysonResult(grid=grid, t=t_final, n_max=n_max, dt=dt, amplitudes=amplitudes)
+    return at_time[t_final], {t: at_time[t] for t in snapshot_times}
 
 
 def converged_dyson_run(params: ModelParams, t_final: float,
                         form_factors: tuple[FormFactorTable, FormFactorTable],
-                        grid: SpatialGrid, n_max: int = 4,
-                        dt: float | None = None, rtol: float = 1e-3) -> DysonResult:
-    """Halve the Duhamel step until every reported probability is stable.
+                        grid: SpatialGrid, n_max: int = 4, dt: float | None = None,
+                        rtol: float = 1e-3, snapshot_times: Sequence[float] = ()
+                        ) -> tuple[ChannelState, dict[float, ChannelState],
+                                   list[dict[str, float | None]]]:
+    """Halve the Duhamel step until every probability is stable at every time.
 
-    Returns the first pass whose probabilities changed by at most ``rtol``
-    from the previous pass's (the only pass when lam is 0), with every
-    pass's entry in its ``halving``; raises QuadratureError when
-    ``MAX_HALVINGS`` halvings do not get there, and NormDriftError at the
-    first pass with a non-finite probability.  Probabilities below
+    Each pass is one ``dyson_run`` to t_final with snapshots at
+    ``snapshot_times``.  Returns the final state and snapshots of the first
+    pass whose probabilities changed by at most ``rtol`` from the previous
+    pass's at every time (the only pass when lam is 0), and ``halving``:
+    one {t, dt, rel_change, obs_change} entry per pass and time, ordered by
+    time, then pass, with dt the step that reached t and the changes over
+    every channel and over the outcome sums, which the weak top-shell
+    channels cannot dominate (None at first).  Raises QuadratureError when
+    ``MAX_HALVINGS`` halvings do not get there.  Probabilities below
     ``NOISE_FLOOR`` are left out of the metric.
     """
     step = dt if dt is not None else default_duhamel_step(params)
     halving: list[dict[str, float | None]] = []
-    probs = sums = None
+    probs = None
     for _ in range(MAX_HALVINGS + 1):
-        run = dyson_run(params, t_final, form_factors, grid, n_max, step)
-        cur_probs = run.probabilities()
-        if not all(math.isfinite(p) for p in cur_probs.values()):
-            norm = math.sqrt(float(np.sum(np.abs(run.amplitudes) ** 2)) * grid.dx)
-            raise _at_breach(NormDriftError(f"non-finite amplitudes at t={run.t:.6g} "
-                                            f"(dt={run.dt:.6g})"), run.t, norm, n_max)
-        cur_sums = history_sums(cur_probs)
-        rel = obs = None
-        if probs is not None:
-            rel, obs = _max_rel_change(probs, cur_probs), _max_rel_change(sums, cur_sums)
-        halving.append({"dt": run.dt, "rel_change": rel, "obs_change": obs})
-        done = params.lam == 0.0 if rel is None else rel <= rtol
+        final, snapshots = dyson_run(params, t_final, form_factors, grid, n_max, step,
+                                     snapshot_times)
+        cur = {t: channel_probabilities(s) for t, s in {**snapshots, t_final: final}.items()}
+        worst = 0.0
+        for start, t, n_steps in _segments(t_final, snapshot_times, step):
+            rel = obs = None
+            if probs is not None:
+                rel = _max_rel_change(probs[t], cur[t])
+                obs = _max_rel_change(history_sums(probs[t]), history_sums(cur[t]))
+                worst = max(worst, rel)
+            halving.append({"t": t, "dt": (t - start) / n_steps,
+                            "rel_change": rel, "obs_change": obs})
+        done = params.lam == 0.0 if probs is None else worst <= rtol
         if done:
-            run.halving = halving
-            return run
-        probs, sums = cur_probs, cur_sums
+            return final, snapshots, sorted(halving, key=lambda h: h["t"])
+        probs = cur
         step /= 2.0
-        del run  # the next pass needs only this one's probabilities, not its fields
+        # the next pass needs only this one's probabilities, not its fields
+        del final, snapshots
     raise QuadratureError(
         f"Duhamel quadrature not converged to rtol={rtol} after {MAX_HALVINGS} halvings")
 
 
 def _max_rel_change(a: Mapping, b: Mapping) -> float:
     """Largest relative change between the entries of a and b above
-    NOISE_FLOOR; converged_dyson_run passes only finite entries."""
+    NOISE_FLOOR; dyson_run returns only finite amplitudes."""
     worst = 0.0
     for key, pb in b.items():
         pa = a[key]

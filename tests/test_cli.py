@@ -118,6 +118,17 @@ def test_list_keys_must_be_lists(tmp_path, section, key, value):
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
 
 
+def test_empty_targets_rejected_by_sweep(tmp_path, capsys):
+    # with no sweep.target the sweep would fit the first of no targets
+    path = write_config(tmp_path, scenario={"targets": []},
+                        sweep={"lambda0_values": [1e-4, 2.5e-4, 5e-4, 1e-3]})
+    with pytest.raises(cli.ConfigError, match="scenario.targets"):
+        cli.load_config(path)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "scenario.targets must not be empty" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # regime command
 

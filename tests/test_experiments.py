@@ -355,9 +355,9 @@ def test_joint_history_ordering_between_cases():
     for case in ("opposite", "collinear"):
         params = ex.default_params(case, epsilon=0.2)
         grid = m.suggest_grid(params, 1.5 * params.tau2)
-        run = pt.converged_dyson_run(params, 1.5 * params.tau2,
-                                     ch.form_factor_pair(params, grid, 1), grid, n_max=1)
-        out[case] = history_sums(run.probabilities())["both"]
+        run, _, _ = pt.converged_dyson_run(params, 1.5 * params.tau2,
+                                           ch.form_factor_pair(params, grid, 1), grid, n_max=1)
+        out[case] = history_sums(ch.channel_probabilities(run))["both"]
     assert out["opposite"] < 1e-3 * out["collinear"]
 
 
@@ -368,9 +368,9 @@ def test_joint_probability_shrinks_with_packet_separation():
     for eps in (0.35, 0.3, 0.25):
         params = ex.default_params("opposite", epsilon=eps)
         grid = m.suggest_grid(params, 1.5 * params.tau2)
-        run = pt.converged_dyson_run(params, 1.5 * params.tau2,
-                                     ch.form_factor_pair(params, grid, 1), grid, n_max=1)
-        p_both.append(history_sums(run.probabilities())["both"])
+        run, _, _ = pt.converged_dyson_run(params, 1.5 * params.tau2,
+                                           ch.form_factor_pair(params, grid, 1), grid, n_max=1)
+        p_both.append(history_sums(ch.channel_probabilities(run))["both"])
     assert p_both[0] > p_both[1] > p_both[2] > 0.0
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import mott1d.perturbation as pt
 from mott1d import experiments as ex
-from mott1d.channels import form_factor_pair
+from mott1d.channels import channel_probabilities, form_factor_pair
 from mott1d.core import (
     ModelParams,
     NormDriftError,
@@ -74,7 +74,7 @@ def test_dyson_free_row_honours_hbar(free_params):
     p = replace(free_params, hbar=0.5, lam=1e-3)
     g = SpatialGrid.symmetric(64.0, 2048)
     t = 5.0
-    run = pt.dyson_run(p, t, form_factor_pair(p, g, 1), g, n_max=1)
+    run, _ = pt.dyson_run(p, t, form_factor_pair(p, g, 1), g, n_max=1)
     e00 = p.hbar * p.omega  # two oscillators at hbar omega / 2 each
     exact = np.exp(-1j * e00 * t / p.hbar) * free_two_packet(g.points, t, p.sigma, p.P0,
                                                               p.hbar, p.M)
@@ -90,19 +90,19 @@ def test_dyson_free_row_honours_hbar(free_params):
 
 def test_first_order_zero_coupling(reduced_collinear, reduced_grid):
     p = replace(reduced_collinear, lam=0.0)
-    run = pt.converged_dyson_run(p, 0.5 * p.tau2, form_factor_pair(p, reduced_grid, 1),
-                                 reduced_grid, n_max=1)
+    run, _, _ = pt.converged_dyson_run(p, 0.5 * p.tau2, form_factor_pair(p, reduced_grid, 1),
+                                       reduced_grid, n_max=1)
     assert np.all(run.amplitudes[1, 0] == 0.0)
-    assert run.probabilities()[(1, 0)] == 0.0
+    assert channel_probabilities(run)[(1, 0)] == 0.0
 
 
 def test_first_order_lambda_doubling_quadruples_exactly(reduced_collinear, reduced_grid):
     p = reduced_collinear
     ff = form_factor_pair(p, reduced_grid, 1)
     t = p.tau2
-    r1 = pt.converged_dyson_run(p, t, ff, reduced_grid, n_max=1)
-    r2 = pt.converged_dyson_run(replace(p, lam=2.0 * p.lam), t, ff, reduced_grid, n_max=1)
-    assert r2.probabilities()[(1, 0)] == 4.0 * r1.probabilities()[(1, 0)]
+    r1, _, _ = pt.converged_dyson_run(p, t, ff, reduced_grid, n_max=1)
+    r2, _, _ = pt.converged_dyson_run(replace(p, lam=2.0 * p.lam), t, ff, reduced_grid, n_max=1)
+    assert channel_probabilities(r2)[(1, 0)] == 4.0 * channel_probabilities(r1)[(1, 0)]
 
 
 def test_first_order_grows_after_arrival():
@@ -110,9 +110,9 @@ def test_first_order_grows_after_arrival():
     p = ex.default_params("collinear", epsilon=0.1)
     grid = suggest_grid(p, 2.0 * p.tau1)
     ff = form_factor_pair(p, grid, 1)
-    early = pt.converged_dyson_run(p, 0.5 * p.tau1, ff, grid, n_max=1)
-    late = pt.converged_dyson_run(p, 2.0 * p.tau1, ff, grid, n_max=1)
-    assert late.probabilities()[(1, 0)] >= 1e3 * early.probabilities()[(1, 0)]
+    early, _, _ = pt.converged_dyson_run(p, 0.5 * p.tau1, ff, grid, n_max=1)
+    late, _, _ = pt.converged_dyson_run(p, 2.0 * p.tau1, ff, grid, n_max=1)
+    assert channel_probabilities(late)[(1, 0)] >= 1e3 * channel_probabilities(early)[(1, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +121,10 @@ def test_first_order_grows_after_arrival():
 
 def test_second_order_zero_coupling(reduced_collinear, reduced_grid):
     p = replace(reduced_collinear, lam=0.0)
-    run = pt.converged_dyson_run(p, 1.5 * p.tau2, form_factor_pair(p, reduced_grid, 1),
-                                 reduced_grid, n_max=1)
+    run, _, _ = pt.converged_dyson_run(p, 1.5 * p.tau2, form_factor_pair(p, reduced_grid, 1),
+                                       reduced_grid, n_max=1)
     assert np.all(run.amplitudes[1, 1] == 0.0)
-    assert run.probabilities()[(1, 1)] == 0.0
+    assert channel_probabilities(run)[(1, 1)] == 0.0
 
 
 def test_second_order_lambda_fourth_power(reduced_collinear, reduced_grid):
@@ -133,8 +133,8 @@ def test_second_order_lambda_fourth_power(reduced_collinear, reduced_grid):
     t = 1.5 * p.tau2
     probs = {}
     for lam in (5e-4, 1e-3, 3e-3):
-        run = pt.converged_dyson_run(replace(p, lam=lam), t, ff, reduced_grid, n_max=1)
-        probs[lam] = run.probabilities()[(1, 1)]
+        run, _, _ = pt.converged_dyson_run(replace(p, lam=lam), t, ff, reduced_grid, n_max=1)
+        probs[lam] = channel_probabilities(run)[(1, 1)]
     lams = sorted(probs)
     for lo, hi in [(lams[0], lams[1]), (lams[0], lams[2]), (lams[1], lams[2])]:
         slope = math.log(probs[hi] / probs[lo]) / math.log(hi / lo)
@@ -147,13 +147,13 @@ def test_second_order_ordering_dominance(reduced_collinear, reduced_grid):
     p = reduced_collinear
     t = 1.5 * p.tau2
     ff = form_factor_pair(p, reduced_grid, 1)
-    run = pt.converged_dyson_run(p, t, ff, reduced_grid, n_max=1)
-    ref = _reference(p, t, ff, reduced_grid, 1, run.dt)
+    run, _, halving = pt.converged_dyson_run(p, t, ff, reduced_grid, n_max=1)
+    ref = _reference(p, t, ff, reduced_grid, 1, halving[-1]["dt"])
     p12 = _norm_sq(ref["c12"][1, 1], reduced_grid)
     p21 = _norm_sq(ref["c21"][1, 1], reduced_grid)
     assert p21 > 0
     assert p12 > 1e3 * p21
-    assert run.probabilities()[(1, 1)] == pytest.approx(p12, rel=0.05)
+    assert channel_probabilities(run)[(1, 1)] == pytest.approx(p12, rel=0.05)
 
 
 def _norm_sq(values, grid):
@@ -194,8 +194,10 @@ def test_dyson_run_matches_reference_kernel(case, shape, n_max, hbar, dt):
     grid = suggest_grid(p, t)
     ff = form_factor_pair(p, grid, n_max, shape)
     ref = _reference(p, t, ff, grid, n_max, dt)
-    run = pt.dyson_run(p, t, ff, grid, n_max, dt)
-    for (n1, n2), prob in run.probabilities().items():
+    run, _ = pt.dyson_run(p, t, ff, grid, n_max, dt)
+    for (n1, n2), prob in channel_probabilities(run).items():
+        if (n1, n2) == (0, 0):
+            continue
         if n2 == 0:
             expected = _norm_sq(ref["b1"][n1], grid)
         elif n1 == 0:
@@ -226,11 +228,11 @@ def test_dyson_run_bitwise_under_short_switch_interval(reduced_collinear, reduce
     p = reduced_collinear
     ff = form_factor_pair(p, reduced_grid, 2)
     args = (p, 1.5 * p.tau2, ff, reduced_grid, 2, 0.2)
-    base = pt.dyson_run(*args)
+    base, _ = pt.dyson_run(*args)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        fast = pt.dyson_run(*args)
+        fast, _ = pt.dyson_run(*args)
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(fast.amplitudes, base.amplitudes)
@@ -316,6 +318,102 @@ def test_non_finite_pass_raises_norm_drift(reduced_collinear, reduced_grid, monk
     assert err.t == 1.5 * p.tau2 and err.n_max == 2 and not math.isfinite(err.norm)
 
 
+@pytest.mark.parametrize("row, scale", [(0, np.nan), (1, np.nan), (2, np.nan), (0, 1.0 + 1e-6)],
+                         ids=["psi-nan", "b1-nan", "b2-nan", "psi-drift"])
+def test_row_breach_raises_within_one_stride(reduced_collinear, reduced_grid, monkeypatch,
+                                             row, scale):
+    # the calling thread checks psi's norm and that psi and b are finite
+    # every HEALTH_STRIDE steps, on the thread that owns them
+    p = reduced_collinear
+    ff = form_factor_pair(p, reduced_grid, 1)
+    original = pt._propagate
+    poisoned_step = 15
+    calls = []
+
+    def poisoned(st, phase):
+        out = original(st, phase)
+        calls.append(None)
+        if len(calls) == 1 + poisoned_step:  # after the initial half step
+            out[row] *= scale
+        return out
+
+    monkeypatch.setattr(pt, "_propagate", poisoned)
+    dt = 0.2
+    nan = math.isnan(scale)
+    with pytest.raises(NormDriftError, match="non-finite" if nan else "drift") as info:
+        pt.dyson_run(p, 1.5 * p.tau2, ff, reduced_grid, 1, dt)
+    err = info.value
+    assert poisoned_step * dt <= err.t <= (poisoned_step + pt.HEALTH_STRIDE) * dt * (1 + 1e-12)
+    assert len(calls) <= 1 + poisoned_step + pt.HEALTH_STRIDE
+    assert err.n_max == 1 and math.isfinite(err.norm) != nan
+
+
+@pytest.mark.parametrize("mid", [False, True], ids=["one-time", "two-time"])
+def test_non_finite_joint_block_raises_at_next_requested_time(reduced_collinear, reduced_grid,
+                                                             monkeypatch, mid):
+    # the joint block lives on the worker; a NaN there fails the pass at the
+    # first requested time after it, once every source up to it is added:
+    # at the end of a one-time pass
+    p = reduced_collinear
+    ff = form_factor_pair(p, reduced_grid, 1)
+    original = pt._add_spectrum
+    calls = []
+
+    def poisoned(acc, values, phase):
+        original(acc, values, phase)
+        calls.append(None)
+        if len(calls) == 5:
+            acc[0, 0, 0] = np.nan
+
+    monkeypatch.setattr(pt, "_add_spectrum", poisoned)
+    t, snapshot_times = 1.5 * p.tau2, (0.75 * p.tau2,) if mid else ()
+    with pytest.raises(NormDriftError, match="non-finite") as info:
+        pt.dyson_run(p, t, ff, reduced_grid, 1, 0.2, snapshot_times)
+    err = info.value
+    _, first, steps = pt._segments(t, snapshot_times, 0.2)[0]
+    assert err.t == first and err.n_max == 1 and not math.isfinite(err.norm)
+    assert len(calls) == steps
+
+
+def test_snapshot_equals_one_time_run(reduced_collinear, reduced_grid):
+    # the segment up to the first requested time is the one-time run op for
+    # op; the last requested time is the final state itself
+    p = reduced_collinear
+    ff = form_factor_pair(p, reduced_grid, 2)
+    t_mid, t_end = 0.75 * p.tau2, 1.5 * p.tau2
+    direct, _ = pt.dyson_run(p, t_mid, ff, reduced_grid, 2, 0.2)
+    final, snapshots = pt.dyson_run(p, t_end, ff, reduced_grid, 2, 0.2,
+                                    snapshot_times=(t_mid, t_end))
+    assert snapshots.keys() == {t_mid, t_end}
+    assert snapshots[t_mid].t == t_mid and final.t == t_end
+    assert np.array_equal(snapshots[t_mid].amplitudes, direct.amplitudes)
+    assert snapshots[t_end] is final
+    with pytest.raises(ValueError, match="snapshot times"):
+        pt.dyson_run(p, t_mid, ff, reduced_grid, 2, 0.2, snapshot_times=(t_end,))
+
+
+def test_converged_run_one_pass_for_every_time(reduced_collinear, reduced_grid, monkeypatch):
+    p = reduced_collinear
+    calls = []
+    dyson_run = pt.dyson_run
+    monkeypatch.setattr(pt, "dyson_run", lambda *a, **k: calls.append(a) or dyson_run(*a, **k))
+    times = (0.75 * p.tau2, 1.5 * p.tau2)
+    rtol = 1e-3
+    final, snapshots, halving = pt.converged_dyson_run(
+        p, times[-1], form_factor_pair(p, reduced_grid, 1), reduced_grid, n_max=1, dt=0.4,
+        rtol=rtol, snapshot_times=times)
+    assert len(calls) >= 2
+    assert snapshots.keys() == set(times) and snapshots[times[-1]] is final
+    # one entry per pass and time, ordered by time, then pass
+    assert [h["t"] for h in halving] == [t for t in times for _ in calls]
+    for t in times:
+        passes = [h for h in halving if h["t"] == t]
+        assert passes[0]["rel_change"] is None
+        for prev, cur in zip(passes, passes[1:]):
+            assert cur["dt"] == pytest.approx(prev["dt"] / 2.0, rel=1e-12)
+    assert max(h["rel_change"] for h in halving[len(calls) - 1::len(calls)]) <= rtol
+
+
 def test_max_rel_change_is_relative():
     assert pt._max_rel_change({"a": 1.0}, {"a": 1.0 + 1e-6}) == pytest.approx(1e-6, rel=1e-5)
 
@@ -367,9 +465,9 @@ def test_converged_run_drops_previous_pass_fields(reduced_collinear, reduced_gri
     def tracked(*args, **kwargs):
         gc.collect()
         assert all(ref() is None for ref in refs), "an earlier pass's amplitudes are alive"
-        run = dyson_run(*args, **kwargs)
-        refs.append(weakref.ref(run.amplitudes))
-        return run
+        final, snapshots = dyson_run(*args, **kwargs)
+        refs.append(weakref.ref(final.amplitudes))
+        return final, snapshots
 
     monkeypatch.setattr(pt, "dyson_run", tracked)
     monkeypatch.setattr(pt, "MAX_HALVINGS", 2)
@@ -410,12 +508,12 @@ def test_histories_parity(reduced_opposite, reduced_grid):
     # history agrees
     p = reduced_opposite
     t = 1.5 * p.tau2
-    base = pt.converged_dyson_run(p, t, form_factor_pair(p, reduced_grid, 2), reduced_grid,
-                                  n_max=2)
-    mirrored = pt.converged_dyson_run(p.mirrored(), t,
-                                      form_factor_pair(p.mirrored(), reduced_grid, 2),
-                                      reduced_grid, n_max=2)
-    a, b = base.probabilities(), mirrored.probabilities()
+    base, _, _ = pt.converged_dyson_run(p, t, form_factor_pair(p, reduced_grid, 2),
+                                        reduced_grid, n_max=2)
+    mirrored, _, _ = pt.converged_dyson_run(p.mirrored(), t,
+                                            form_factor_pair(p.mirrored(), reduced_grid, 2),
+                                            reduced_grid, n_max=2)
+    a, b = channel_probabilities(base), channel_probabilities(mirrored)
     assert a.keys() == b.keys()
     for key in a:
         assert a[key] == pytest.approx(b[key], abs=1e-9), key
@@ -441,13 +539,16 @@ def test_converged_run_reports_step(reduced_collinear, reduced_grid, monkeypatch
     calls = []
     dyson_run = pt.dyson_run
     monkeypatch.setattr(pt, "dyson_run", lambda *a, **k: calls.append(a) or dyson_run(*a, **k))
-    run = pt.converged_dyson_run(p, p.tau2, form_factor_pair(p, reduced_grid, 1), reduced_grid,
-                                 n_max=1)
-    assert 0.0 < run.dt < pt.default_duhamel_step(p)
+    _, _, halving = pt.converged_dyson_run(p, p.tau2, form_factor_pair(p, reduced_grid, 1),
+                                           reduced_grid, n_max=1)
+    assert 0.0 < halving[-1]["dt"] < pt.default_duhamel_step(p)
     # one halving entry per pass, each step half the last, the last accepted
-    assert len(run.halving) == len(calls) >= 2
-    assert run.halving[0]["rel_change"] is None and run.halving[0]["obs_change"] is None
-    for prev, cur in zip(run.halving, run.halving[1:]):
+    assert len(halving) == len(calls) >= 2
+    assert halving[0]["rel_change"] is None and halving[0]["obs_change"] is None
+    for prev, cur in zip(halving, halving[1:]):
         assert cur["dt"] == pytest.approx(prev["dt"] / 2.0, rel=1e-12)
-    assert run.halving[-1]["dt"] == run.dt
-    assert run.halving[-1]["rel_change"] <= 1e-3
+    # whole steps of the accepted dt reach the evaluation time
+    assert p.tau2 / halving[-1]["dt"] == pytest.approx(round(p.tau2 / halving[-1]["dt"]),
+                                                       rel=1e-12)
+    assert all(h["t"] == p.tau2 for h in halving)
+    assert halving[-1]["rel_change"] <= 1e-3

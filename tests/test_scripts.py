@@ -17,10 +17,3 @@ def test_case_comparison_quick():
     assert proc.returncode == 0, proc.stderr
     assert "joint-excitation ratio opposite/collinear" in proc.stdout
     assert "[collinear]" in proc.stdout and "[opposite]" in proc.stdout
-
-
-def test_time_sensitivity_few_points():
-    proc = run("time_sensitivity.py", "--epsilon", "0.25", "--points", "3",
-               "--n-max", "1")
-    assert proc.returncode == 0, proc.stderr
-    assert "P11 spread over the window" in proc.stdout
