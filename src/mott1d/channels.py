@@ -64,6 +64,7 @@ from .core import (
     _at_breach,
     hermite_functions,
     kinetic_phase,
+    l2_norm,
     make_spherical_wave_1d,
 )
 
@@ -209,7 +210,7 @@ class ChannelState:
         return self.amplitudes.shape[0] - 1
 
     def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.amplitudes) ** 2)) * self.grid.dx)
+        return l2_norm(self.amplitudes, self.grid.dx)
 
     def top_shell_norm(self) -> float:
         """Squared norm in the channels touching the truncation boundary."""
@@ -421,7 +422,7 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     n_lvl = config.n_max + 1
     f = state.amplitudes.reshape(n_lvl * n_lvl, grid.n_points).copy()
     f3 = f.reshape(n_lvl, n_lvl, grid.n_points)
-    norm0 = math.sqrt(float(np.sum(np.abs(f) ** 2)) * grid.dx)
+    norm0 = l2_norm(f, grid.dx)
 
     # the calling thread takes rows [0, r) of each kinetic factor and points
     # [0, cut) of each coupling stage; the worker takes the rest.  Both

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -47,8 +47,7 @@ class ConfigError(ValueError):
 _SCENARIO_KEYS = {"case", "epsilon", "lambda0", "params", "engine", "targets",
                   "times", "t_factor"}
 _PARAMS_KEYS = {"M", "m", "omega", "lambda", "delta", "sigma", "P0", "a1", "a2", "hbar"}
-_NUMERICS_KEYS = {"n_points", "x_max", "n_max", "dt_oracle", "dt_duhamel",
-                  "pt_rtol", "top_shell_threshold", "potential_shape"}
+_NUMERICS_KEYS = {f.name for f in fields(ex.NumericSettings)}
 _SWEEP_KEYS = {"lambda_values", "lambda0_values", "target"}
 _OUTPUT_KEYS = {"formats", "density_channels", "channel_snapshot"}
 _TOP_KEYS = {"scenario", "numerics", "sweep", "output"}
@@ -62,7 +61,12 @@ def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; construction performs every check."""
+    """A parsed run configuration.
+
+    ``from_dict`` checks the config's own rules (known keys, types, the
+    sweep section); every value is checked by the object that owns it, and
+    any rejection is raised as ``ConfigError``.
+    """
 
     spec: ex.ScenarioSpec
     sweep_values: tuple[float, ...] | None
@@ -70,12 +74,9 @@ class RunConfig:
     formats: tuple[str, ...]
     density_channels: tuple[tuple[int, int], ...]
     channel_snapshot: bool
-    raw: dict = field(repr=False)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
         _reject_unknown(raw, _TOP_KEYS, "config")
         scenario = raw.get("scenario")
         if not isinstance(scenario, dict):
@@ -83,8 +84,6 @@ class RunConfig:
         _reject_unknown(scenario, _SCENARIO_KEYS, "scenario")
 
         case = scenario.get("case")
-        if case not in (ex.OPPOSITE, ex.COLLINEAR):
-            raise ConfigError(f"scenario.case must be 'opposite' or 'collinear', got {case!r}")
         epsilon = _as_number(scenario.get("epsilon", 0.1), "scenario.epsilon")
 
         if "params" in scenario:
@@ -110,14 +109,10 @@ class RunConfig:
 
         engine = scenario.get("engine", "both")
         targets = _as_list(scenario.get("targets", [[1, 1]]), "scenario.targets", _as_channel)
-        if not targets:
-            raise ConfigError("scenario.targets must not be empty")
         if "times" in scenario and "t_factor" in scenario:
             raise ConfigError("scenario.times and scenario.t_factor are mutually exclusive")
         if "times" in scenario:
             times = _as_list(scenario["times"], "scenario.times", _as_number)
-            if not times:
-                raise ConfigError("scenario.times must not be empty")
         else:
             t_factor = _as_number(scenario.get("t_factor", 1.5), "scenario.t_factor")
             times = (t_factor * params.tau2,)
@@ -128,20 +123,16 @@ class RunConfig:
         _reject_unknown(numerics, _NUMERICS_KEYS, "numerics")
         num_kwargs: dict[str, Any] = {}
         for key, value in numerics.items():
-            if key == "potential_shape":
-                if value not in ch.POTENTIAL_SHAPES:
-                    raise ConfigError(f"numerics.potential_shape {value!r} unknown")
-                num_kwargs[key] = value
-            elif key in ("n_points", "n_max"):
-                num_kwargs[key] = _as_int(value, f"numerics.{key}")
-            else:
-                num_kwargs[key] = _as_number(value, f"numerics.{key}")
-        settings = ex.NumericSettings(**num_kwargs)
+            if key in ("n_points", "n_max"):
+                value = _as_int(value, f"numerics.{key}")
+            elif key != "potential_shape":
+                value = _as_number(value, f"numerics.{key}")
+            num_kwargs[key] = value
 
         try:
             spec = ex.ScenarioSpec(case=case, params=params, epsilon=epsilon,
                                    engine=engine, targets=targets, times=times,
-                                   numerics=settings)
+                                   numerics=ex.NumericSettings(**num_kwargs))
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
@@ -176,7 +167,7 @@ class RunConfig:
 
         return cls(spec=spec, sweep_values=sweep_values, sweep_target=sweep_target,
                    formats=formats, density_channels=density_channels,
-                   channel_snapshot=snapshot, raw=raw)
+                   channel_snapshot=snapshot)
 
 
 def _as_number(value: Any, where: str) -> float:
@@ -211,7 +202,9 @@ def _as_channel(value: Any, where: str) -> tuple[int, int]:
     return (value[0], value[1])
 
 
-def load_config(path: str | Path) -> RunConfig:
+def read_config(path: str | Path) -> dict:
+    """The config file's JSON object, unchecked: ``RunConfig.from_dict``
+    parses it."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file {p} not found")
@@ -219,7 +212,9 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {p} is not valid JSON: {err}") from err
-    return RunConfig.from_dict(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a JSON object")
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +306,7 @@ def cmd_regime(config: RunConfig, out: str | None) -> int:
     return {"valid": EXIT_OK, "marginal": EXIT_MARGINAL, "invalid": EXIT_INVALID}[report.verdict]
 
 
-def _dump_fields(config: RunConfig, report: ex.ExcitationReport,
-                 out_dir: Path, manifest: _Manifest) -> None:
+def _dump_fields(config: RunConfig, report: ex.ExcitationReport, manifest: _Manifest) -> None:
     t_last = max(report.spec.eval_times)
     for n1, n2 in config.density_channels:
         channel_field = None
@@ -327,33 +321,14 @@ def _dump_fields(config: RunConfig, report: ex.ExcitationReport,
         name = f"field_{n1}_{n2}.csv"
         x = channel_field.grid.points
         v = channel_field.values
-        _write_csv(out_dir / name, ["x", "re", "im"],
+        _write_csv(manifest.out_dir / name, ["x", "re", "im"],
                    [(float(xj), float(vj.real), float(vj.imag)) for xj, vj in zip(x, v)])
         manifest.add_output(name)
 
 
-# GridError is a ValueError but signals a numeric failure (grid too narrow);
-# any other ValueError is a bad value the config let through.  Every typed
-# engine failure is a RuntimeError.
-_NUMERIC_ERRORS = (GridError, RuntimeError)
-
-
-def _failed(manifest: _Manifest, err: Exception) -> int:
-    """Record a failed run or sweep; the exit code is the same for every command."""
-    message = " ".join([str(err), *getattr(err, "__notes__", ())])
-    manifest.finish("failed", error=message)
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_NUMERIC if isinstance(err, _NUMERIC_ERRORS) else EXIT_CONFIG
-
-
-def cmd_run(config: RunConfig, out: str) -> int:
-    out_dir = _prepare_out_dir(out)
-    manifest = _Manifest(out_dir, "run", config.raw)
-    try:
-        report = ex.run_scenario(config.spec, keep_oracle_states=True)
-    except (*_NUMERIC_ERRORS, ValueError) as err:
-        return _failed(manifest, err)
-
+def cmd_run(config: RunConfig, manifest: _Manifest) -> int:
+    out_dir = manifest.out_dir
+    report = ex.run_scenario(config.spec, keep_oracle_states=True)
     if "json" in config.formats:
         _write_json(out_dir / "report.json", report.to_dict())
         manifest.add_output("report.json")
@@ -371,7 +346,7 @@ def cmd_run(config: RunConfig, out: str) -> int:
             _write_csv(out_dir / name, ["t", "p_none", "p_right_only", "p_left_only", "p_both"],
                        hrows)
             manifest.add_output(name)
-        _dump_fields(config, report, out_dir, manifest)
+        _dump_fields(config, report, manifest)
         if config.channel_snapshot and report.oracle_states:
             state = report.oracle_states[max(report.spec.eval_times)]
             probs = ch.channel_probabilities(state)
@@ -393,16 +368,11 @@ def cmd_run(config: RunConfig, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config: RunConfig, out: str) -> int:
+def cmd_sweep(config: RunConfig, manifest: _Manifest) -> int:
     if config.sweep_values is None:
         raise ConfigError("config.sweep section is required for the sweep command")
-    out_dir = _prepare_out_dir(out)
-    manifest = _Manifest(out_dir, "sweep", config.raw)
-    try:
-        fit = ex.sweep_lambda(config.spec, config.sweep_values, target=config.sweep_target)
-    except (*_NUMERIC_ERRORS, ValueError) as err:
-        return _failed(manifest, err)
-
+    out_dir = manifest.out_dir
+    fit = ex.sweep_lambda(config.spec, config.sweep_values, target=config.sweep_target)
     scale = config.spec.params.M * config.spec.params.v0 ** 2
     if "csv" in config.formats:
         rows = [(lam, lam / scale, p, fit.engine)
@@ -487,38 +457,52 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
     """Fold CLI flag overrides into the raw config so the manifest's embedded
-    config reproduces the run exactly (config round-trip contract)."""
-    out = json.loads(json.dumps(raw))
-    if getattr(args, "engine", None):
-        out.setdefault("scenario", {})["engine"] = args.engine
-    if getattr(args, "format", None):
-        out.setdefault("output", {})["formats"] = list(dict.fromkeys(args.format))
-    return out
+    config reproduces the run exactly (config round-trip contract).  A
+    section that is not an object is left for the parse to reject."""
+    if getattr(args, "engine", None) and isinstance(raw.get("scenario"), dict):
+        raw["scenario"]["engine"] = args.engine
+    if getattr(args, "format", None) and isinstance(raw.setdefault("output", {}), dict):
+        raw["output"]["formats"] = list(dict.fromkeys(args.format))
+    return raw
+
+
+# GridError is a ValueError but signals a numeric failure (grid too narrow);
+# any other ValueError is a bad config value.  Every typed engine failure is
+# a RuntimeError.
+_NUMERIC_ERRORS = (GridError, RuntimeError)
+
+
+def _failed(manifest: _Manifest | None, err: Exception) -> int:
+    """Report a failure, in the manifest of a run or sweep; the exit code is
+    the same for every command."""
+    message = " ".join([str(err), *getattr(err, "__notes__", ())])
+    if manifest is not None:
+        manifest.finish("failed", error=message)
+    numeric = isinstance(err, _NUMERIC_ERRORS)
+    print(f"{'numeric' if numeric else 'config'} error: {message}", file=sys.stderr)
+    return EXIT_NUMERIC if numeric else EXIT_CONFIG
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    manifest = None
     try:
         if args.command == "plotdata":
             return cmd_plotdata(args.run_dir)
-        config = load_config(args.config)
-        raw = _apply_overrides(config.raw, args)
-        if raw != config.raw:
-            config = RunConfig.from_dict(raw)
-        if args.command == "regime":
+        raw = _apply_overrides(read_config(args.config), args)
+        # from here on a run or sweep records a bad value or a numeric
+        # failure in its manifest
+        if args.command != "regime":
+            manifest = _Manifest(_prepare_out_dir(args.out), args.command, raw)
+        config = RunConfig.from_dict(raw)
+        if manifest is None:
             return cmd_regime(config, args.out)
-        if args.command == "run":
-            return cmd_run(config, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.out)
-        raise AssertionError(f"unhandled command {args.command!r}")
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        return (cmd_run if args.command == "run" else cmd_sweep)(config, manifest)
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except (*_NUMERIC_ERRORS, ValueError) as err:
+        return _failed(manifest, err)
 
 
 if __name__ == "__main__":

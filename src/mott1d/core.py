@@ -189,6 +189,13 @@ class SpatialGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
 
 
+def l2_norm(values: np.ndarray, dx: float) -> float:
+    """sqrt(sum |values|^2 dx) over every entry of ``values``."""
+    # not np.vdot: a BLAS call would wake BLAS threads that then spin beside
+    # the two-thread engines' threads
+    return math.sqrt(float(np.sum(np.abs(values) ** 2)) * dx)
+
+
 @dataclass(frozen=True)
 class ComplexField:
     """A complex amplitude per grid point; values are frozen on construction."""
@@ -206,7 +213,7 @@ class ComplexField:
         object.__setattr__(self, "values", values)
 
     def norm(self) -> float:
-        return math.sqrt(float(np.sum(np.abs(self.values) ** 2)) * self.grid.dx)
+        return l2_norm(self.values, self.grid.dx)
 
     def normalized(self) -> "ComplexField":
         n = self.norm()

@@ -136,6 +136,11 @@ class NumericSettings:
     top_shell_threshold: float = 1e-6
     potential_shape: str = "gaussian"
 
+    def __post_init__(self) -> None:
+        known = sorted(ch.POTENTIAL_SHAPES)
+        if self.potential_shape not in known:
+            raise ValueError(f"potential_shape {self.potential_shape!r} unknown; known: {known}")
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -161,6 +166,10 @@ class ScenarioSpec:
                 raise ValueError(f"case {COLLINEAR!r} needs 0 < a1 < a2, got a1={a1}, a2={a2}")
         else:
             raise ValueError(f"case must be {OPPOSITE!r} or {COLLINEAR!r}, got {self.case!r}")
+        if not self.targets:
+            raise ValueError("targets must not be empty")
+        if self.times is not None and not self.times:
+            raise ValueError("times must not be empty; None means (1.5 * tau2,)")
         for tgt in self.targets:
             n1, n2 = tgt
             if n1 < 0 or n2 < 0 or (n1 == 0 and n2 == 0):
@@ -171,7 +180,7 @@ class ScenarioSpec:
 
     @property
     def eval_times(self) -> tuple[float, ...]:
-        return self.times if self.times else (1.5 * self.params.tau2,)
+        return (1.5 * self.params.tau2,) if self.times is None else self.times
 
     def grid(self) -> SpatialGrid:
         num = self.numerics

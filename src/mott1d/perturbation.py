@@ -63,6 +63,7 @@ from .core import (
     _at_breach,
     history_sums,
     kinetic_phase,
+    l2_norm,
     make_spherical_wave_1d,
 )
 
@@ -130,19 +131,13 @@ def _propagate(st: np.ndarray, phase: np.ndarray) -> np.ndarray:
     return np.fft.ifft(f, axis=-1)
 
 
-def _norm(rows: np.ndarray, dx: float) -> float:
-    # not np.vdot: a BLAS call would wake BLAS threads that then spin beside
-    # the pass's two threads
-    return math.sqrt(float(np.sum(np.abs(rows) ** 2)) * dx)
-
-
 def _check_rows(rows: np.ndarray, t: float, norm0: float, n_max: int, dx: float) -> None:
     """Raise NormDriftError unless psi = rows[0] keeps its norm norm0 to
     NORM_TOLERANCE and every row is finite; written as "not ok" so that a
     NaN, which compares False, fails."""
-    drift = abs(_norm(rows[0], dx) - norm0)
+    drift = abs(l2_norm(rows[0], dx) - norm0)
     if not (drift <= NORM_TOLERANCE and np.isfinite(rows).all()):
-        norm = _norm(rows, dx)
+        norm = l2_norm(rows, dx)
         what = ("non-finite amplitudes" if not math.isfinite(norm)
                 else f"free-packet norm drift {drift:.3e} exceeds {NORM_TOLERANCE:.1e}")
         raise _at_breach(NormDriftError(f"{what} at t={t:.6g}"), t, norm, n_max)
@@ -192,7 +187,7 @@ def dyson_run(params: ModelParams, t_final: float,
 
     st = np.zeros((len(e_rows), grid.n_points), dtype=np.complex128)
     st[0] = make_spherical_wave_1d(grid, params.sigma, params.P0, params.hbar).values
-    norm0 = _norm(st[0], grid.dx)
+    norm0 = l2_norm(st[0], grid.dx)
     acc = np.zeros((n, n, grid.n_points), dtype=np.complex128)
     # the slabs relative to the span, which is all a source covers
     r1, r2, r12 = (slice(s.start - span.start, s.stop - span.start) for s in (s1, s2, s12))

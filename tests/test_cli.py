@@ -1,6 +1,7 @@
 """CLI contract: exit codes, strict config, deterministic artifacts."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,26 @@ def write_config(tmp_path: Path, name: str = "config.json", **overrides) -> Path
     return path
 
 
+def parse(path: Path) -> cli.RunConfig:
+    return cli.RunConfig.from_dict(cli.read_config(path))
+
+
+def assert_failure_recorded(tmp_path: Path, path: Path, match: str,
+                            sweep_only: bool = False) -> None:
+    """run and sweep exit 64 on the config and record an error matching
+    ``match`` in a failed manifest; regime exits 64 and writes nothing."""
+    for command in ("sweep",) if sweep_only else ("run", "sweep", "regime"):
+        out = tmp_path / f"rejected-{command}"
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG, command
+        if command == "regime":
+            assert not out.exists()
+            continue
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed", command
+        assert re.search(match, manifest["error"]), (command, manifest["error"])
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -34,32 +55,48 @@ def write_config(tmp_path: Path, name: str = "config.json", **overrides) -> Path
 def test_unknown_key_is_named(tmp_path):
     path = write_config(tmp_path, scenario={"case": "collinear", "tpyo": 1})
     with pytest.raises(cli.ConfigError, match="tpyo"):
-        cli.load_config(path)
+        parse(path)
+    assert_failure_recorded(tmp_path, path, "tpyo")
 
 
 def test_unknown_numerics_key(tmp_path):
     path = write_config(tmp_path, numerics={"dt": 0.1})
     with pytest.raises(cli.ConfigError, match="numerics.'dt'"):
-        cli.load_config(path)
+        parse(path)
+    assert_failure_recorded(tmp_path, path, "numerics.'dt'")
+
+
+@pytest.mark.parametrize("shape", ["box", []], ids=["box", "list"])
+def test_unknown_potential_shape(tmp_path, shape):
+    path = write_config(tmp_path, numerics={"potential_shape": shape})
+    with pytest.raises(cli.ConfigError, match="potential_shape .* unknown"):
+        parse(path)
+    assert_failure_recorded(tmp_path, path, "potential_shape .* unknown")
 
 
 def test_missing_scenario_section(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"numerics": {}}))
     with pytest.raises(cli.ConfigError, match="scenario"):
-        cli.load_config(path)
+        parse(path)
+    assert_failure_recorded(tmp_path, path, "scenario")
 
 
 def test_invalid_json(tmp_path):
     path = tmp_path / "c.json"
     path.write_text("{not json")
     with pytest.raises(cli.ConfigError, match="not valid JSON"):
-        cli.load_config(path)
+        cli.read_config(path)
+    # no config to record: no run directory either
+    for command in ("run", "sweep"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert not out.exists()
 
 
 def test_missing_file(tmp_path):
     with pytest.raises(cli.ConfigError, match="not found"):
-        cli.load_config(tmp_path / "absent.json")
+        cli.read_config(tmp_path / "absent.json")
 
 
 def test_explicit_params_with_lambda_key(tmp_path):
@@ -67,7 +104,7 @@ def test_explicit_params_with_lambda_key(tmp_path):
         "case": "opposite",
         "params": {"M": 1.0, "m": 0.2, "omega": 0.2, "lambda": 1e-3, "delta": 5.0,
                    "sigma": 5.0, "P0": 1.0, "a1": 25.0, "a2": -50.0}})
-    config = cli.load_config(path)
+    config = parse(path)
     assert config.spec.params.lam == 1e-3
     assert config.spec.case == "opposite"
 
@@ -76,57 +113,62 @@ def test_params_missing_field(tmp_path):
     path = write_config(tmp_path, scenario={
         "case": "collinear", "params": {"M": 1.0, "m": 0.2}})
     with pytest.raises(cli.ConfigError, match="missing"):
-        cli.load_config(path)
+        parse(path)
+    assert_failure_recorded(tmp_path, path, "missing")
 
 
 def test_times_and_t_factor_conflict(tmp_path):
     path = write_config(tmp_path, scenario={"case": "collinear", "times": [10.0],
                                             "t_factor": 2.0})
     with pytest.raises(cli.ConfigError, match="mutually exclusive"):
-        cli.load_config(path)
+        parse(path)
+    assert_failure_recorded(tmp_path, path, "mutually exclusive")
 
 
 def test_x_max_without_n_points_rejected(tmp_path):
     # the suggested grid would silently replace the requested half-width
     path = write_config(tmp_path, numerics={"x_max": 500.0})
     with pytest.raises(cli.ConfigError, match="x_max needs numerics.n_points"):
-        cli.load_config(path)
-    out = tmp_path / "run"
-    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+        parse(path)
+    assert_failure_recorded(tmp_path, path, "x_max needs numerics.n_points")
 
 
 def test_type_errors_are_reported(tmp_path):
     path = write_config(tmp_path, scenario={"case": "collinear", "epsilon": "big"})
     with pytest.raises(cli.ConfigError, match="scenario.epsilon"):
-        cli.load_config(path)
+        parse(path)
+    assert_failure_recorded(tmp_path, path, "scenario.epsilon")
     path = write_config(tmp_path, numerics={"n_points": 2.5})
     with pytest.raises(cli.ConfigError, match="n_points"):
-        cli.load_config(path)
+        parse(path)
+    assert_failure_recorded(tmp_path, path, "n_points")
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("scenario", "times", 5), ("scenario", "times", []), ("scenario", "targets", 5),
-    ("sweep", "lambda_values", 5), ("sweep", "lambda0_values", 5),
-    ("output", "density_channels", 5), ("output", "formats", 5),
+@pytest.mark.parametrize("section, key, value, match", [
+    ("scenario", "times", 5, "scenario.times"),
+    ("scenario", "times", [], "times must not be empty"),
+    ("scenario", "targets", 5, "scenario.targets"),
+    ("sweep", "lambda_values", 5, "sweep.lambda_values"),
+    ("sweep", "lambda0_values", 5, "sweep.lambda0_values"),
+    ("output", "density_channels", 5, "output.density_channels"),
+    ("output", "formats", 5, "output.formats"),
 ], ids=["times", "times-empty", "targets", "lambda_values", "lambda0_values",
         "density_channels", "formats"])
-def test_list_keys_must_be_lists(tmp_path, section, key, value):
+def test_list_keys_must_be_lists(tmp_path, section, key, value, match):
     path = write_config(tmp_path, **{section: {key: value}})
-    with pytest.raises(cli.ConfigError, match=f"{section}.{key}"):
-        cli.load_config(path)
-    out = tmp_path / "run"
-    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
+    with pytest.raises(cli.ConfigError, match=match):
+        parse(path)
+    assert_failure_recorded(tmp_path, path, match)
 
 
 def test_empty_targets_rejected_by_sweep(tmp_path, capsys):
     # with no sweep.target the sweep would fit the first of no targets
     path = write_config(tmp_path, scenario={"targets": []},
                         sweep={"lambda0_values": [1e-4, 2.5e-4, 5e-4, 1e-3]})
-    with pytest.raises(cli.ConfigError, match="scenario.targets"):
-        cli.load_config(path)
-    out = tmp_path / "sweep"
-    assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == cli.EXIT_CONFIG
-    assert "scenario.targets must not be empty" in capsys.readouterr().err
+    with pytest.raises(cli.ConfigError, match="targets must not be empty"):
+        parse(path)
+    assert_failure_recorded(tmp_path, path, "targets must not be empty")
+    assert "targets must not be empty" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +439,13 @@ def test_sweep_target_beyond_n_max_fails_before_solving(tmp_path, capsys, monkey
 
 def test_sweep_requires_section(tmp_path):
     cfg = write_config(tmp_path)
-    assert cli.main(["sweep", "--config", str(cfg),
-                     "--out", str(tmp_path / "s")]) == cli.EXIT_CONFIG
+    assert_failure_recorded(tmp_path, cfg, "config.sweep section is required",
+                            sweep_only=True)
 
 
 def test_sweep_three_points_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, sweep={"lambda0_values": [1e-4, 3e-4, 1e-3]})
-    assert cli.main(["sweep", "--config", str(cfg),
-                     "--out", str(tmp_path / "s")]) == cli.EXIT_CONFIG
+    assert_failure_recorded(tmp_path, cfg, "sweep needs >= 4 values")
 
 
 # ---------------------------------------------------------------------------

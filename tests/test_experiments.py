@@ -67,6 +67,14 @@ def test_scenario_geometry_tag_checked():
         ex.ScenarioSpec(case="collinear", params=coll, engine="exact")
     with pytest.raises(ValueError):
         ex.ScenarioSpec(case="collinear", params=coll, targets=((0, 0),))
+    # a sweep would fit the first of no targets
+    with pytest.raises(ValueError, match="targets must not be empty"):
+        ex.ScenarioSpec(case="collinear", params=coll, targets=())
+    # None asks for the default time; an empty tuple asks for none
+    with pytest.raises(ValueError, match="times must not be empty"):
+        ex.ScenarioSpec(case="collinear", params=coll, times=())
+    with pytest.raises(ValueError, match="potential_shape 'box' unknown"):
+        ex.NumericSettings(potential_shape="box")
 
 
 def test_scenario_default_time():
