@@ -9,29 +9,32 @@ channel equations for the amplitudes f_{n1 n2}(R, t):
                    + lam * sum_k V2_{n2 k}(R) f_{n1 k}
 
 with the form factors V_i_{n n'}(R) = <phi_n | V((R - r)/delta) | phi_n'>.
-The propagator takes composed fourth-order steps: each step of h is
-Yoshida's triple jump (Phys. Lett. A 150, 262, 1990) of Strang steps
-S(W1 h) S(W0 h) S(W1 h), with W1 = 1/(2 - 2^(1/3)) and W0 = 1 - 2 W1 < 0,
-and adjacent kinetic halves merge, so a step costs three stages of one
-coupling and one kinetic factor each.  At each point the channel matrix is
-H1(R) (x) I + I (x) H2(R) with H_i = diag(E_i) + lam V_i(R); the two terms
-commute, so its exponential is exactly U1(R) (x) U2(R), one
-(n_max+1)-dimensional exponential per oscillator.  Each is split as U_i = D_i^(1/2) U_i' D_i^(1/2) with
-D_i = exp(-i tau E_i / hbar); the diagonal energy phases D^(1/2) commute
-with the free step and ride on the exact spectral kinetic factor, applied
-as a bare free phase per point and an energy phase per channel row.  U_i'
-is eigendecomposed once per run on the oscillator's slabs, the contiguous
-runs of points where its coupling exceeds an error-budget floor, and both
-stage lengths W1 h and W0 h are built from the one decomposition; U_i' is
-the identity elsewhere, so points far from both oscillators cost nothing
-beyond the free step.  A negative stage is as exact as a positive one: the
-coupling factor is the exponential of a Hermitian matrix for any real tau.
+The propagator takes composed fourth-order steps on the time grid PT steps
+on too (``core.time_segments``): from one requested time to the next, the
+fewest equal steps h no longer than dt, so it lands exactly on each.  Each
+step of h is Yoshida's triple jump (Phys. Lett. A 150, 262, 1990) of Strang
+steps S(W1 h) S(W0 h) S(W1 h), with W1 = 1/(2 - 2^(1/3)) and
+W0 = 1 - 2 W1 < 0, and adjacent kinetic halves merge, so a step costs three
+stages of one coupling and one kinetic factor each.  At each point the
+channel matrix is H1(R) (x) I + I (x) H2(R) with H_i = diag(E_i) + lam V_i(R);
+the two terms commute, so its exponential is exactly U1(R) (x) U2(R), one
+(n_max+1)-dimensional exponential per oscillator.  Each is split as
+U_i = D_i^(1/2) U_i' D_i^(1/2) with D_i = exp(-i tau E_i / hbar); the
+diagonal energy phases D^(1/2) commute with the free step and ride on the
+exact spectral kinetic factor, applied as a bare free phase per point and an
+energy phase per channel row.  U_i' is eigendecomposed once per run on the
+oscillator's slabs, the contiguous runs of points where its coupling exceeds
+an error-budget floor, and the stage lengths W1 h and W0 h of every step are
+built from the one decomposition; U_i' is the identity elsewhere, so points
+far from both oscillators cost nothing beyond the free step.  A negative
+stage is as exact as a positive one: the coupling factor is the exponential
+of a Hermitian matrix for any real tau.
 
 Each stage runs on two threads.  ``evolve`` opens one single-worker
 executor per call and submits to it half of each part of a stage: the upper
 half of the channel rows in every kinetic factor, and the grid points from
 one cut on in every coupling stage, the cut chosen once per call to halve
-the slab points of both oscillators (both stage lengths share the slabs).
+the slab points of both oscillators (all stage lengths share the slabs).
 The calling thread does the other half and then waits for the worker's, so
 a stage has two synchronous hand-offs.  Each row's transforms and each
 point's U1' and U2' are the same operations in the same order as on one
@@ -66,6 +69,7 @@ from .core import (
     kinetic_phase,
     l2_norm,
     make_spherical_wave_1d,
+    time_segments,
 )
 
 
@@ -355,16 +359,17 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
            ) -> tuple[ChannelState, dict[float, ChannelState]]:
     """Propagate the channel state to t_final in composed fourth-order steps.
 
-    Each step of h = ``config.dt`` (shortened so that whole steps reach
-    t_final) is the Strang steps S(W1 h) S(W0 h) S(W1 h), whose adjacent
-    kinetic halves merge.  Unitary to rounding: the kinetic factor is an
-    exact spectral phase and each oscillator's coupling factor an exact
-    Hermitian exponential, for the negative W0 too.  The state's health is
-    checked every ``HEALTH_STRIDE`` steps, at every snapshot and at
-    t_final, and the run stops at the first failed check: TruncationError
-    when the top oscillator shell holds more norm than
-    ``config.top_shell_threshold``, NormDriftError when the total norm
-    drifts beyond ``NORM_TOLERANCE`` or an amplitude is not finite.
+    From state.t to each snapshot time in turn, and on to t_final, it takes
+    the fewest equal steps h no longer than ``config.dt``, so it lands
+    exactly on each.  Each step is the Strang steps S(W1 h) S(W0 h)
+    S(W1 h), whose adjacent kinetic halves merge.  Unitary to rounding: the
+    kinetic factor is an exact spectral phase and each oscillator's coupling
+    factor an exact Hermitian exponential, for the negative W0 too.  The
+    state's health is checked every ``HEALTH_STRIDE`` steps of the whole
+    run, at every snapshot and at t_final, and the run stops at the first
+    failed check: TruncationError when the top oscillator shell holds more
+    norm than ``config.top_shell_threshold``, NormDriftError when the total
+    norm drifts beyond ``NORM_TOLERANCE`` or an amplitude is not finite.
     The in-run checks read the state just after the kinetic factor that
     joins two steps, whose per-channel norms are those at the step boundary
     (the kinetic factor is a unitary phase on each channel), so they cost
@@ -373,18 +378,15 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     ``form_factors`` are both oscillators' tables on the state's grid, at
     truncation ``config.n_max`` or above (only the leading block is read).
     Returns the final state and the snapshots, keyed by the requested
-    ``snapshot_times``: each is a copy of the state at the step boundary
-    nearest to its time, except that one on the last boundary is the final
-    state itself, at t_final.
+    ``snapshot_times``: each is a copy of the state at exactly its time,
+    except that one at t_final is the final state itself.
     """
     if not t_final > state.t:
         raise ValueError(f"t_final={t_final} must exceed state.t={state.t}")
     if state.n_max != config.n_max:
         raise ValueError(f"state truncation {state.n_max} != config n_max {config.n_max}")
     grid = state.grid
-    horizon = t_final - state.t
-    n_steps = max(1, int(math.ceil(horizon / config.dt - 1e-12)))
-    h = horizon / n_steps
+    segments = time_segments(state.t, t_final, snapshot_times, config.dt)
 
     ff1, ff2 = form_factors
     if ff1.grid != grid or ff2.grid != grid or ff1.n_max < config.n_max or ff2.n_max < config.n_max:
@@ -394,9 +396,12 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     e2 = OscillatorBasis.for_oscillator(params, 2, config.n_max).energies
     # each oscillator may spend half of the run's error budget, and a step's
     # stages zero the sub-floor coupling for (2 W1 - W0) h in all
-    floor = 0.5 * COUPLING_ERROR_BUDGET * params.hbar / (max(horizon, h) * (2.0 * W1 - W0))
-    slabs1 = _coupling_slabs(params, ff1, e1, (W1 * h, W0 * h), floor)
-    slabs2 = _coupling_slabs(params, ff2, e2, (W1 * h, W0 * h), floor)
+    floor = 0.5 * COUPLING_ERROR_BUDGET * params.hbar / ((t_final - state.t) * (2.0 * W1 - W0))
+    # both stage lengths of every distinct step share one decomposition
+    steps = sorted({(end - start) / n for start, end, n in segments})
+    taus = [tau for h in steps for tau in (W1 * h, W0 * h)]
+    slabs1 = _coupling_slabs(params, ff1, e1, taus, floor)
+    slabs2 = _coupling_slabs(params, ff2, e2, taus, floor)
 
     # the channel energy phases D^(1/2) ride on the kinetic factors: a bare
     # free factor per point, then an energy phase per row
@@ -405,33 +410,21 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     def kinetic(tau: float) -> tuple[np.ndarray, np.ndarray]:
         return kinetic_phase(grid, params, tau), np.exp(-1j * tau / params.hbar * energies)
 
-    edge = kinetic(0.5 * W1 * h)          # before a step's first stage, after its last
-    inner = kinetic(0.5 * (W1 + W0) * h)  # between two stages of a step
-    seam = kinetic(W1 * h)                # between two steps
-
-    # each requested snapshot time -> the step it snaps to, and each such
-    # step -> its state, filled in as the run passes it
-    snap_of: dict[float, int] = {}
-    for ts in snapshot_times:
-        s = int(round((ts - state.t) / h))
-        if not 1 <= s <= n_steps:
-            raise ValueError(f"snapshot time {ts} outside ({state.t}, {t_final}]")
-        snap_of[ts] = s
-    at_step: dict[int, ChannelState | None] = dict.fromkeys(snap_of.values())
-
     n_lvl = config.n_max + 1
     f = state.amplitudes.reshape(n_lvl * n_lvl, grid.n_points).copy()
     f3 = f.reshape(n_lvl, n_lvl, grid.n_points)
     norm0 = l2_norm(f, grid.dx)
 
     # the calling thread takes rows [0, r) of each kinetic factor and points
-    # [0, cut) of each coupling stage; the worker takes the rest.  Both
-    # stage lengths have the same slabs, so one cut halves both.
+    # [0, cut) of each coupling stage; the worker takes the rest.  All stage
+    # lengths have the same slabs, so one cut halves each.
     r = f.shape[0] // 2
     cut = _halving_point(slabs1[0] + slabs2[0], grid.n_points)
-    outer, middle = (((f3, _clip(s1, 0, cut), _clip(s2, 0, cut)),
-                      (f3, _clip(s1, cut, grid.n_points), _clip(s2, cut, grid.n_points)))
-                     for s1, s2 in zip(slabs1, slabs2))
+    parts = [((f3, _clip(s1, 0, cut), _clip(s2, 0, cut)),
+              (f3, _clip(s1, cut, grid.n_points), _clip(s2, cut, grid.n_points)))
+             for s1, s2 in zip(slabs1, slabs2)]
+    # each step -> its (outer, middle) coupling stages: W1 h and W0 h
+    stages = dict(zip(steps, zip(parts[0::2], parts[1::2])))
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="evolve-half")
 
     def halves(work: Callable[..., None], args: tuple, worker_args: tuple) -> None:
@@ -449,35 +442,32 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
         free, energy = factor
         halves(_kinetic_rows, (f[:r], free, energy[:r]), (f[r:], free, energy[r:]))
 
+    at_time: dict[float, ChannelState] = {}
+    step = 0  # composed steps over the whole run
     with pool:
-        # K(W1 h/2) [C1 K' C0 K' C1 K(W1 h)]^{n-1} C1 K' C0 K' C1 K(W1 h/2),
-        # with C1, C0 the coupling stages and K' = K((W1 + W0) h/2); a
-        # snapshot splits the seam so the copied state sits on a step
-        # boundary
-        kin(edge)
-        for step in range(1, n_steps + 1):
-            halves(_couple_points, *outer)
-            kin(inner)
-            halves(_couple_points, *middle)
-            kin(inner)
-            halves(_couple_points, *outer)
-            if step == n_steps:
-                kin(edge)
-            elif step in at_step:
-                kin(edge)
-                snap = ChannelState(state.t + step * h, grid, f3.copy())
-                _health_check(snap, config, norm0)
-                at_step[step] = snap
-                kin(edge)
-            else:
-                kin(seam)
-            if step % HEALTH_STRIDE == 0 and step < n_steps:
-                _health_check(ChannelState(state.t + step * h, grid, f3), config, norm0)
-
-    out = ChannelState(t_final, grid, f3)
-    _health_check(out, config, norm0)
-    at_step[n_steps] = out
-    return out, {ts: at_step[s] for ts, s in snap_of.items()}
+        # per segment of n steps of h: K(W1 h/2) [C1 K' C0 K' C1 K(W1 h)]^{n-1}
+        # C1 K' C0 K' C1 K(W1 h/2), with C1, C0 the coupling stages, K' =
+        # K((W1 + W0) h/2) the inner factor and K(W1 h/2), K(W1 h) the edge
+        # and seam factors, so the state at its end sits on its time
+        for start, end, n_steps in segments:
+            h = (end - start) / n_steps
+            outer, middle = stages[h]
+            edge, inner, seam = (kinetic(w * h) for w in (0.5 * W1, 0.5 * (W1 + W0), W1))
+            kin(edge)
+            for k in range(1, n_steps + 1):
+                step += 1
+                halves(_couple_points, *outer)
+                kin(inner)
+                halves(_couple_points, *middle)
+                kin(inner)
+                halves(_couple_points, *outer)
+                kin(edge if k == n_steps else seam)
+                if step % HEALTH_STRIDE == 0 and k < n_steps:
+                    _health_check(ChannelState(start + k * h, grid, f3), config, norm0)
+            # a copy at each requested time, except at the end
+            at_time[end] = ChannelState(end, grid, f3 if end == t_final else f3.copy())
+            _health_check(at_time[end], config, norm0)
+    return at_time[t_final], {ts: at_time[ts] for ts in snapshot_times}
 
 
 def _health_check(state: ChannelState, config: PropagatorConfig, norm0: float) -> None:

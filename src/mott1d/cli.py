@@ -14,8 +14,10 @@ Exit codes: 0 ok/valid regime, 1 marginal regime, 2 invalid regime,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -171,9 +173,13 @@ class RunConfig:
 
 
 def _as_number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    # json reads NaN, Infinity and 1e400 as floats that are not finite, and
+    # an integer too long for a float overflows one
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(value):
+                return float(value)
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
 def _as_int(value: Any, where: str) -> int:

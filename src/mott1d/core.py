@@ -255,6 +255,18 @@ def kinetic_phase(grid: SpatialGrid, params: ModelParams, dt: float,
     return np.exp(-1j * omega * dt)
 
 
+def time_segments(t0: float, t_final: float, times: Sequence[float],
+                  dt: float) -> list[tuple[float, float, int]]:
+    """(start, end, steps) from t0 to each requested time in turn, t_final
+    last: the fewest equal steps no longer than dt that reach the segment's
+    end exactly.  Both engines step on these segments."""
+    ends = sorted({*times, t_final})
+    if not t0 < ends[0] or ends[-1] != t_final:
+        raise ValueError(f"snapshot times must lie in ({t0}, {t_final}], got {times!r}")
+    return [(a, b, max(1, int(math.ceil((b - a) / dt - 1e-12))))
+            for a, b in zip([t0, *ends[:-1]], ends)]
+
+
 def suggest_grid(params: ModelParams, t_max: float, n_points: int | None = None) -> SpatialGrid:
     """Symmetric grid wide enough that nothing reaches the boundary by t_max.
 

@@ -284,8 +284,6 @@ def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid,
         "dt": config.dt,
         "n_max": final.n_max,
         "escalations": escalations,
-        # requested -> snapped to the step grid, as pairs (JSON keys are strings)
-        "eval_times": [[want, state.t] for want, state in states.items()],
         "top_shell_norm": final.top_shell_norm(),
         "norm_drift": abs(final.norm() - 1.0),
     }

@@ -65,6 +65,7 @@ from .core import (
     kinetic_phase,
     l2_norm,
     make_spherical_wave_1d,
+    time_segments,
 )
 
 # Kick entries whose bare form factor is below this fraction of its maximum
@@ -90,17 +91,6 @@ def default_duhamel_step(params: ModelParams) -> float:
     """Step resolving both the oscillator phase and the transit through the
     potential range: min(0.02/omega, 0.02 delta/v0)."""
     return min(0.02 / params.omega, 0.02 * params.delta / params.v0)
-
-
-def _segments(t_final: float, snapshot_times: Sequence[float],
-              dt: float) -> list[tuple[float, float, int]]:
-    """(start, end, steps) from 0 to each requested time in turn: the fewest
-    equal steps no longer than dt that reach the segment's end exactly."""
-    ends = sorted({*snapshot_times, t_final})
-    if not 0 < ends[0] or ends[-1] != t_final:
-        raise ValueError(f"snapshot times must lie in (0, {t_final}], got {snapshot_times!r}")
-    return [(a, b, max(1, int(math.ceil((b - a) / dt - 1e-12))))
-            for a, b in zip([0.0, *ends[:-1]], ends)]
 
 
 def _kick_slab(g: np.ndarray) -> slice:
@@ -145,12 +135,13 @@ def _check_rows(rows: np.ndarray, t: float, norm0: float, n_max: int, dx: float)
 
 def dyson_run(params: ModelParams, t_final: float,
               form_factors: tuple[FormFactorTable, FormFactorTable], grid: SpatialGrid,
-              n_max: int = 4, dt: float | None = None, snapshot_times: Sequence[float] = ()
+              n_max: int, dt: float, snapshot_times: Sequence[float] = ()
               ) -> tuple[ChannelState, dict[float, ChannelState]]:
     """One kick–propagate pass of the whole amplitude stack up to t_final.
 
     From 0 to each requested time in turn it takes the fewest equal steps no
-    longer than ``dt``, so it lands exactly on each.  Returns the final state
+    longer than ``dt`` (``core.time_segments``, the oracle's time grid too),
+    so it lands exactly on each.  Returns the final state
     and the snapshots keyed by the requested ``snapshot_times``; one at
     t_final is the final state itself.  Raises NormDriftError when psi's
     norm drifts or psi or b is not finite, checked every ``HEALTH_STRIDE``
@@ -163,11 +154,9 @@ def dyson_run(params: ModelParams, t_final: float,
     ff1, ff2 = form_factors
     if ff1.n_max < n_max or ff2.n_max < n_max:
         raise ValueError("form-factor tables truncated below requested n_max")
-    if dt is None:
-        dt = default_duhamel_step(params)
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    segments = _segments(t_final, snapshot_times, dt)
+    segments = time_segments(0.0, t_final, snapshot_times, dt)
 
     n = n_max
     g1 = ff1.values[1:n + 1, 0, :]  # V1_{n 0}(R) for n = 1..n_max
@@ -294,7 +283,7 @@ def converged_dyson_run(params: ModelParams, t_final: float,
                                      snapshot_times)
         cur = {t: channel_probabilities(s) for t, s in {**snapshots, t_final: final}.items()}
         worst = 0.0
-        for start, t, n_steps in _segments(t_final, snapshot_times, step):
+        for start, t, n_steps in time_segments(0.0, t_final, snapshot_times, step):
             rel = obs = None
             if probs is not None:
                 rel = _max_rel_change(probs[t], cur[t])

@@ -210,11 +210,24 @@ def test_snapshot_equals_direct_run(reduced_collinear, reduced_grid, reduced_con
     # a snapshot on the last step is the final state itself, not a copy
     assert seen[t_final] is final and final.t == t_final
     snap = seen[t_mid]
-    # the same step sequence reaches the snapshot (up to the re-derived dt)
     state2 = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
-    direct, _ = ch.evolve(state2, p, reduced_config, snap.t, ff)
-    assert snap.t == pytest.approx(t_mid, rel=1e-12)
+    direct, _ = ch.evolve(state2, p, reduced_config, t_mid, ff)
+    assert snap.t == t_mid
     np.testing.assert_allclose(snap.amplitudes, direct.amplitudes, rtol=0, atol=1e-12)
+
+
+def test_off_grid_snapshot_lands_on_its_time(reduced_collinear, reduced_grid, reduced_config,
+                                             tables):
+    # 37.53 is no multiple of the run's step: the snapshot is taken at
+    # 37.53 itself, after the fewest steps no longer than dt that reach it
+    p = reduced_collinear
+    t_mid, t_final = 37.53, 1.5 * p.tau2
+    ff = tables(p, reduced_grid, reduced_config.n_max)
+    state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
+    final, seen = ch.evolve(state, p, reduced_config, t_final, ff, snapshot_times=[t_mid])
+    direct, _ = ch.evolve(state, p, reduced_config, t_mid, ff)
+    assert seen[t_mid].t == t_mid == direct.t and final.t == t_final
+    np.testing.assert_allclose(seen[t_mid].amplitudes, direct.amplitudes, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.5])

@@ -152,8 +152,11 @@ def test_type_errors_are_reported(tmp_path):
     ("sweep", "lambda0_values", 5, "sweep.lambda0_values"),
     ("output", "density_channels", 5, "output.density_channels"),
     ("output", "formats", 5, "output.formats"),
+    # json reads the Infinity and NaN that json.dumps writes
+    ("scenario", "times", [float("inf")], "scenario.times must be a finite number"),
+    ("scenario", "t_factor", float("nan"), "scenario.t_factor must be a finite number"),
 ], ids=["times", "times-empty", "targets", "lambda_values", "lambda0_values",
-        "density_channels", "formats"])
+        "density_channels", "formats", "times-infinity", "t_factor-nan"])
 def test_list_keys_must_be_lists(tmp_path, section, key, value, match):
     path = write_config(tmp_path, **{section: {key: value}})
     with pytest.raises(cli.ConfigError, match=match):
@@ -373,8 +376,9 @@ def test_snapshot_csv_and_summary(tmp_path, lam):
     assert lines[0] == "x,n1,n2,re_f,im_f"
     summary = json.loads((out / "probability_summary.json").read_text())
     report = json.loads((out / "report.json").read_text())
-    [[_, t_used]] = report["engines"]["oracle"]["convergence"]["eval_times"]
-    assert summary["t"] == t_used
+    # the oracle lands on the requested time itself
+    assert "eval_times" not in report["engines"]["oracle"]["convergence"]
+    assert summary["t"] == report["scenario"]["times"][0]
     assert sum(summary["probabilities"].values()) == pytest.approx(1.0, abs=1e-8)
     held = {key for key, p in summary["probabilities"].items() if p != 0.0}
     assert (held == {"0,0"}) == (lam == 0.0)

@@ -222,18 +222,29 @@ def test_run_scenario_records_pt_halving():
     assert json.loads(json.dumps(halving)) == halving
 
 
-def test_run_scenario_records_oracle_eval_times():
+def test_run_scenario_oracle_lands_on_off_grid_time():
     spec = _reduced_spec("collinear", "oracle")
     t_final = 1.5 * spec.params.tau2
-    off_grid = 37.53  # dt_oracle = 0.5: snaps to step 75
+    off_grid = 37.53  # no multiple of dt_oracle = 0.5
     spec = replace(spec, times=(off_grid, t_final))
-    run = ex.run_scenario(spec).engines["oracle"]
-    (want_a, used_a), (want_b, used_b) = run.convergence["eval_times"]
-    assert want_a == off_grid and used_a == pytest.approx(37.5, abs=1e-9)
-    assert want_b == t_final and used_b == pytest.approx(t_final, abs=1e-9)
+    report = ex.run_scenario(spec, keep_oracle_states=True)
+    run = report.engines["oracle"]
+    assert {t: s.t for t, s in report.oracle_states.items()} == {off_grid: off_grid,
+                                                                   t_final: t_final}
     assert set(run.probabilities) == {off_grid, t_final}
-    assert json.loads(json.dumps(run.convergence["eval_times"])) == [[want_a, used_a],
-                                                                     [want_b, used_b]]
+    assert "eval_times" not in run.convergence
+
+
+def test_both_engines_evaluate_at_the_requested_times():
+    # at epsilon = 0.3, 1.5 tau1 lies half a step from the nearest boundary
+    # of equal oracle steps over the whole run: both engines land on it
+    spec = _reduced_spec("collinear", "both", epsilon=0.3)
+    p = spec.params
+    times = (1.5 * p.tau1, 1.5 * p.tau2)
+    report = ex.run_scenario(replace(spec, times=times), keep_oracle_states=True)
+    assert [s.t for s in report.oracle_states.values()] == list(times)
+    for run in report.engines.values():
+        assert list(run.probabilities) == list(times)
 
 
 def test_run_scenario_keeps_escalated_snapshots():
@@ -247,7 +258,7 @@ def test_run_scenario_keeps_escalated_snapshots():
     assert conv["escalations"]
     assert list(report.oracle_states) == list(spec.eval_times)
     assert {s.n_max for s in report.oracle_states.values()} == {conv["n_max"]}
-    assert conv["eval_times"][-1] == [t_final, t_final]
+    assert [s.t for s in report.oracle_states.values()] == list(spec.eval_times)
 
 
 # ---------------------------------------------------------------------------

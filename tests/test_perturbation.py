@@ -25,6 +25,7 @@ from mott1d.core import (
     free_spread,
     history_sums,
     suggest_grid,
+    time_segments,
 )
 from oracles import free_propagate, free_two_packet, reference_dyson_stack
 
@@ -74,7 +75,7 @@ def test_dyson_free_row_honours_hbar(free_params):
     p = replace(free_params, hbar=0.5, lam=1e-3)
     g = SpatialGrid.symmetric(64.0, 2048)
     t = 5.0
-    run, _ = pt.dyson_run(p, t, form_factor_pair(p, g, 1), g, n_max=1)
+    run, _ = pt.dyson_run(p, t, form_factor_pair(p, g, 1), g, 1, pt.default_duhamel_step(p))
     e00 = p.hbar * p.omega  # two oscillators at hbar omega / 2 each
     exact = np.exp(-1j * e00 * t / p.hbar) * free_two_packet(g.points, t, p.sigma, p.P0,
                                                               p.hbar, p.M)
@@ -370,7 +371,7 @@ def test_non_finite_joint_block_raises_at_next_requested_time(reduced_collinear,
     with pytest.raises(NormDriftError, match="non-finite") as info:
         pt.dyson_run(p, t, ff, reduced_grid, 1, 0.2, snapshot_times)
     err = info.value
-    _, first, steps = pt._segments(t, snapshot_times, 0.2)[0]
+    _, first, steps = time_segments(0.0, t, snapshot_times, 0.2)[0]
     assert err.t == first and err.n_max == 1 and not math.isfinite(err.norm)
     assert len(calls) == steps
 
@@ -425,7 +426,7 @@ def test_non_finite_form_factor_table_rejected(reduced_collinear, reduced_grid):
     values = ff1.values.copy()
     values[1, 0, reduced_grid.n_points // 2] = np.nan
     with pytest.raises(ValueError, match="not finite"):
-        pt.dyson_run(p, 1.5 * p.tau2, (replace(ff1, values=values), ff2), reduced_grid, 1)
+        pt.dyson_run(p, 1.5 * p.tau2, (replace(ff1, values=values), ff2), reduced_grid, 1, 0.2)
 
 
 def test_failed_dyson_run_leaves_no_reference_cycle(reduced_collinear, reduced_grid,
