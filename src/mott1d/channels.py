@@ -47,7 +47,6 @@ raises.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -55,16 +54,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    NORM_TOLERANCE,
     ComplexField,
     GridError,
     ModelParams,
-    NormDriftError,
     OscillatorBasis,
     QuadratureError,
     SpatialGrid,
     TruncationError,
     _at_breach,
+    check_norm,
     hermite_functions,
     kinetic_phase,
     l2_norm,
@@ -471,14 +469,8 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
 
 
 def _health_check(state: ChannelState, config: PropagatorConfig, norm0: float) -> None:
-    # written as "not ok" so that a NaN, which compares False, fails
     norm = state.norm()
-    drift = abs(norm - norm0)
-    if not drift <= NORM_TOLERANCE:
-        what = ("non-finite amplitudes" if not math.isfinite(norm)
-                else f"norm drift {drift:.3e} exceeds {NORM_TOLERANCE:.1e}")
-        raise _at_breach(NormDriftError(f"{what} at t={state.t:.6g}"),
-                         state.t, norm, state.n_max)
+    check_norm(norm, norm, norm0, state.t, state.n_max)
     top = state.top_shell_norm()
     if not top <= config.top_shell_threshold:
         raise _at_breach(TruncationError(
@@ -517,14 +509,3 @@ def evolve_with_escalation(params: ModelParams, grid: SpatialGrid, config: Propa
                 raise
             attempts.append({"n_max": err.n_max, "t": err.t, "top_shell_norm": err.norm})
             cfg = replace(cfg, n_max=cfg.n_max + 2)
-
-
-# ---------------------------------------------------------------------------
-# exports
-
-
-def probability_summary(state: ChannelState) -> dict:
-    """JSON-ready probability summary {t, probabilities: {"n1,n2": P}}."""
-    probs = channel_probabilities(state)
-    return {"t": state.t,
-            "probabilities": {f"{n1},{n2}": p for (n1, n2), p in sorted(probs.items())}}

@@ -1,4 +1,4 @@
-"""Command-line entry point: regime / run / sweep / plotdata.
+"""Command-line entry point: regime / run / sweep.
 
 The only module with side effects.  A run directory receives deterministic
 result files (JSON report, CSV tables, field dumps) and, written last and
@@ -8,7 +8,7 @@ across reruns of the same config; wall-clock data lives only in the
 manifest.
 
 Exit codes: 0 ok/valid regime, 1 marginal regime, 2 invalid regime,
-64 config error, 70 internal numeric failure.
+64 config or usage error, 70 internal numeric failure.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
-
-import numpy as np
 
 from . import __version__
 from . import channels as ch
@@ -362,10 +360,6 @@ def cmd_run(config: RunConfig, manifest: _Manifest) -> int:
                     for xj, v in zip(state.grid.points, state.amplitudes[n1, n2]))
             _write_csv(out_dir / "snapshot.csv", ["x", "n1", "n2", "re_f", "im_f"], rows)
             manifest.add_output("snapshot.csv")
-    summary_state = report.oracle_states.get(max(report.spec.eval_times))
-    if summary_state is not None:
-        _write_json(out_dir / "probability_summary.json", ch.probability_summary(summary_state))
-        manifest.add_output("probability_summary.json")
 
     manifest.data["convergence"] = {
         name: dict(run.convergence) for name, run in sorted(report.engines.items())}
@@ -392,39 +386,6 @@ def cmd_sweep(config: RunConfig, manifest: _Manifest) -> int:
     manifest.data["convergence"] = {"slope": fit.slope, "residual_max": fit.residual_max}
     manifest.finish("ok")
     print(f"sweep complete: {out_dir} (slope {fit.slope:.6f})")
-    return EXIT_OK
-
-
-def cmd_plotdata(run_dir: str) -> int:
-    run_path = Path(run_dir)
-    manifest_path = run_path / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"missing manifest: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    run_id = manifest.get("run_id", "unknown")
-    plot_dir = run_path / "plot"
-    plot_dir.mkdir(exist_ok=True)
-    written = []
-    for name in manifest.get("outputs", []):
-        src = run_path / name
-        if name.startswith("field_") and name.endswith(".csv") and src.exists():
-            data = np.loadtxt(src, delimiter=",", skiprows=1)
-            dest = plot_dir / ("density" + name[len("field"):-4] + ".txt")
-            with open(dest, "w") as fh:
-                fh.write(f"# run {run_id}: x, density\n")
-                for x, re, im in data:
-                    fh.write(f"{x:.17e} {re * re + im * im:.17e}\n")
-            written.append(dest)
-        elif name == "sweep.csv" and src.exists():
-            rows = [line.split(",") for line in src.read_text().splitlines()[1:]]
-            dest = plot_dir / "sweep_loglog.txt"
-            with open(dest, "w") as fh:
-                fh.write(f"# run {run_id}: lambda, p\n")
-                for row in rows:
-                    fh.write(f"{float(row[0]):.17e} {float(row[2]):.17e}\n")
-            written.append(dest)
-    for dest in written:
-        print(dest)
     return EXIT_OK
 
 
@@ -455,9 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", default="mott-sweep", metavar="DIR")
     sweep.add_argument("--engine", choices=["pt", "oracle", "both"], default=None)
     sweep.add_argument("--format", choices=["json", "csv"], action="append", default=None)
-
-    plot = sub.add_parser("plotdata", help="Export gnuplot-ready columns from a run dir.")
-    plot.add_argument("run_dir", metavar="DIR")
     return parser
 
 
@@ -490,11 +448,16 @@ def _failed(manifest: _Manifest | None, err: Exception) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exit_:
+        # argparse exits 2 on a usage error, the invalid-regime code; --help
+        # and --version exit 0
+        if exit_.code == 2:
+            return EXIT_CONFIG
+        raise
     manifest = None
     try:
-        if args.command == "plotdata":
-            return cmd_plotdata(args.run_dir)
         raw = _apply_overrides(read_config(args.config), args)
         # from here on a run or sweep records a bad value or a numeric
         # failure in its manifest

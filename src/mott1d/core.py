@@ -62,6 +62,18 @@ def _at_breach(err: RuntimeError, t: float, norm: float, n_max: int) -> RuntimeE
     return err
 
 
+def check_norm(held: float, total: float, norm0: float, t: float, n_max: int) -> None:
+    """Raise NormDriftError unless the norm ``held`` stays within
+    NORM_TOLERANCE of norm0 and ``total``, the norm of every amplitude, is
+    finite; written as "not ok" so that a NaN, which compares False, fails.
+    Both engines call it with norms they already hold."""
+    drift = abs(held - norm0)
+    if not (drift <= NORM_TOLERANCE and math.isfinite(total)):
+        what = ("non-finite amplitudes" if not math.isfinite(total)
+                else f"norm drift {drift:.3e} exceeds {NORM_TOLERANCE:.1e}")
+        raise _at_breach(NormDriftError(f"{what} at t={t:.6g}"), t, total, n_max)
+
+
 def _require_positive(**kwargs: float) -> None:
     for name, value in kwargs.items():
         if not (value > 0) or not math.isfinite(value):

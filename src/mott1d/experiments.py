@@ -30,6 +30,7 @@ from .core import (
     dimensionless_group,
     history_sums,
     suggest_grid,
+    time_segments,
 )
 
 OPPOSITE = "opposite"
@@ -280,8 +281,12 @@ def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid,
     final, states, escalations = ch.evolve_with_escalation(
         spec.params, grid, config, t_max, form_factors, snapshot_times=spec.eval_times)
     wall = time.perf_counter() - t0
+    # the step evolve took to each requested time, on the same time grid
+    segments = [{"t": end, "dt": (end - start) / steps, "steps": steps}
+                for start, end, steps in time_segments(0.0, t_max, spec.eval_times, config.dt)]
     convergence = {
         "dt": config.dt,
+        "segments": segments,
         "n_max": final.n_max,
         "escalations": escalations,
         "top_shell_norm": final.top_shell_norm(),

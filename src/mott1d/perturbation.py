@@ -54,13 +54,11 @@ import numpy as np
 
 from .channels import ChannelState, FormFactorTable, channel_probabilities
 from .core import (
-    NORM_TOLERANCE,
     ModelParams,
-    NormDriftError,
     OscillatorBasis,
     QuadratureError,
     SpatialGrid,
-    _at_breach,
+    check_norm,
     history_sums,
     kinetic_phase,
     l2_norm,
@@ -119,18 +117,6 @@ def _propagate(st: np.ndarray, phase: np.ndarray) -> np.ndarray:
     f = np.fft.fft(st, axis=-1)
     f *= phase
     return np.fft.ifft(f, axis=-1)
-
-
-def _check_rows(rows: np.ndarray, t: float, norm0: float, n_max: int, dx: float) -> None:
-    """Raise NormDriftError unless psi = rows[0] keeps its norm norm0 to
-    NORM_TOLERANCE and every row is finite; written as "not ok" so that a
-    NaN, which compares False, fails."""
-    drift = abs(l2_norm(rows[0], dx) - norm0)
-    if not (drift <= NORM_TOLERANCE and np.isfinite(rows).all()):
-        norm = l2_norm(rows, dx)
-        what = ("non-finite amplitudes" if not math.isfinite(norm)
-                else f"free-packet norm drift {drift:.3e} exceeds {NORM_TOLERANCE:.1e}")
-        raise _at_breach(NormDriftError(f"{what} at t={t:.6g}"), t, norm, n_max)
 
 
 def dyson_run(params: ModelParams, t_final: float,
@@ -217,7 +203,7 @@ def dyson_run(params: ModelParams, t_final: float,
         amplitudes = np.empty((n + 1, n + 1, grid.n_points), dtype=np.complex128)
         amplitudes[0, 0], amplitudes[1:, 0], amplitudes[0, 1:] = st[0], st[1:1 + n], st[1 + n:]
         amplitudes[1:, 1:] = np.fft.ifft(joint, axis=-1)
-        _check_rows(amplitudes.reshape(-1, grid.n_points), t, norm0, n, grid.dx)
+        check_norm(l2_norm(st[0], grid.dx), l2_norm(amplitudes, grid.dx), norm0, t, n)
         return ChannelState(t, grid, amplitudes)
 
     at_time: dict[float, ChannelState] = {}
@@ -243,7 +229,8 @@ def dyson_run(params: ModelParams, t_final: float,
                                                  advance, tau if step == 1 else None))
                     st = _propagate(st, kin_half if step == n_steps else kin_full)
                     if step % HEALTH_STRIDE == 0 and step < n_steps:
-                        _check_rows(st, start + step * h, norm0, n, grid.dx)
+                        check_norm(l2_norm(st[0], grid.dx), l2_norm(st, grid.dx), norm0,
+                                   start + step * h, n)
                 while in_flight:
                     in_flight.popleft().result()
                 # c from a copy of the accumulator, except at the end

@@ -13,6 +13,7 @@ import mott1d.channels as ch
 import mott1d.experiments as ex
 from mott1d.core import (
     ModelParams,
+    NormDriftError,
     OscillatorBasis,
     QuadratureError,
     SpatialGrid,
@@ -405,7 +406,7 @@ def test_nonfinite_amplitude_fails_within_one_stride(reduced_collinear, reduced_
     state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
     mid, _ = ch.evolve(state, p, reduced_config, 0.5 * p.tau2, ff)
     mid.amplitudes[0, 0, reduced_grid.n_points // 2] = np.nan
-    with pytest.raises(ch.NormDriftError, match="non-finite") as info:
+    with pytest.raises(NormDriftError, match="non-finite") as info:
         ch.evolve(mid, p, reduced_config, 1.5 * p.tau2, ff)
     assert mid.t < info.value.t <= mid.t + ch.HEALTH_STRIDE * reduced_config.dt * (1 + 1e-12)
 

@@ -207,6 +207,18 @@ def test_regime_exit_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_usage_error_is_a_config_error(tmp_path, capsys):
+    # argparse's own exit code, 2, would read as an invalid regime
+    assert cli.main(["run"]) == cli.EXIT_CONFIG
+    assert cli.main(["plotdata", str(tmp_path)]) == cli.EXIT_CONFIG
+    path = write_config(tmp_path, scenario={"case": "collinear", "epsilon": 0.1,
+                                            "lambda0": 0.5})
+    assert cli.main(["regime", "--config", str(path)]) == cli.EXIT_INVALID
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--version"])
+    assert info.value.code == 0
+
+
 def test_regime_writes_report_file(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"
@@ -228,15 +240,28 @@ def pt_run(tmp_path_factory):
     return cfg, out
 
 
-def test_run_produces_expected_files(pt_run):
-    _, out = pt_run
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "ok"
-    assert manifest["outputs"]
-    for name in manifest["outputs"]:
-        assert (out / name).exists(), name
-    assert (out / "report.json").exists()
-    assert (out / "probabilities_pt.csv").exists()
+@pytest.fixture(scope="module")
+def both_run(tmp_path_factory):
+    # both engines, every oracle output
+    tmp = tmp_path_factory.mktemp("cli-both")
+    cfg = write_config(tmp, scenario={"engine": "both"}, numerics={"n_max": 2},
+                       output={"channel_snapshot": True})
+    out = tmp / "run"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+    return out
+
+
+def test_run_produces_expected_files(pt_run, both_run):
+    # a run directory holds exactly the outputs its manifest lists
+    for out, engines in ((pt_run[1], ["pt"]), (both_run, ["oracle", "pt"])):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok"
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*manifest["outputs"], "manifest.json"])
+        assert "report.json" in manifest["outputs"]
+        for engine in engines:
+            assert f"probabilities_{engine}.csv" in manifest["outputs"]
+    assert "snapshot.csv" in json.loads((both_run / "manifest.json").read_text())["outputs"]
 
 
 def test_run_probability_map_is_subnormalized(pt_run):
@@ -363,8 +388,8 @@ def test_run_failure_message_names_scenario(tmp_path, monkeypatch):
 @pytest.mark.parametrize("lam", [1e-3, 0.0], ids=["coupled", "free"])
 def test_snapshot_csv_and_summary(tmp_path, lam):
     # the oracle's final state, one row per point of every channel that
-    # holds norm (only (0, 0) without coupling), next to its probability
-    # summary
+    # holds norm (only (0, 0) without coupling), next to the report's
+    # probabilities at that time
     params = {"M": 1.0, "m": 0.25, "omega": 0.25, "lambda": lam, "delta": 4.0,
               "sigma": 4.0, "P0": 1.0, "a1": 16.0, "a2": 32.0}
     cfg = write_config(tmp_path, scenario={"engine": "oracle", "params": params},
@@ -374,13 +399,17 @@ def test_snapshot_csv_and_summary(tmp_path, lam):
     assert "snapshot.csv" in json.loads((out / "manifest.json").read_text())["outputs"]
     lines = (out / "snapshot.csv").read_text().splitlines()
     assert lines[0] == "x,n1,n2,re_f,im_f"
-    summary = json.loads((out / "probability_summary.json").read_text())
     report = json.loads((out / "report.json").read_text())
+    oracle = report["engines"]["oracle"]
+    [t] = report["scenario"]["times"]
     # the oracle lands on the requested time itself
-    assert "eval_times" not in report["engines"]["oracle"]["convergence"]
-    assert summary["t"] == report["scenario"]["times"][0]
-    assert sum(summary["probabilities"].values()) == pytest.approx(1.0, abs=1e-8)
-    held = {key for key, p in summary["probabilities"].items() if p != 0.0}
+    assert "eval_times" not in oracle["convergence"]
+    [segment] = oracle["convergence"]["segments"]
+    assert segment["t"] == t
+    assert segment["steps"] * segment["dt"] == pytest.approx(t, rel=1e-12)
+    probabilities = oracle["probabilities"][f"{t:.17g}"]
+    assert sum(probabilities.values()) == pytest.approx(1.0, abs=1e-8)
+    held = {key for key, p in probabilities.items() if p != 0.0}
     assert (held == {"0,0"}) == (lam == 0.0)
     per_channel = {}
     for line in lines[1:]:
@@ -450,28 +479,3 @@ def test_sweep_requires_section(tmp_path):
 def test_sweep_three_points_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, sweep={"lambda0_values": [1e-4, 3e-4, 1e-3]})
     assert_failure_recorded(tmp_path, cfg, "sweep needs >= 4 values")
-
-
-# ---------------------------------------------------------------------------
-# plotdata command
-
-
-def test_plotdata_roundtrip(tmp_path):
-    cfg = write_config(tmp_path, output={"density_channels": [[1, 0]]})
-    out = tmp_path / "run"
-    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
-    assert cli.main(["plotdata", str(out)]) == cli.EXIT_OK
-    density = out / "plot" / "density_1_0.txt"
-    assert density.exists()
-    first = density.read_bytes()
-    header = density.read_text().splitlines()[0]
-    assert header.startswith("# run ")
-    assert cli.main(["plotdata", str(out)]) == cli.EXIT_OK
-    assert density.read_bytes() == first
-
-
-def test_plotdata_missing_manifest(tmp_path, capsys):
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    assert cli.main(["plotdata", str(empty)]) == cli.EXIT_CONFIG
-    assert "manifest" in capsys.readouterr().err

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mott1d.core import (
+    NORM_TOLERANCE,
     ComplexField,
     GridError,
     ModelParams,
+    NormDriftError,
     OscillatorBasis,
     SpatialGrid,
     born_probability,
+    check_norm,
     dimensionless_group,
     free_spread,
     hermite_functions,
@@ -335,3 +338,23 @@ def test_dimensionless_group_recomputes(m, omega, lam, sigma, a1):
 def test_free_spread_law():
     assert free_spread(2.0, 0.0, 1.0, 1.0) == 2.0
     assert free_spread(1.0, 3.0, 1.0, 1.0) == pytest.approx(math.sqrt(10.0))
+
+
+# ---------------------------------------------------------------------------
+# norm check
+
+
+def test_check_norm():
+    # a healthy state passes: the held norm within tolerance, any finite total
+    check_norm(1.0, 1.0, 1.0, 2.5, 3)
+    check_norm(1.0 + 0.5 * NORM_TOLERANCE, 2.0, 1.0, 2.5, 3)
+    with pytest.raises(NormDriftError, match="norm drift .* at t=2.5") as info:
+        check_norm(1.0 + 1e-6, 1.5, 1.0, 2.5, 3)
+    assert (info.value.t, info.value.norm, info.value.n_max) == (2.5, 1.5, 3)
+    # a non-finite total fails even when the held norm has not drifted
+    for total in (math.nan, math.inf):
+        with pytest.raises(NormDriftError, match="non-finite amplitudes") as info:
+            check_norm(1.0, total, 1.0, 4.0, 2)
+        assert info.value.t == 4.0 and info.value.n_max == 2
+    with pytest.raises(NormDriftError, match="non-finite amplitudes"):
+        check_norm(math.nan, math.nan, 1.0, 4.0, 2)

@@ -247,6 +247,27 @@ def test_both_engines_evaluate_at_the_requested_times():
         assert list(run.probabilities) == list(times)
 
 
+@pytest.mark.parametrize("on_grid", [False, True], ids=["off-grid", "on-grid"])
+def test_oracle_records_the_steps_it_took(on_grid):
+    # convergence.segments holds the step evolve took to each requested
+    # time: below dt_oracle when the time is off its grid, dt_oracle on it
+    spec = _reduced_spec("collinear", "oracle", epsilon=0.3)
+    p = spec.params
+    times = (16.0, 34.0) if on_grid else (1.5 * p.tau1, 1.5 * p.tau2)
+    conv = ex.run_scenario(replace(spec, times=times)).engines["oracle"].convergence
+    dt_oracle = spec.numerics.dt_oracle
+    assert conv["dt"] == dt_oracle
+    assert [s["t"] for s in conv["segments"]] == list(times)
+    for start, segment in zip((0.0, *times), conv["segments"]):
+        if on_grid:
+            assert segment["dt"] == dt_oracle
+        else:
+            assert segment["dt"] < dt_oracle
+        assert segment["steps"] * segment["dt"] == pytest.approx(segment["t"] - start,
+                                                                 rel=1e-12)
+    assert json.loads(json.dumps(conv["segments"])) == conv["segments"]
+
+
 def test_run_scenario_keeps_escalated_snapshots():
     # every kept state comes from the attempt that passed, and the last
     # requested time lands on t_final itself
