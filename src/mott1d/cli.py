@@ -7,6 +7,10 @@ flags and the list of produced files.  Result files are byte-identical
 across reruns of the same config; wall-clock data lives only in the
 manifest.
 
+The config file is the one place a run is set: the command line names only
+the config and the output directory, so the manifest's copy of the config
+reproduces the run.
+
 Exit codes: 0 ok/valid regime, 1 marginal regime, 2 invalid regime,
 64 config or usage error, 70 internal numeric failure.
 """
@@ -44,11 +48,10 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # config parsing (strict: unknown keys are rejected by name)
 
-_SCENARIO_KEYS = {"case", "epsilon", "lambda0", "params", "engine", "targets",
-                  "times", "t_factor"}
+_SCENARIO_KEYS = {"case", "epsilon", "lambda0", "params", "engine", "targets", "times"}
 _PARAMS_KEYS = {"M", "m", "omega", "lambda", "delta", "sigma", "P0", "a1", "a2", "hbar"}
 _NUMERICS_KEYS = {f.name for f in fields(ex.NumericSettings)}
-_SWEEP_KEYS = {"lambda_values", "lambda0_values", "target"}
+_SWEEP_KEYS = {"lambda0_values", "target"}
 _OUTPUT_KEYS = {"formats", "density_channels", "channel_snapshot"}
 _TOP_KEYS = {"scenario", "numerics", "sweep", "output"}
 
@@ -109,13 +112,8 @@ class RunConfig:
 
         engine = scenario.get("engine", "both")
         targets = _as_list(scenario.get("targets", [[1, 1]]), "scenario.targets", _as_channel)
-        if "times" in scenario and "t_factor" in scenario:
-            raise ConfigError("scenario.times and scenario.t_factor are mutually exclusive")
-        if "times" in scenario:
-            times = _as_list(scenario["times"], "scenario.times", _as_number)
-        else:
-            t_factor = _as_number(scenario.get("t_factor", 1.5), "scenario.t_factor")
-            times = (t_factor * params.tau2,)
+        times = (_as_list(scenario["times"], "scenario.times", _as_number)
+                 if "times" in scenario else None)
 
         numerics = raw.get("numerics", {})
         if not isinstance(numerics, dict):
@@ -143,14 +141,11 @@ class RunConfig:
             if not isinstance(ssec, dict):
                 raise ConfigError("config.sweep must be an object")
             _reject_unknown(ssec, _SWEEP_KEYS, "sweep")
-            if ("lambda_values" in ssec) == ("lambda0_values" in ssec):
-                raise ConfigError("sweep needs exactly one of lambda_values / lambda0_values")
-            if "lambda_values" in ssec:
-                sweep_values = _as_list(ssec["lambda_values"], "sweep.lambda_values", _as_number)
-            else:
-                scale = params.M * params.v0 ** 2
-                sweep_values = tuple(scale * v for v in _as_list(
-                    ssec["lambda0_values"], "sweep.lambda0_values", _as_number))
+            if "lambda0_values" not in ssec:
+                raise ConfigError("sweep.lambda0_values is required")
+            scale = params.M * params.v0 ** 2
+            sweep_values = tuple(scale * v for v in _as_list(
+                ssec["lambda0_values"], "sweep.lambda0_values", _as_number))
             if len(sweep_values) < 4:
                 raise ConfigError(f"sweep needs >= 4 values, got {len(sweep_values)}")
             if "target" in ssec:
@@ -164,6 +159,9 @@ class RunConfig:
         density_channels = _as_list(output.get("density_channels", [[0, 0], [1, 0]]),
                                     "output.density_channels", _as_channel)
         snapshot = bool(output.get("channel_snapshot", False))
+        if snapshot and spec.engine == "pt":
+            raise ConfigError("output.channel_snapshot needs the oracle's channel stack: "
+                              "set scenario.engine to 'oracle' or 'both'")
 
         return cls(spec=spec, sweep_values=sweep_values, sweep_target=sweep_target,
                    formats=formats, density_channels=density_channels,
@@ -201,8 +199,9 @@ def _as_list(value: Any, where: str, entry: Callable[[Any, str], Any]) -> tuple:
 
 def _as_channel(value: Any, where: str) -> tuple[int, int]:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in value)):
-        raise ConfigError(f"{where} entries must be [n1, n2] integer pairs, got {value!r}")
+            or any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in value)):
+        raise ConfigError(f"{where} entries must be [n1, n2] pairs of non-negative "
+                          f"integers, got {value!r}")
     return (value[0], value[1])
 
 
@@ -245,14 +244,6 @@ def _run_id(raw_config: dict) -> str:
     return hashlib.sha256((canonical + __version__).encode()).hexdigest()[:16]
 
 
-def _fixture_versions() -> dict[str, str]:
-    try:
-        return {name: entry.get("oracle_run_id", "")
-                for name, entry in ex.load_thresholds().items()}
-    except (FileNotFoundError, json.JSONDecodeError):
-        return {}
-
-
 class _Manifest:
     """Collects run metadata; written atomically, last, at most once."""
 
@@ -264,7 +255,6 @@ class _Manifest:
             "run_id": _run_id(raw_config),
             "package_version": __version__,
             "config": raw_config,
-            "fixture_versions": _fixture_versions(),
             "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "status": "running",
             "outputs": [],
@@ -408,26 +398,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="Evaluate one scenario and persist results.")
     run.add_argument("--config", required=True, metavar="JSON")
     run.add_argument("--out", default="mott-run", metavar="DIR")
-    run.add_argument("--engine", choices=["pt", "oracle", "both"], default=None)
-    run.add_argument("--format", choices=["json", "csv"], action="append", default=None)
 
     sweep = sub.add_parser("sweep", help="Coupling sweep with a log-log fit.")
     sweep.add_argument("--config", required=True, metavar="JSON")
     sweep.add_argument("--out", default="mott-sweep", metavar="DIR")
-    sweep.add_argument("--engine", choices=["pt", "oracle", "both"], default=None)
-    sweep.add_argument("--format", choices=["json", "csv"], action="append", default=None)
     return parser
-
-
-def _apply_overrides(raw: dict, args: argparse.Namespace) -> dict:
-    """Fold CLI flag overrides into the raw config so the manifest's embedded
-    config reproduces the run exactly (config round-trip contract).  A
-    section that is not an object is left for the parse to reject."""
-    if getattr(args, "engine", None) and isinstance(raw.get("scenario"), dict):
-        raw["scenario"]["engine"] = args.engine
-    if getattr(args, "format", None) and isinstance(raw.setdefault("output", {}), dict):
-        raw["output"]["formats"] = list(dict.fromkeys(args.format))
-    return raw
 
 
 # GridError is a ValueError but signals a numeric failure (grid too narrow);
@@ -458,7 +433,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         raise
     manifest = None
     try:
-        raw = _apply_overrides(read_config(args.config), args)
+        raw = read_config(args.config)
         # from here on a run or sweep records a bad value or a numeric
         # failure in its manifest
         if args.command != "regime":

@@ -129,7 +129,6 @@ class NumericSettings:
     """Engine knobs; None means derive from the parameters."""
 
     n_points: int | None = None
-    x_max: float | None = None
     n_max: int = 4
     dt_oracle: float = 0.5
     dt_duhamel: float | None = None
@@ -175,20 +174,13 @@ class ScenarioSpec:
             n1, n2 = tgt
             if n1 < 0 or n2 < 0 or (n1 == 0 and n2 == 0):
                 raise ValueError(f"target {tgt} must name an excited channel")
-        if self.numerics.x_max is not None and self.numerics.n_points is None:
-            raise ValueError("numerics.x_max needs numerics.n_points: "
-                             "alone it would be replaced by the suggested grid")
 
     @property
     def eval_times(self) -> tuple[float, ...]:
         return (1.5 * self.params.tau2,) if self.times is None else self.times
 
     def grid(self) -> SpatialGrid:
-        num = self.numerics
-        t_max = max(self.eval_times)
-        if num.x_max is not None:
-            return SpatialGrid.symmetric(num.x_max, num.n_points)
-        return suggest_grid(self.params, t_max, n_points=num.n_points)
+        return suggest_grid(self.params, max(self.eval_times), n_points=self.numerics.n_points)
 
 
 @dataclass
@@ -525,9 +517,9 @@ def fixtures_dir() -> Path:
     return Path(__file__).resolve().parent / "fixtures"
 
 
-def load_thresholds(path: Path | None = None) -> dict[str, dict]:
+def load_thresholds() -> dict[str, dict]:
     """Frozen acceptance thresholds {name: {value, oracle_run_id, date}}."""
-    p = path or (fixtures_dir() / "thresholds.json")
+    p = fixtures_dir() / "thresholds.json"
     if not p.exists():
         raise FileNotFoundError(
             f"threshold fixture {p} not found; run scripts/freeze_thresholds.py "
@@ -536,8 +528,8 @@ def load_thresholds(path: Path | None = None) -> dict[str, dict]:
     return {e["threshold_name"]: e for e in entries}
 
 
-def threshold_value(name: str, path: Path | None = None) -> float:
-    entry = load_thresholds(path).get(name)
+def threshold_value(name: str) -> float:
+    entry = load_thresholds().get(name)
     if entry is None:
         raise KeyError(f"threshold {name!r} missing from fixture file")
     return entry["value"]

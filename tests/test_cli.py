@@ -117,22 +117,6 @@ def test_params_missing_field(tmp_path):
     assert_failure_recorded(tmp_path, path, "missing")
 
 
-def test_times_and_t_factor_conflict(tmp_path):
-    path = write_config(tmp_path, scenario={"case": "collinear", "times": [10.0],
-                                            "t_factor": 2.0})
-    with pytest.raises(cli.ConfigError, match="mutually exclusive"):
-        parse(path)
-    assert_failure_recorded(tmp_path, path, "mutually exclusive")
-
-
-def test_x_max_without_n_points_rejected(tmp_path):
-    # the suggested grid would silently replace the requested half-width
-    path = write_config(tmp_path, numerics={"x_max": 500.0})
-    with pytest.raises(cli.ConfigError, match="x_max needs numerics.n_points"):
-        parse(path)
-    assert_failure_recorded(tmp_path, path, "x_max needs numerics.n_points")
-
-
 def test_type_errors_are_reported(tmp_path):
     path = write_config(tmp_path, scenario={"case": "collinear", "epsilon": "big"})
     with pytest.raises(cli.ConfigError, match="scenario.epsilon"):
@@ -148,20 +132,38 @@ def test_type_errors_are_reported(tmp_path):
     ("scenario", "times", 5, "scenario.times"),
     ("scenario", "times", [], "times must not be empty"),
     ("scenario", "targets", 5, "scenario.targets"),
-    ("sweep", "lambda_values", 5, "sweep.lambda_values"),
     ("sweep", "lambda0_values", 5, "sweep.lambda0_values"),
     ("output", "density_channels", 5, "output.density_channels"),
     ("output", "formats", 5, "output.formats"),
     # json reads the Infinity and NaN that json.dumps writes
     ("scenario", "times", [float("inf")], "scenario.times must be a finite number"),
-    ("scenario", "t_factor", float("nan"), "scenario.t_factor must be a finite number"),
-], ids=["times", "times-empty", "targets", "lambda_values", "lambda0_values",
-        "density_channels", "formats", "times-infinity", "t_factor-nan"])
+    # a negative index would read the stack from its far end
+    ("output", "density_channels", [[-1, 0], [2, 0]], "output.density_channels"),
+    # a PT-only run has no channel stack to write
+    ("output", "channel_snapshot", True, "output.channel_snapshot"),
+    # a setting has one spelling: any other is an unknown key
+    ("scenario", "t_factor", 1.5, "scenario.'t_factor'"),
+    ("sweep", "lambda_values", [1e-4, 2.5e-4, 5e-4, 1e-3], "sweep.'lambda_values'"),
+    ("numerics", "x_max", 500.0, "numerics.'x_max'"),
+], ids=["times", "times-empty", "targets", "lambda0_values", "density_channels",
+        "formats", "times-infinity", "density_channels-negative", "snapshot-pt",
+        "removed-t_factor", "removed-lambda_values", "removed-x_max"])
 def test_list_keys_must_be_lists(tmp_path, section, key, value, match):
     path = write_config(tmp_path, **{section: {key: value}})
     with pytest.raises(cli.ConfigError, match=match):
         parse(path)
     assert_failure_recorded(tmp_path, path, match)
+
+
+def test_readme_configs_parse():
+    # the example config block and the inline time-window config, so the
+    # docs cannot name a key the parser rejects
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    inline = re.findall(r'`(\{"scenario".*?\})`', text, re.S)
+    assert blocks and inline
+    for block in [*blocks, *inline]:
+        cli.RunConfig.from_dict(json.loads(block))
 
 
 def test_empty_targets_rejected_by_sweep(tmp_path, capsys):
@@ -213,6 +215,11 @@ def test_usage_error_is_a_config_error(tmp_path, capsys):
     assert cli.main(["plotdata", str(tmp_path)]) == cli.EXIT_CONFIG
     path = write_config(tmp_path, scenario={"case": "collinear", "epsilon": 0.1,
                                             "lambda0": 0.5})
+    # the config file is the one settings path: no flag overrides it
+    for flag, value in (("--engine", "pt"), ("--format", "csv")):
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "run"),
+                         flag, value]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
     assert cli.main(["regime", "--config", str(path)]) == cli.EXIT_INVALID
     with pytest.raises(SystemExit) as info:
         cli.main(["--version"])
@@ -301,17 +308,6 @@ def test_run_unwritable_out_dir(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_engine_override_lands_in_manifest(tmp_path):
-    cfg = write_config(tmp_path, scenario={"case": "collinear", "engine": "both"})
-    out = tmp_path / "run-pt"
-    assert cli.main(["run", "--config", str(cfg), "--out", str(out),
-                     "--engine", "pt"]) == cli.EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["scenario"]["engine"] == "pt"
-    report = json.loads((out / "report.json").read_text())
-    assert list(report["engines"]) == ["pt"]
-
-
 def test_manifest_config_round_trip(pt_run, tmp_path):
     # the config embedded in the manifest reproduces the results byte-for-byte
     _, out = pt_run
@@ -349,8 +345,8 @@ def test_run_pt_non_finite_exit_and_manifest(tmp_path, monkeypatch):
 
     monkeypatch.setattr(perturbation, "_add_spectrum", poisoned)
     out = tmp_path / "fail"
-    code = cli.main(["run", "--config", str(write_config(tmp_path)), "--out", str(out),
-                     "--engine", "pt"])
+    cfg = write_config(tmp_path, scenario={"engine": "pt"})
+    code = cli.main(["run", "--config", str(cfg), "--out", str(out)])
     assert code == cli.EXIT_NUMERIC
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
@@ -426,13 +422,12 @@ def test_snapshot_csv_and_summary(tmp_path, lam):
 
 def test_bad_value_exit_code_same_for_run_and_sweep(tmp_path, capsys):
     # n_max = 0 passes config parsing and fails before any propagation
-    cfg = write_config(tmp_path, numerics={"n_max": 0},
-                       sweep={"lambda0_values": [1e-4, 2.5e-4, 5e-4, 1e-3]})
     for command in ("run", "sweep"):
         for engine in ("pt", "oracle"):
+            cfg = write_config(tmp_path, scenario={"engine": engine}, numerics={"n_max": 0},
+                               sweep={"lambda0_values": [1e-4, 2.5e-4, 5e-4, 1e-3]})
             out = tmp_path / f"{command}_{engine}"
-            code = cli.main([command, "--config", str(cfg), "--out", str(out),
-                             "--engine", engine])
+            code = cli.main([command, "--config", str(cfg), "--out", str(out)])
             assert code == cli.EXIT_CONFIG, (command, engine)
             assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
     assert "n_max" in capsys.readouterr().err
@@ -459,10 +454,11 @@ def test_sweep_target_beyond_n_max_fails_before_solving(tmp_path, capsys, monkey
 
     monkeypatch.setattr(perturbation, "converged_dyson_run", solve)
     monkeypatch.setattr(channels, "evolve_with_escalation", solve)
-    cfg = write_config(tmp_path, sweep={"lambda0_values": [1e-4, 2.5e-4, 5e-4, 1e-3],
-                                        "target": [2, 2]})
+    cfg = write_config(tmp_path, scenario={"engine": engine},
+                       sweep={"lambda0_values": [1e-4, 2.5e-4, 5e-4, 1e-3],
+                              "target": [2, 2]})
     out = tmp_path / "sweep"
-    code = cli.main(["sweep", "--config", str(cfg), "--out", str(out), "--engine", engine])
+    code = cli.main(["sweep", "--config", str(cfg), "--out", str(out)])
     assert code == cli.EXIT_CONFIG
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "failed"
