@@ -4,13 +4,21 @@
 The asymptotic suppression statements ("negligible", "beyond all orders")
 have no closed-form constants, so the acceptance suite compares against
 numbers frozen here: each threshold is the value this documented
-coupled-channel run measured, times a generous safety margin.  The fixture
-records the run id so any later regeneration is traceable.  The frozen
-values came from the plain Strang oracle at dt 0.1, before the oracle took
-composed fourth-order steps.
+coupled-channel run measured, times a generous safety margin (MARGIN for
+the two suppression ratios; the slope band and the mass floor are fixed).
+The fixture records the run id, a hash of the acceptance settings and the
+package version, so any later regeneration is traceable.
+
+Provenance of tests/fixtures/thresholds.json: its run id 63f832110c176a57
+is this script's hash of the first release's acceptance settings (2^14
+points, n_max 4, dt_oracle 0.1, dt_duhamel 0.2, with the since-removed
+numerics.x_max unset), so its values come from the plain Strang oracle at
+dt 0.1, before the oracle took composed fourth-order steps.  They are kept
+frozen.  Run today, the script hashes the current acceptance_numerics() to
+46f83853bcf2c46a, runs the current oracle and writes new values.
 
 Usage:
-    python scripts/freeze_thresholds.py [--out src/mott1d/fixtures/thresholds.json]
+    python scripts/freeze_thresholds.py [--out tests/fixtures/thresholds.json]
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ MARGIN = 1e6  # measured suppression ratios get six orders of headroom
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=str(Path(__file__).resolve().parents[1]
-                                             / "src/mott1d/fixtures/thresholds.json"))
+                                             / "tests/fixtures/thresholds.json"))
     args = parser.parse_args()
 
     t0 = time.perf_counter()

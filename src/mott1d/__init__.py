@@ -11,10 +11,8 @@ from .core import (
     TruncationError,
     born_probability,
     free_spread,
-    make_gaussian_packet,
     make_spherical_wave_1d,
     suggest_grid,
-    uncertainty_product,
 )
 from .channels import (
     ChannelState,
@@ -35,7 +33,6 @@ from .experiments import (
     NumericSettings,
     check_regime,
     default_params,
-    load_thresholds,
     run_scenario,
     sweep_lambda,
 )

@@ -158,7 +158,14 @@ class RunConfig:
         formats = _as_list(output.get("formats", ["json", "csv"]), "output.formats", _as_format)
         density_channels = _as_list(output.get("density_channels", [[0, 0], [1, 0]]),
                                     "output.density_channels", _as_channel)
-        snapshot = bool(output.get("channel_snapshot", False))
+        n_max = spec.numerics.n_max
+        for channel in density_channels:
+            if max(channel) > n_max:
+                raise ConfigError(f"output.density_channels entry {list(channel)} lies above "
+                                  f"numerics.n_max={n_max}")
+        snapshot = output.get("channel_snapshot", False)
+        if not isinstance(snapshot, bool):
+            raise ConfigError(f"output.channel_snapshot must be true or false, got {snapshot!r}")
         if snapshot and spec.engine == "pt":
             raise ConfigError("output.channel_snapshot needs the oracle's channel stack: "
                               "set scenario.engine to 'oracle' or 'both'")
@@ -302,16 +309,13 @@ def cmd_regime(config: RunConfig, out: str | None) -> int:
 
 def _dump_fields(config: RunConfig, report: ex.ExcitationReport, manifest: _Manifest) -> None:
     t_last = max(report.spec.eval_times)
+    # the parser keeps every channel within numerics.n_max, which both
+    # engines' final stacks hold
     for n1, n2 in config.density_channels:
-        channel_field = None
         if report.oracle_states:
-            state = report.oracle_states[t_last]
-            if n1 <= state.n_max and n2 <= state.n_max:
-                channel_field = state.channel_field(n1, n2)
-        elif (n1, n2) in report.pt_fields:
+            channel_field = report.oracle_states[t_last].channel_field(n1, n2)
+        else:
             channel_field = report.pt_fields[(n1, n2)]
-        if channel_field is None:
-            continue
         name = f"field_{n1}_{n2}.csv"
         x = channel_field.grid.points
         v = channel_field.values

@@ -1,4 +1,5 @@
-"""Typed errors, grids, wave packets, oscillator eigenbasis and diagnostics.
+"""Typed errors, grids, the initial two-packet state, oscillator eigenbasis
+and the position-space diagnostics.
 
 Model conventions used throughout the package:
 
@@ -18,8 +19,8 @@ Model conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -134,10 +135,6 @@ class ModelParams:
     def tau2(self) -> float:
         """Classical transit time from the origin to a2."""
         return abs(self.a2) / self.v0
-
-    def mirrored(self) -> "ModelParams":
-        """Parameters of the spatially reflected setup (a1, a2) -> (-a1, -a2)."""
-        return replace(self, a1=-self.a1, a2=-self.a2)
 
 
 def dimensionless_group(params: ModelParams, epsilon: float) -> dict[str, float]:
@@ -300,25 +297,6 @@ def suggest_grid(params: ModelParams, t_max: float, n_points: int | None = None)
 # packets
 
 
-def make_gaussian_packet(grid: SpatialGrid, sigma: float, P0: float,
-                         momentum_sign: int = +1, hbar: float = 1.0) -> ComplexField:
-    """Unit-norm Gaussian packet exp(-R^2/2sigma^2) exp(+-i P0 R / hbar).
-
-    Raises GridError when the envelope at the grid edge exceeds
-    ``BOUNDARY_TOL`` of its peak (grid too narrow for this packet).
-    """
-    _require_positive(sigma=sigma, hbar=hbar)
-    if P0 < 0:
-        raise ValueError("P0 must be >= 0; use momentum_sign for the direction")
-    if momentum_sign not in (+1, -1):
-        raise ValueError(f"momentum_sign must be +1 or -1, got {momentum_sign!r}")
-    x = grid.points
-    envelope = np.exp(-x ** 2 / (2.0 * sigma ** 2)) / math.sqrt(sigma)
-    _check_boundary(grid, envelope)
-    psi = envelope * np.exp(1j * momentum_sign * P0 * x / hbar)
-    return ComplexField(grid, psi).normalized()
-
-
 def make_spherical_wave_1d(grid: SpatialGrid, sigma: float, P0: float,
                            hbar: float = 1.0) -> ComplexField:
     """The 1D stand-in for an isotropically emitted wave: psi+ + psi-.
@@ -389,11 +367,6 @@ class OscillatorBasis:
     def energies(self) -> np.ndarray:
         return self.hbar * self.omega * (np.arange(self.n_max + 1) + 0.5)
 
-    def eigenfunctions(self, r: np.ndarray) -> np.ndarray:
-        """All phi_0..phi_n_max evaluated at positions r, shape (n_max+1, len(r))."""
-        xi = (np.asarray(r, dtype=float) - self.a) / self.length
-        return hermite_functions(xi, self.n_max) / math.sqrt(self.length)
-
 
 # ---------------------------------------------------------------------------
 # diagnostics
@@ -444,33 +417,3 @@ def history_sums(pmap: Mapping[tuple[int, int], float]) -> dict[str, float]:
             sums["both"] += p
     return sums
 
-
-class UncertaintyResult(NamedTuple):
-    delta_x: float
-    delta_p: float
-    product: float
-
-
-def uncertainty_product(psi: ComplexField, hbar: float = 1.0) -> UncertaintyResult:
-    """Position and momentum spreads; the momentum side is spectral.
-
-    Momentum moments come from the discrete Fourier transform with
-    p = hbar * k, normalized so the k-space density integrates to one.
-    """
-    _check_normalized(psi)
-    grid = psi.grid
-    x = grid.points
-    rho_x = psi.density() * grid.dx
-    mean_x = float(np.sum(rho_x * x))
-    var_x = float(np.sum(rho_x * (x - mean_x) ** 2))
-
-    p = hbar * grid.wavenumbers
-    psi_k = np.fft.fft(psi.values)
-    rho_p = np.abs(psi_k) ** 2
-    rho_p /= rho_p.sum()
-    mean_p = float(np.sum(rho_p * p))
-    var_p = float(np.sum(rho_p * (p - mean_p) ** 2))
-
-    dx_ = math.sqrt(max(var_x, 0.0))
-    dp_ = math.sqrt(max(var_p, 0.0))
-    return UncertaintyResult(delta_x=dx_, delta_p=dp_, product=dx_ * dp_)

@@ -4,18 +4,14 @@ A scenario is one geometry (oscillators on opposite sides of the origin, or
 both on the same side) evaluated by one or both engines: the second-order
 Dyson engine ("pt") and the coupled-channel propagator ("oracle").  The
 harness also owns the dimensionless-regime verdict, the lambda-scaling fits
-and the conditional-localization summary, and loads the frozen numeric
-thresholds used by the acceptance suite (see scripts/freeze_thresholds.py
-for how they were produced).
+and the conditional-localization summary.  The acceptance defaults at the
+end pin the settings that the acceptance suite and the scripts run at.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -185,7 +181,6 @@ class ScenarioSpec:
 
 @dataclass
 class EngineRun:
-    engine: str
     probabilities: dict[float, dict[tuple[int, int], float]]
     histories: dict[float, tuple[float, float, float, float]]
     convergence: dict[str, float | int | bool | str | list]
@@ -259,7 +254,7 @@ def _engine_run(engine: str, states: dict[float, ch.ChannelState],
             none = pmap[(0, 0)]
         probabilities[want] = pmap
         histories[want] = (none, sums["right"], sums["left"], sums["both"])
-    return EngineRun(engine=engine, probabilities=probabilities, histories=histories,
+    return EngineRun(probabilities=probabilities, histories=histories,
                      convergence=convergence, wall_time=wall)
 
 
@@ -505,31 +500,3 @@ def acceptance_scenario(case: str, engine: str = "both") -> ScenarioSpec:
                         times=(1.5 * params.tau1, 1.5 * params.tau2),
                         numerics=acceptance_numerics())
 
-
-# ---------------------------------------------------------------------------
-# frozen thresholds
-
-
-def fixtures_dir() -> Path:
-    override = os.environ.get("MOTT_FIXTURES")
-    if override:
-        return Path(override)
-    return Path(__file__).resolve().parent / "fixtures"
-
-
-def load_thresholds() -> dict[str, dict]:
-    """Frozen acceptance thresholds {name: {value, oracle_run_id, date}}."""
-    p = fixtures_dir() / "thresholds.json"
-    if not p.exists():
-        raise FileNotFoundError(
-            f"threshold fixture {p} not found; run scripts/freeze_thresholds.py "
-            f"or point MOTT_FIXTURES at a directory containing thresholds.json")
-    entries = json.loads(p.read_text())
-    return {e["threshold_name"]: e for e in entries}
-
-
-def threshold_value(name: str) -> float:
-    entry = load_thresholds().get(name)
-    if entry is None:
-        raise KeyError(f"threshold {name!r} missing from fixture file")
-    return entry["value"]

@@ -1,6 +1,8 @@
 """Shared fixtures: a fast reduced-scale scenario family (epsilon = 0.2) for
-module tests, and the full default-scale runs the acceptance suite reuses."""
+module tests, the full default-scale runs the acceptance suite reuses, and
+the frozen acceptance thresholds."""
 
+import json
 import math
 import sys
 from dataclasses import replace
@@ -78,6 +80,15 @@ def reduced_oracle_final(reduced_collinear, reduced_grid, reduced_config, tables
     state = ch.initialize_channels(p, reduced_grid, n_max)
     final, _ = ch.evolve(state, p, reduced_config, 1.5 * p.tau2, tables(p, reduced_grid, n_max))
     return final
+
+
+@pytest.fixture(scope="session")
+def thresholds():
+    """Frozen acceptance thresholds, name -> value, from
+    fixtures/thresholds.json (scripts/freeze_thresholds.py tells their
+    provenance)."""
+    entries = json.loads((Path(__file__).parent / "fixtures" / "thresholds.json").read_text())
+    return {e["threshold_name"]: e["value"] for e in entries}
 
 
 # --- full default-scale fixtures (built lazily; only the acceptance suite

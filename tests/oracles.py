@@ -4,24 +4,32 @@ Most are derived in closed form, separately from the code under test: free
 Gaussian evolution from the exact k-space integral, the two-Gaussian
 convolution for the ground-state form factor, the overlap normalization of
 the two-packet superposition, and high-order finite-difference momentum
-moments.  ``mirror`` (reflection about the origin of a symmetric grid) and
-``free_propagate`` (the free step through ``core.kinetic_phase``) are test
-tools.  ``reference_dyson_stack`` is the plain 41-row (at n_max = 4)
-Dyson kernel with a per-pair Python kick loop and both interaction
-orderings carried separately, kept as the differential reference for the
-production engine.  ``reference_channel_evolve`` is the coupled-channel
-split step with one (n_max+1)^2-dimensional coupling exponential per grid
-point and one unmerged Strang step per stage, the differential reference
-for the per-oscillator oracle.
+moments.  The test tools are ``mirror`` (reflection about the origin of a
+symmetric grid), ``mirrored`` (the reflected parameter set),
+``free_propagate`` (the free step through ``core.kinetic_phase``),
+``make_gaussian_packet`` (one packet, under ``core``'s grid-edge rule),
+``uncertainty_product`` (spectral position and momentum spreads) and
+``eigenfunctions`` (an oscillator basis on arbitrary positions); no run
+calls them, so they live here and not in the package.
+``reference_dyson_stack`` is the plain 41-row (at n_max = 4) Dyson kernel
+with a per-pair Python kick loop and both interaction orderings carried
+separately, kept as the differential reference for the production engine.
+``reference_channel_evolve`` is the coupled-channel split step with one
+(n_max+1)^2-dimensional coupling exponential per grid point and one
+unmerged Strang step per stage, the differential reference for the
+per-oscillator oracle.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
-from mott1d.core import ComplexField, ModelParams, kinetic_phase
+from mott1d.core import (ComplexField, ModelParams, OscillatorBasis, SpatialGrid, _check_boundary,
+                         _check_normalized, hermite_functions, kinetic_phase)
 
 
 def mirror(values: np.ndarray) -> np.ndarray:
@@ -34,6 +42,61 @@ def mirror(values: np.ndarray) -> np.ndarray:
     out[..., 0] = values[..., 0]
     out[..., 1:] = values[..., :0:-1]
     return out
+
+
+def mirrored(params: ModelParams) -> ModelParams:
+    """Parameters of the spatially reflected setup (a1, a2) -> (-a1, -a2)."""
+    return replace(params, a1=-params.a1, a2=-params.a2)
+
+
+def make_gaussian_packet(grid: SpatialGrid, sigma: float, P0: float,
+                         momentum_sign: int = +1, hbar: float = 1.0) -> ComplexField:
+    """Unit-norm Gaussian packet exp(-R^2/2sigma^2) exp(+-i P0 R / hbar).
+
+    Raises GridError when the envelope at the grid edge exceeds
+    ``core.BOUNDARY_TOL`` of its peak (grid too narrow for this packet).
+    """
+    x = grid.points
+    envelope = np.exp(-x ** 2 / (2.0 * sigma ** 2)) / math.sqrt(sigma)
+    _check_boundary(grid, envelope)
+    psi = envelope * np.exp(1j * momentum_sign * P0 * x / hbar)
+    return ComplexField(grid, psi).normalized()
+
+
+class UncertaintyResult(NamedTuple):
+    delta_x: float
+    delta_p: float
+    product: float
+
+
+def uncertainty_product(psi: ComplexField, hbar: float = 1.0) -> UncertaintyResult:
+    """Position and momentum spreads; the momentum side is spectral.
+
+    Momentum moments come from the discrete Fourier transform with
+    p = hbar * k, normalized so the k-space density integrates to one.
+    """
+    _check_normalized(psi)
+    grid = psi.grid
+    x = grid.points
+    rho_x = psi.density() * grid.dx
+    mean_x = float(np.sum(rho_x * x))
+    var_x = float(np.sum(rho_x * (x - mean_x) ** 2))
+
+    p = hbar * grid.wavenumbers
+    rho_p = np.abs(np.fft.fft(psi.values)) ** 2
+    rho_p /= rho_p.sum()
+    mean_p = float(np.sum(rho_p * p))
+    var_p = float(np.sum(rho_p * (p - mean_p) ** 2))
+
+    dx_ = math.sqrt(max(var_x, 0.0))
+    dp_ = math.sqrt(max(var_p, 0.0))
+    return UncertaintyResult(delta_x=dx_, delta_p=dp_, product=dx_ * dp_)
+
+
+def eigenfunctions(basis: OscillatorBasis, r: np.ndarray) -> np.ndarray:
+    """All phi_0..phi_n_max of ``basis`` at positions r, shape (n_max+1, len(r))."""
+    xi = (np.asarray(r, dtype=float) - basis.a) / basis.length
+    return hermite_functions(xi, basis.n_max) / math.sqrt(basis.length)
 
 
 def free_propagate(psi: ComplexField, dt: float, params: ModelParams) -> ComplexField:

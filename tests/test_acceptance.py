@@ -16,8 +16,8 @@ import mott1d.channels as ch
 import mott1d.experiments as ex
 import mott1d.perturbation as pt
 from mott1d import cli
-from mott1d.core import OscillatorBasis, SpatialGrid, born_probability, history_sums, \
-    make_gaussian_packet, uncertainty_product
+from mott1d.core import OscillatorBasis, SpatialGrid, born_probability, history_sums
+from oracles import eigenfunctions, make_gaussian_packet, mirrored, uncertainty_product
 
 LAMBDA0 = ex.ACCEPTANCE_LAMBDA0
 
@@ -34,11 +34,11 @@ def _announce(num: int, text: str) -> None:
 # 1. case asymmetry
 
 
-def test_criterion_1_case_asymmetry(oracle_collinear_full, oracle_opposite_full):
+def test_criterion_1_case_asymmetry(oracle_collinear_full, oracle_opposite_full, thresholds):
     p11_coll = oracle_collinear_full.probability("oracle", (1, 1))
     p11_opp = oracle_opposite_full.probability("oracle", (1, 1))
     ratio = p11_opp / p11_coll
-    threshold = ex.threshold_value("case_ratio_p11_max")
+    threshold = thresholds["case_ratio_p11_max"]
     assert ratio < threshold
     assert ratio < 1e-3  # "well under" sanity bound on top of the fixture
     wall = oracle_collinear_full.wall_time + oracle_opposite_full.wall_time
@@ -69,10 +69,10 @@ def oracle_sweep():
     return ex.sweep_lambda(spec, [1e-4, 2.5e-4, 5e-4, 1e-3])
 
 
-def test_criterion_2_lambda_fourth_power(pt_sweep, oracle_sweep):
+def test_criterion_2_lambda_fourth_power(pt_sweep, oracle_sweep, thresholds):
     assert abs(pt_sweep.slope - 4.0) <= 1e-10
-    lo = ex.threshold_value("oracle_sweep_slope_lo")
-    hi = ex.threshold_value("oracle_sweep_slope_hi")
+    lo = thresholds["oracle_sweep_slope_lo"]
+    hi = thresholds["oracle_sweep_slope_hi"]
     assert lo <= oracle_sweep.slope <= hi
     assert (lo, hi) == (3.9, 4.1)
     assert pt_sweep.residual_max <= 0.02
@@ -98,11 +98,11 @@ def test_criterion_3_engine_equivalence(pt_collinear_full, oracle_collinear_full
 # 4. histories
 
 
-def test_criterion_4_negligible_joint_history(pt_opposite_full):
+def test_criterion_4_negligible_joint_history(pt_opposite_full, thresholds):
     t = _t_final(pt_opposite_full)
     none_, right, left, both = pt_opposite_full.engines["pt"].histories[t]
     ratio = both / min(right, left)
-    threshold = ex.threshold_value("history_both_ratio_max")
+    threshold = thresholds["history_both_ratio_max"]
     assert ratio < threshold
     total = none_ + right + left + both
     assert abs(total - 1.0) <= 10.0 * LAMBDA0 ** 2
@@ -114,13 +114,13 @@ def test_criterion_4_negligible_joint_history(pt_opposite_full):
 # 5. localization
 
 
-def test_criterion_5_localization(oracle_collinear_full):
+def test_criterion_5_localization(oracle_collinear_full, thresholds):
     spec = oracle_collinear_full.spec
     t_loc = min(spec.eval_times)  # 1.5 tau1
     state = oracle_collinear_full.oracle_states[t_loc]
     report = ex.localization_from_state(state, spec.params)
     entry = report.entry((1, 0))
-    floor = ex.threshold_value("localization_min_mass")
+    floor = thresholds["localization_min_mass"]
     assert entry.defined
     assert entry.mass_same_side >= floor >= 0.99
     _announce(5, f"channel (1,0) mass on the excited side = {entry.mass_same_side:.6f} "
@@ -142,7 +142,7 @@ def test_criterion_6_conservation_suite(oracle_collinear_full, oracle_opposite_f
     basis = OscillatorBasis(a=0.0, m=0.1, omega=0.1, hbar=1.0, n_max=10)
     span = 14.0 * basis.length
     grid = SpatialGrid(-span, span, 4096)
-    phi = basis.eigenfunctions(grid.points)
+    phi = eigenfunctions(basis, grid.points)
     gram_defect = float(np.max(np.abs(phi @ phi.T * grid.dx - np.eye(11))))
     assert gram_defect <= 1e-10
 
@@ -155,7 +155,7 @@ def test_criterion_6_conservation_suite(oracle_collinear_full, oracle_opposite_f
     # parity invariance of the probability maps (reduced settings)
     p = reduced_opposite
     maps = {}
-    for tag, params in (("base", p), ("mirrored", p.mirrored())):
+    for tag, params in (("base", p), ("mirrored", mirrored(p))):
         state = ch.initialize_channels(params, reduced_grid, reduced_config.n_max)
         final, _ = ch.evolve(state, params, reduced_config, 1.5 * p.tau2,
                              tables(params, reduced_grid, reduced_config.n_max))

@@ -19,7 +19,8 @@ from mott1d.core import (
     SpatialGrid,
     suggest_grid,
 )
-from oracles import free_two_packet, gaussian_form_factor_00, mirror, reference_channel_evolve
+from oracles import (eigenfunctions, free_two_packet, gaussian_form_factor_00, mirror, mirrored,
+                     reference_channel_evolve)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +104,7 @@ def test_form_factor_against_dense_quadrature(ff_setup):
     params, grid, basis, gaussian = ff_setup
     r = np.linspace(basis.a - 60.0, basis.a + 60.0, 20001)
     dr = r[1] - r[0]
-    phi = basis.eigenfunctions(r)
+    phi = eigenfunctions(basis, r)
     bump = ch.build_form_factors(params, basis, grid, shape="bump")
     for table in (gaussian, bump):
         for j in (grid.n_points // 2 + 80, grid.n_points // 2 + 60):
@@ -184,7 +185,7 @@ def test_mirrored_run_has_identical_probabilities(reduced_opposite, reduced_grid
     t_final = 1.5 * p.tau2
     n_max = reduced_config.n_max
     runs = {}
-    for tag, params in (("base", p), ("mirrored", p.mirrored())):
+    for tag, params in (("base", p), ("mirrored", mirrored(p))):
         state = ch.initialize_channels(params, reduced_grid, n_max)
         final, _ = ch.evolve(state, params, reduced_config, t_final,
                              tables(params, reduced_grid, n_max))

@@ -128,28 +128,34 @@ def test_type_errors_are_reported(tmp_path):
     assert_failure_recorded(tmp_path, path, "n_points")
 
 
-@pytest.mark.parametrize("section, key, value, match", [
-    ("scenario", "times", 5, "scenario.times"),
-    ("scenario", "times", [], "times must not be empty"),
-    ("scenario", "targets", 5, "scenario.targets"),
-    ("sweep", "lambda0_values", 5, "sweep.lambda0_values"),
-    ("output", "density_channels", 5, "output.density_channels"),
-    ("output", "formats", 5, "output.formats"),
+@pytest.mark.parametrize("overrides, match", [
+    ({"scenario": {"times": 5}}, "scenario.times"),
+    ({"scenario": {"times": []}}, "times must not be empty"),
+    ({"scenario": {"targets": 5}}, "scenario.targets"),
+    ({"sweep": {"lambda0_values": 5}}, "sweep.lambda0_values"),
+    ({"output": {"density_channels": 5}}, "output.density_channels"),
+    ({"output": {"formats": 5}}, "output.formats"),
     # json reads the Infinity and NaN that json.dumps writes
-    ("scenario", "times", [float("inf")], "scenario.times must be a finite number"),
+    ({"scenario": {"times": [float("inf")]}}, "scenario.times must be a finite number"),
     # a negative index would read the stack from its far end
-    ("output", "density_channels", [[-1, 0], [2, 0]], "output.density_channels"),
+    ({"output": {"density_channels": [[-1, 0], [2, 0]]}}, "output.density_channels"),
+    # the run's stack holds no channel above n_max (here 1)
+    ({"output": {"density_channels": [[2, 0]]}}, "output.density_channels"),
     # a PT-only run has no channel stack to write
-    ("output", "channel_snapshot", True, "output.channel_snapshot"),
+    ({"output": {"channel_snapshot": True}}, "output.channel_snapshot"),
+    # a snapshot is switched by a json boolean, not by a string that reads as one
+    ({"scenario": {"engine": "oracle"}, "output": {"channel_snapshot": "false"}},
+     "output.channel_snapshot"),
     # a setting has one spelling: any other is an unknown key
-    ("scenario", "t_factor", 1.5, "scenario.'t_factor'"),
-    ("sweep", "lambda_values", [1e-4, 2.5e-4, 5e-4, 1e-3], "sweep.'lambda_values'"),
-    ("numerics", "x_max", 500.0, "numerics.'x_max'"),
+    ({"scenario": {"t_factor": 1.5}}, "scenario.'t_factor'"),
+    ({"sweep": {"lambda_values": [1e-4, 2.5e-4, 5e-4, 1e-3]}}, "sweep.'lambda_values'"),
+    ({"numerics": {"x_max": 500.0}}, "numerics.'x_max'"),
 ], ids=["times", "times-empty", "targets", "lambda0_values", "density_channels",
-        "formats", "times-infinity", "density_channels-negative", "snapshot-pt",
+        "formats", "times-infinity", "density_channels-negative",
+        "density_channels-above-n_max", "snapshot-pt", "snapshot-string",
         "removed-t_factor", "removed-lambda_values", "removed-x_max"])
-def test_list_keys_must_be_lists(tmp_path, section, key, value, match):
-    path = write_config(tmp_path, **{section: {key: value}})
+def test_list_keys_must_be_lists(tmp_path, overrides, match):
+    path = write_config(tmp_path, **overrides)
     with pytest.raises(cli.ConfigError, match=match):
         parse(path)
     assert_failure_recorded(tmp_path, path, match)

@@ -412,31 +412,3 @@ def test_joint_probability_shrinks_with_packet_separation():
                                            ch.form_factor_pair(params, grid, 1), grid, n_max=1)
         p_both.append(history_sums(ch.channel_probabilities(run))["both"])
     assert p_both[0] > p_both[1] > p_both[2] > 0.0
-
-
-# ---------------------------------------------------------------------------
-# thresholds fixture plumbing
-
-
-def test_load_thresholds_env_override(tmp_path, monkeypatch):
-    fixture = [{"threshold_name": "case_ratio_p11_max", "value": 1e-7,
-                "oracle_run_id": "testrun", "date": "2026-01-01"}]
-    (tmp_path / "thresholds.json").write_text(json.dumps(fixture))
-    monkeypatch.setenv("MOTT_FIXTURES", str(tmp_path))
-    loaded = ex.load_thresholds()
-    assert loaded["case_ratio_p11_max"]["value"] == 1e-7
-    assert ex.threshold_value("case_ratio_p11_max") == 1e-7
-
-
-def test_load_thresholds_missing(tmp_path, monkeypatch):
-    monkeypatch.setenv("MOTT_FIXTURES", str(tmp_path / "nope"))
-    with pytest.raises(FileNotFoundError):
-        ex.load_thresholds()
-
-
-def test_packaged_thresholds_present():
-    loaded = ex.load_thresholds()
-    for name in ("case_ratio_p11_max", "history_both_ratio_max"):
-        assert name in loaded
-        assert loaded[name]["oracle_run_id"]
-        assert loaded[name]["value"] > 0

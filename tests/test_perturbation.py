@@ -20,14 +20,14 @@ from mott1d.core import (
     OscillatorBasis,
     QuadratureError,
     SpatialGrid,
-    make_gaussian_packet,
     make_spherical_wave_1d,
     free_spread,
     history_sums,
     suggest_grid,
     time_segments,
 )
-from oracles import free_propagate, free_two_packet, reference_dyson_stack
+from oracles import (free_propagate, free_two_packet, make_gaussian_packet, mirrored,
+                     reference_dyson_stack)
 
 
 @pytest.fixture(scope="module")
@@ -511,10 +511,10 @@ def test_histories_parity(reduced_opposite, reduced_grid):
     t = 1.5 * p.tau2
     base, _, _ = pt.converged_dyson_run(p, t, form_factor_pair(p, reduced_grid, 2),
                                         reduced_grid, n_max=2)
-    mirrored, _, _ = pt.converged_dyson_run(p.mirrored(), t,
-                                            form_factor_pair(p.mirrored(), reduced_grid, 2),
-                                            reduced_grid, n_max=2)
-    a, b = channel_probabilities(base), channel_probabilities(mirrored)
+    reflected, _, _ = pt.converged_dyson_run(mirrored(p), t,
+                                             form_factor_pair(mirrored(p), reduced_grid, 2),
+                                             reduced_grid, n_max=2)
+    a, b = channel_probabilities(base), channel_probabilities(reflected)
     assert a.keys() == b.keys()
     for key in a:
         assert a[key] == pytest.approx(b[key], abs=1e-9), key

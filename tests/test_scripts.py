@@ -1,10 +1,14 @@
-"""The experiment scripts stay runnable (reduced arguments)."""
+"""The experiment scripts stay runnable (reduced arguments), and the frozen
+threshold fixture is what freeze_thresholds.py writes."""
 
+import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+FIXTURE = Path(__file__).resolve().parent / "fixtures" / "thresholds.json"
 
 
 def run(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -17,3 +21,21 @@ def test_case_comparison_quick():
     assert proc.returncode == 0, proc.stderr
     assert "joint-excitation ratio opposite/collinear" in proc.stdout
     assert "[collinear]" in proc.stdout and "[opposite]" in proc.stdout
+
+
+def test_threshold_fixture_follows_the_freeze_rule():
+    # each suppression ratio is the measured one times the script's MARGIN,
+    # the slope band and the mass floor are the script's constants, and all
+    # entries carry one run id, whose origin the script's docstring gives
+    script = runpy.run_path(str(SCRIPTS / "freeze_thresholds.py"))
+    entries = {e["threshold_name"]: e for e in json.loads(FIXTURE.read_text())}
+    assert set(entries) == {"case_ratio_p11_max", "history_both_ratio_max",
+                            "oracle_sweep_slope_lo", "oracle_sweep_slope_hi",
+                            "localization_min_mass"}
+    for name in ("case_ratio_p11_max", "history_both_ratio_max"):
+        assert entries[name]["value"] == entries[name]["measured"] * script["MARGIN"]
+    assert entries["oracle_sweep_slope_lo"]["value"] == 3.9
+    assert entries["oracle_sweep_slope_hi"]["value"] == 4.1
+    assert entries["localization_min_mass"]["value"] == 0.99
+    (run_id,) = {e["oracle_run_id"] for e in entries.values()}
+    assert run_id in script["__doc__"]
