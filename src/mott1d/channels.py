@@ -36,13 +36,15 @@ half of the channel rows in every kinetic factor, and the grid points from
 one cut on in every coupling stage, the cut chosen once per call to halve
 the slab points of both oscillators (all stage lengths share the slabs).
 The calling thread does the other half and then waits for the worker's, so
-a stage has two synchronous hand-offs.  Each row's transforms and each
-point's U1' and U2' are the same operations in the same order as on one
-thread, so every amplitude is bit-identical to a one-thread run.  The
-health checks, snapshots and typed errors stay on the calling thread and
-fall on composed-step boundaries; a failure in the worker's half is
-re-raised there, and the executor is shut down before ``evolve`` returns or
-raises.
+a stage has two synchronous hand-offs.  Each kinetic factor transforms its
+rows in place (numpy's ``out=``) in ``evolve``'s private copy of the state,
+so a stage allocates no spectrum, and the two threads' row slices are
+disjoint.  Each row's transforms and each point's U1' and U2' are the same
+operations in the same order as on one thread, so every amplitude is
+bit-identical to a one-thread run.  The health checks, snapshots and typed
+errors stay on the calling thread and fall on composed-step boundaries; a
+failure in the worker's half is re-raised there, and the executor is shut
+down before ``evolve`` returns or raises.
 """
 
 from __future__ import annotations
@@ -332,10 +334,12 @@ def _clip(slabs: Slabs, lo: int, hi: int) -> Slabs:
 def _kinetic_rows(f: np.ndarray, kinetic: np.ndarray, energy: np.ndarray) -> None:
     """f = energy * ifft(kinetic * fft(f)) along the last axis, in place:
     ``kinetic`` is the bare free factor per point, ``energy`` the channel
-    energy phase per row, applied as the transform is written back."""
-    spectrum = np.fft.fft(f, axis=-1)
-    spectrum *= kinetic
-    np.multiply(np.fft.ifft(spectrum, axis=-1), energy[:, None], out=f)
+    energy phase per row.  Both transforms write back into f, so a stage
+    allocates no spectrum."""
+    np.fft.fft(f, axis=-1, out=f)
+    f *= kinetic
+    np.fft.ifft(f, axis=-1, out=f)
+    f *= energy[:, None]
 
 
 def _couple_points(f3: np.ndarray, slabs1: Slabs, slabs2: Slabs) -> None:

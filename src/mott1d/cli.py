@@ -159,10 +159,12 @@ class RunConfig:
         density_channels = _as_list(output.get("density_channels", [[0, 0], [1, 0]]),
                                     "output.density_channels", _as_channel)
         n_max = spec.numerics.n_max
-        for channel in density_channels:
-            if max(channel) > n_max:
-                raise ConfigError(f"output.density_channels entry {list(channel)} lies above "
-                                  f"numerics.n_max={n_max}")
+        for where, channels in (("scenario.targets", targets),
+                                ("output.density_channels", density_channels)):
+            for channel in channels:
+                if max(channel) > n_max:
+                    raise ConfigError(f"{where} entry {list(channel)} lies above "
+                                      f"numerics.n_max={n_max}")
         snapshot = output.get("channel_snapshot", False)
         if not isinstance(snapshot, bool):
             raise ConfigError(f"output.channel_snapshot must be true or false, got {snapshot!r}")

@@ -25,14 +25,20 @@ per step at n_max = 4 instead of 50.  A pass reaches each requested time
 exactly: between two of them it takes the fewest equal steps no longer than
 dt, with a closing half step on each, and reads c there from a copy of A.
 
+Every per-step transform writes into an array the pass owns (numpy's
+``out=``): the x-space rows are propagated in place, and each source is
+transformed into one scratch array allocated once per pass, so a step
+allocates no spectrum.  The arithmetic is that of the out-of-place
+transforms, in the same order.
+
 The two halves of a step are independent kernels, so they run on two
 threads.  The calling thread keeps the x-space chain (kick and propagate of
 psi and b) and submits each step's source, cut to the kick span, to one
 single-worker executor per call; the worker owns the phase exp(+i w tau_j)
 and adds the transformed sources into A in step order, so every sum is
-taken in the same order as on one thread.  The calling thread waits only
-when three sources are in flight, and reads A after every one has been
-added.
+taken in the same order as on one thread and every amplitude is bitwise
+equal to a one-thread run.  The calling thread waits only when three
+sources are in flight, and reads A after every one has been added.
 
 The two interaction orderings (oscillator 1 first vs oscillator 2 first)
 share their channel energies, so one joint block carries both orderings'
@@ -106,17 +112,21 @@ def _kick_slab(g: np.ndarray) -> slice:
     return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
 
 
-def _add_spectrum(acc: np.ndarray, values: np.ndarray, phase: np.ndarray) -> None:
-    """acc += phase * FFT(values) along the last axis."""
-    f = np.fft.fft(values, axis=-1)
-    acc += np.multiply(f, phase, out=f)
+def _add_spectrum(acc: np.ndarray, values: np.ndarray, phase: np.ndarray,
+                  spectrum: np.ndarray) -> None:
+    """acc += phase * FFT(values) along the last axis, with the transform
+    written into the scratch array ``spectrum`` (values' shape)."""
+    np.fft.fft(values, axis=-1, out=spectrum)
+    spectrum *= phase
+    acc += spectrum
 
 
-def _propagate(st: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """ifft(phase * FFT(st)) along the last axis: the free step of each row."""
-    f = np.fft.fft(st, axis=-1)
-    f *= phase
-    return np.fft.ifft(f, axis=-1)
+def _propagate(st: np.ndarray, phase: np.ndarray) -> None:
+    """st = ifft(phase * FFT(st)) along the last axis, in place: the free
+    step of each row."""
+    np.fft.fft(st, axis=-1, out=st)
+    st *= phase
+    np.fft.ifft(st, axis=-1, out=st)
 
 
 def dyson_run(params: ModelParams, t_final: float,
@@ -184,16 +194,17 @@ def dyson_run(params: ModelParams, t_final: float,
         return src
 
     # exp(+i omega_k tau_j) at the kick times tau_j; from here on only the
-    # worker touches phase, padded and acc
+    # worker touches phase, padded, spectrum and acc
     phase = np.empty(grid.n_points, dtype=np.complex128)
     padded = np.zeros_like(acc)  # zero off the span for the whole run
+    spectrum = np.empty_like(acc)  # each source's transform, overwritten per step
 
     def accumulate(src: np.ndarray, advance: np.ndarray, restart: float | None) -> None:
         # a segment's first source restarts the phase at its kick time
         if restart is not None:
             phase[...] = kinetic_phase(grid, params, -restart)
         padded[..., span] = src
-        _add_spectrum(acc, padded, phase)
+        _add_spectrum(acc, padded, phase, spectrum)
         np.multiply(phase, advance, out=phase)
 
     def stack(t: float, joint: np.ndarray) -> ChannelState:
@@ -220,14 +231,14 @@ def dyson_run(params: ModelParams, t_final: float,
                 kin_half = kinetic_phase(grid, params, h / 2.0, e_rows)
                 kin_full = kin_half * kin_half
                 advance = kinetic_phase(grid, params, -h)
-                st = _propagate(st, kin_half)
+                _propagate(st, kin_half)
                 for step in range(1, n_steps + 1):
                     if len(in_flight) == 3:
                         in_flight.popleft().result()
                     tau = start + (step - 0.5) * h
                     in_flight.append(pool.submit(accumulate, kick(st, tau, k1, k2, k12),
                                                  advance, tau if step == 1 else None))
-                    st = _propagate(st, kin_half if step == n_steps else kin_full)
+                    _propagate(st, kin_half if step == n_steps else kin_full)
                     if step % HEALTH_STRIDE == 0 and step < n_steps:
                         check_norm(l2_norm(st[0], grid.dx), l2_norm(st, grid.dx), norm0,
                                    start + step * h, n)

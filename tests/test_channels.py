@@ -232,6 +232,41 @@ def test_off_grid_snapshot_lands_on_its_time(reduced_collinear, reduced_grid, re
     np.testing.assert_allclose(seen[t_mid].amplitudes, direct.amplitudes, rtol=0, atol=1e-12)
 
 
+def test_evolve_leaves_the_callers_state_unchanged(reduced_collinear, reduced_grid,
+                                                   reduced_config, tables):
+    # evolve transforms a private copy of the stack in place; the state it
+    # is given, here one with every channel populated, is only read
+    p = reduced_collinear
+    ff = tables(p, reduced_grid, reduced_config.n_max)
+    state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
+    mid, _ = ch.evolve(state, p, reduced_config, 0.75 * p.tau2, ff)
+    assert np.all(np.abs(mid.amplitudes).max(axis=2) > 0)
+    before = mid.amplitudes.copy()
+    ch.evolve(mid, p, reduced_config, 1.5 * p.tau2, ff)
+    assert mid.t == 0.75 * p.tau2
+    assert np.array_equal(mid.amplitudes, before)
+
+
+@pytest.mark.parametrize("half", ["caller", "worker"])
+def test_kinetic_rows_in_place_equals_out_of_place(half):
+    # evolve's threads transform the row slices f[:r] and f[r:] of one
+    # stack in place: each must read bit for bit as the out-of-place
+    # composition fft -> x free phase -> ifft -> x energy phase, and the
+    # other slice must stay untouched
+    rng = np.random.default_rng(20)
+    rows, n_points = 9, 2048  # (n_max + 1)^2 rows at n_max 2
+    f = rng.standard_normal((rows, n_points)) + 1j * rng.standard_normal((rows, n_points))
+    free = np.exp(1j * rng.uniform(-np.pi, np.pi, n_points))
+    energy = np.exp(1j * rng.uniform(-np.pi, np.pi, rows))
+    part = slice(0, rows // 2) if half == "caller" else slice(rows // 2, rows)
+    spectrum = np.fft.fft(f[part], axis=-1)
+    spectrum *= free
+    expected = f.copy()
+    expected[part] = np.fft.ifft(spectrum, axis=-1) * energy[part, None]
+    ch._kinetic_rows(f[part], free, energy[part])
+    assert np.array_equal(f, expected)
+
+
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 @pytest.mark.parametrize("lambda0", [1e-3, 0.05])
 @pytest.mark.parametrize("n_max", [1, 3])

@@ -141,6 +141,8 @@ def test_type_errors_are_reported(tmp_path):
     ({"output": {"density_channels": [[-1, 0], [2, 0]]}}, "output.density_channels"),
     # the run's stack holds no channel above n_max (here 1)
     ({"output": {"density_channels": [[2, 0]]}}, "output.density_channels"),
+    # nor a target: one above n_max would be echoed with no probability
+    ({"scenario": {"targets": [[1, 1], [2, 0]]}}, "scenario.targets entry"),
     # a PT-only run has no channel stack to write
     ({"output": {"channel_snapshot": True}}, "output.channel_snapshot"),
     # a snapshot is switched by a json boolean, not by a string that reads as one
@@ -152,8 +154,8 @@ def test_type_errors_are_reported(tmp_path):
     ({"numerics": {"x_max": 500.0}}, "numerics.'x_max'"),
 ], ids=["times", "times-empty", "targets", "lambda0_values", "density_channels",
         "formats", "times-infinity", "density_channels-negative",
-        "density_channels-above-n_max", "snapshot-pt", "snapshot-string",
-        "removed-t_factor", "removed-lambda_values", "removed-x_max"])
+        "density_channels-above-n_max", "targets-above-n_max", "snapshot-pt",
+        "snapshot-string", "removed-t_factor", "removed-lambda_values", "removed-x_max"])
 def test_list_keys_must_be_lists(tmp_path, overrides, match):
     path = write_config(tmp_path, **overrides)
     with pytest.raises(cli.ConfigError, match=match):
@@ -345,8 +347,8 @@ def test_run_pt_non_finite_exit_and_manifest(tmp_path, monkeypatch):
 
     original = perturbation._add_spectrum
 
-    def poisoned(acc, values, phase):
-        original(acc, values, phase)
+    def poisoned(acc, values, phase, spectrum):
+        original(acc, values, phase, spectrum)
         acc[0, 0, 0] = float("nan")
 
     monkeypatch.setattr(perturbation, "_add_spectrum", poisoned)

@@ -223,6 +223,36 @@ def test_dyson_run_matches_reference_kernel(case, shape, n_max, hbar, dt):
             assert np.max(np.abs(run.amplitudes[n1, n2] - (c12 + c21))) <= tol, (n1, n2)
 
 
+def random_stack(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_propagate_in_place_equals_out_of_place():
+    # the free step of the x-space rows writes back into them, bit for bit
+    # the out-of-place composition fft -> x phase -> ifft
+    rng = np.random.default_rng(24)
+    st = random_stack(rng, (5, 2048))  # psi, b1 and b2 at n_max 2
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, st.shape))
+    spectrum = np.fft.fft(st, axis=-1)
+    spectrum *= phase
+    expected = np.fft.ifft(spectrum, axis=-1)
+    pt._propagate(st, phase)
+    assert np.array_equal(st, expected)
+
+
+def test_add_spectrum_equals_out_of_place():
+    # a source is transformed into the scratch array and added, bit for bit
+    # acc + phase * fft(values); the source itself is only read
+    rng = np.random.default_rng(25)
+    acc, values = random_stack(rng, (2, 2, 2048)), random_stack(rng, (2, 2, 2048))
+    phase = np.exp(1j * rng.uniform(-np.pi, np.pi, 2048))
+    source = values.copy()
+    expected = acc + np.fft.fft(values, axis=-1) * phase
+    pt._add_spectrum(acc, values, phase, np.empty_like(acc))
+    assert np.array_equal(acc, expected)
+    assert np.array_equal(values, source)
+
+
 def test_dyson_run_bitwise_under_short_switch_interval(reduced_collinear, reduced_grid):
     # the worker thread adds the joint sources in step order whatever the
     # thread interleaving, so a GIL hand-off every microsecond changes no bit
@@ -248,13 +278,13 @@ def test_dyson_run_worker_failure_leaves_the_call(reduced_collinear, reduced_gri
     callers = set()
     original = pt._add_spectrum
 
-    def failing(acc, values, phase):
+    def failing(acc, values, phase, spectrum):
         callers.add(threading.current_thread())
         if failing.calls == 3:
             time.sleep(0.5)  # long enough for the calling thread to fill its three sources
             raise RuntimeError("worker failed")
         failing.calls += 1
-        original(acc, values, phase)
+        original(acc, values, phase, spectrum)
 
     failing.calls = 0
     monkeypatch.setattr(pt, "_add_spectrum", failing)
@@ -284,12 +314,12 @@ def test_dyson_run_worker_failure_cancels_pending_sources(reduced_collinear, red
     ff = form_factor_pair(p, reduced_grid, 1)
     original = pt._add_spectrum
 
-    def failing(acc, values, phase):
+    def failing(acc, values, phase, spectrum):
         failing.calls += 1
         if failing.calls >= 3:
             time.sleep(0.2)  # long enough for the calling thread to fill its three sources
             raise RuntimeError("worker failed")
-        original(acc, values, phase)
+        original(acc, values, phase, spectrum)
 
     failing.calls = 0
     monkeypatch.setattr(pt, "_add_spectrum", failing)
@@ -305,8 +335,8 @@ def test_non_finite_pass_raises_norm_drift(reduced_collinear, reduced_grid, monk
     ff = form_factor_pair(p, reduced_grid, 2)
     original, dyson_run = pt._add_spectrum, pt.dyson_run
 
-    def poisoned(acc, values, phase):
-        original(acc, values, phase)
+    def poisoned(acc, values, phase, spectrum):
+        original(acc, values, phase, spectrum)
         acc[0, 0, acc.shape[-1] // 2] = np.nan
 
     monkeypatch.setattr(pt, "_add_spectrum", poisoned)
@@ -332,11 +362,10 @@ def test_row_breach_raises_within_one_stride(reduced_collinear, reduced_grid, mo
     calls = []
 
     def poisoned(st, phase):
-        out = original(st, phase)
+        original(st, phase)
         calls.append(None)
         if len(calls) == 1 + poisoned_step:  # after the initial half step
-            out[row] *= scale
-        return out
+            st[row] *= scale
 
     monkeypatch.setattr(pt, "_propagate", poisoned)
     dt = 0.2
@@ -360,8 +389,8 @@ def test_non_finite_joint_block_raises_at_next_requested_time(reduced_collinear,
     original = pt._add_spectrum
     calls = []
 
-    def poisoned(acc, values, phase):
-        original(acc, values, phase)
+    def poisoned(acc, values, phase, spectrum):
+        original(acc, values, phase, spectrum)
         calls.append(None)
         if len(calls) == 5:
             acc[0, 0, 0] = np.nan
@@ -436,7 +465,7 @@ def test_failed_dyson_run_leaves_no_reference_cycle(reduced_collinear, reduced_g
     p = reduced_collinear
     ff = form_factor_pair(p, reduced_grid, 1)
 
-    def failing(acc, values, phase):
+    def failing(acc, values, phase, spectrum):
         raise ZeroDivisionError("worker failed")
 
     monkeypatch.setattr(pt, "_add_spectrum", failing)
