@@ -31,20 +31,21 @@ stage is as exact as a positive one: the coupling factor is the exponential
 of a Hermitian matrix for any real tau.
 
 Each stage runs on two threads.  ``evolve`` opens one single-worker
-executor per call and submits to it half of each part of a stage: the upper
-half of the channel rows in every kinetic factor, and the grid points from
-one cut on in every coupling stage, the cut chosen once per call to halve
-the slab points of both oscillators (all stage lengths share the slabs).
-The calling thread does the other half and then waits for the worker's, so
-a stage has two synchronous hand-offs.  Each kinetic factor transforms its
-rows in place (numpy's ``out=``) in ``evolve``'s private copy of the state,
-so a stage allocates no spectrum, and the two threads' row slices are
-disjoint.  Each row's transforms and each point's U1' and U2' are the same
-operations in the same order as on one thread, so every amplitude is
-bit-identical to a one-thread run.  The health checks, snapshots and typed
-errors stay on the calling thread and fall on composed-step boundaries; a
-failure in the worker's half is re-raised there, and the executor is shut
-down before ``evolve`` returns or raises.
+executor per call and submits to it half of each stage: the upper half of
+the channel rows in every kinetic factor, and the slabs from one cut on in
+every coupling stage.  The cut is chosen once per call to halve the slab
+points of both oscillators, and each oscillator's slabs are built on each
+side of it, so all stage lengths share it.  The calling thread does the
+other half and then waits for the worker's, so a stage has two synchronous
+hand-offs.  Each kinetic factor transforms its rows in place (numpy's
+``out=``) in ``evolve``'s private copy of the state, so a stage allocates no
+spectrum, and the two threads' row slices are disjoint.  Each row's
+transforms and each point's U1' and U2' are the same operations in the same
+order as on one thread, so every amplitude is bit-identical to a one-thread
+run.  The health checks, snapshots and typed errors stay on the calling
+thread and fall on composed-step boundaries; a failure in the worker's half
+is re-raised there, and the executor is shut down before ``evolve`` returns
+or raises.
 """
 
 from __future__ import annotations
@@ -282,13 +283,16 @@ Slabs = list[tuple[slice, np.ndarray]]
 
 
 def _coupling_slabs(params: ModelParams, table: FormFactorTable, energies: np.ndarray,
-                    taus: Sequence[float], floor: float) -> list[Slabs]:
+                    taus: Sequence[float], on: np.ndarray, cut: int
+                    ) -> list[tuple[Slabs, Slabs]]:
     """One oscillator's coupling factor in the interaction picture, per slab,
-    for each step length in ``taus``.
+    for each step length in ``taus``: the slabs on the points [0, cut) and
+    those on [cut, N), one pair per step length.
 
-    A slab is one contiguous run of grid points where lam max|V| exceeds
-    ``floor``; the coupling is zeroed everywhere else, so every step length
-    has the same slabs.  On a slab the factor is
+    A slab is one contiguous run, on one side of ``cut``, of the points
+    where ``on`` holds (lam max|V| exceeds the floor); the coupling is
+    zeroed everywhere else, so every step length has the same slabs.  On a
+    slab the factor is
     U'(R) = D^(-1/2) exp(-i tau (diag(E) + lam V(R)) / hbar) D^(-1/2) with
     D = exp(-i tau E / hbar), stored as u[n, n', j] for the slab's j-th
     point.  Off the slabs U' is the identity, because D is carried by the
@@ -296,38 +300,20 @@ def _coupling_slabs(params: ModelParams, table: FormFactorTable, energies: np.nd
     """
     n_lvl = energies.size
     values = table.values[:n_lvl, :n_lvl]
-    # padded with False so that every run has a rising and a falling edge
-    on = np.zeros(values.shape[2] + 2, dtype=bool)
-    on[1:-1] = params.lam * np.abs(values).max(axis=(0, 1)) > floor
-    edges = np.flatnonzero(on[1:] != on[:-1]).reshape(-1, 2)
     d_half_inv = [np.exp(0.5j * tau * energies / params.hbar) for tau in taus]
-    out: list[Slabs] = [[] for _ in taus]
-    for lo, hi in edges:
-        h = params.lam * values[:, :, lo:hi].transpose(2, 0, 1) + np.diag(energies)
-        evals, evecs = np.linalg.eigh(h)
-        for tau, d, slabs in zip(taus, d_half_inv, out):
-            u = np.einsum("xij,xj,xkj->ikx", evecs, np.exp(-1j * evals * tau / params.hbar),
-                          evecs)
-            u *= d[:, None, None] * d[None, :, None]
-            slabs.append((slice(lo, hi), np.ascontiguousarray(u)))
-    return out
-
-
-def _halving_point(slabs: Slabs, n_points: int) -> int:
-    """The point index below which lies half of the slab points in ``slabs``."""
-    weight = np.zeros(n_points, dtype=np.int64)
-    for span, _ in slabs:
-        weight[span] += 1
-    return int(np.searchsorted(np.cumsum(weight), weight.sum() / 2.0))
-
-
-def _clip(slabs: Slabs, lo: int, hi: int) -> Slabs:
-    """The parts of ``slabs`` on the points [lo, hi)."""
-    out = []
-    for span, u in slabs:
-        a, b = max(span.start, lo), min(span.stop, hi)
-        if a < b:
-            out.append((slice(a, b), u[:, :, a - span.start:b - span.start]))
+    out: list[tuple[Slabs, Slabs]] = [([], []) for _ in taus]
+    for side, (a, b) in enumerate(((0, cut), (cut, on.size))):
+        # padded with False so that every run has a rising and a falling edge
+        padded = np.zeros(b - a + 2, dtype=bool)
+        padded[1:-1] = on[a:b]
+        for lo, hi in a + np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2):
+            h = params.lam * values[:, :, lo:hi].transpose(2, 0, 1) + np.diag(energies)
+            evals, evecs = np.linalg.eigh(h)
+            for tau, d, sides in zip(taus, d_half_inv, out):
+                u = np.einsum("xij,xj,xkj->ikx", evecs, np.exp(-1j * evals * tau / params.hbar),
+                              evecs)
+                u *= d[:, None, None] * d[None, :, None]
+                sides[side].append((slice(lo, hi), np.ascontiguousarray(u)))
     return out
 
 
@@ -402,30 +388,34 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     # both stage lengths of every distinct step share one decomposition
     steps = sorted({(end - start) / n for start, end, n in segments})
     taus = [tau for h in steps for tau in (W1 * h, W0 * h)]
-    slabs1 = _coupling_slabs(params, ff1, e1, taus, floor)
-    slabs2 = _coupling_slabs(params, ff2, e2, taus, floor)
+    n_lvl = config.n_max + 1
+    on1, on2 = (params.lam * np.abs(ff.values[:n_lvl, :n_lvl]).max(axis=(0, 1)) > floor
+                for ff in (ff1, ff2))
+    # the calling thread takes points [0, cut) of each coupling stage and
+    # rows [0, r) of each kinetic factor; the worker takes the rest.  All
+    # stage lengths have the same slabs, so one cut, at half of both
+    # oscillators' slab points, halves each.
+    cut = int(np.searchsorted(np.cumsum(on1 + on2.astype(np.int64)),
+                              (np.count_nonzero(on1) + np.count_nonzero(on2)) / 2.0))
+    r = n_lvl * n_lvl // 2
+    slabs1 = _coupling_slabs(params, ff1, e1, taus, on1, cut)
+    slabs2 = _coupling_slabs(params, ff2, e2, taus, on2, cut)
+
+    f = state.amplitudes.reshape(n_lvl * n_lvl, grid.n_points).copy()
+    f3 = f.reshape(n_lvl, n_lvl, grid.n_points)
+    norm0 = l2_norm(f, grid.dx)
 
     # the channel energy phases D^(1/2) ride on the kinetic factors: a bare
     # free factor per point, then an energy phase per row
     energies = (e1[:, None] + e2[None, :]).reshape(-1)
 
-    def kinetic(tau: float) -> tuple[np.ndarray, np.ndarray]:
-        return kinetic_phase(grid, params, tau), np.exp(-1j * tau / params.hbar * energies)
+    def kinetic(tau: float) -> tuple[tuple, tuple]:
+        free = kinetic_phase(grid, params, tau)
+        energy = np.exp(-1j * tau / params.hbar * energies)
+        return (f[:r], free, energy[:r]), (f[r:], free, energy[r:])
 
-    n_lvl = config.n_max + 1
-    f = state.amplitudes.reshape(n_lvl * n_lvl, grid.n_points).copy()
-    f3 = f.reshape(n_lvl, n_lvl, grid.n_points)
-    norm0 = l2_norm(f, grid.dx)
-
-    # the calling thread takes rows [0, r) of each kinetic factor and points
-    # [0, cut) of each coupling stage; the worker takes the rest.  All stage
-    # lengths have the same slabs, so one cut halves each.
-    r = f.shape[0] // 2
-    cut = _halving_point(slabs1[0] + slabs2[0], grid.n_points)
-    parts = [((f3, _clip(s1, 0, cut), _clip(s2, 0, cut)),
-              (f3, _clip(s1, cut, grid.n_points), _clip(s2, cut, grid.n_points)))
-             for s1, s2 in zip(slabs1, slabs2)]
     # each step -> its (outer, middle) coupling stages: W1 h and W0 h
+    parts = [((f3, c1, c2), (f3, w1, w2)) for (c1, w1), (c2, w2) in zip(slabs1, slabs2)]
     stages = dict(zip(steps, zip(parts[0::2], parts[1::2])))
     pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="evolve-half")
 
@@ -440,10 +430,6 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
             # it the run's arrays, in a cycle with the error's traceback
             del future
 
-    def kin(factor: tuple[np.ndarray, np.ndarray]) -> None:
-        free, energy = factor
-        halves(_kinetic_rows, (f[:r], free, energy[:r]), (f[r:], free, energy[r:]))
-
     at_time: dict[float, ChannelState] = {}
     step = 0  # composed steps over the whole run
     with pool:
@@ -455,15 +441,15 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
             h = (end - start) / n_steps
             outer, middle = stages[h]
             edge, inner, seam = (kinetic(w * h) for w in (0.5 * W1, 0.5 * (W1 + W0), W1))
-            kin(edge)
+            halves(_kinetic_rows, *edge)
             for k in range(1, n_steps + 1):
                 step += 1
                 halves(_couple_points, *outer)
-                kin(inner)
+                halves(_kinetic_rows, *inner)
                 halves(_couple_points, *middle)
-                kin(inner)
+                halves(_kinetic_rows, *inner)
                 halves(_couple_points, *outer)
-                kin(edge if k == n_steps else seam)
+                halves(_kinetic_rows, *(edge if k == n_steps else seam))
                 if step % HEALTH_STRIDE == 0 and k < n_steps:
                     _health_check(ChannelState(start + k * h, grid, f3), config, norm0)
             # a copy at each requested time, except at the end

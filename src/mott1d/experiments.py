@@ -136,6 +136,11 @@ class NumericSettings:
         known = sorted(ch.POTENTIAL_SHAPES)
         if self.potential_shape not in known:
             raise ValueError(f"potential_shape {self.potential_shape!r} unknown; known: {known}")
+        for name in ("dt_oracle", "dt_duhamel", "pt_rtol", "top_shell_threshold"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                what = "dt" if name.startswith("dt_") else name
+                raise ValueError(f"numerics.{name}: {what} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)

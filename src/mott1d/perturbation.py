@@ -60,6 +60,7 @@ import numpy as np
 
 from .channels import ChannelState, FormFactorTable, channel_probabilities
 from .core import (
+    GridError,
     ModelParams,
     OscillatorBasis,
     QuadratureError,
@@ -142,14 +143,16 @@ def dyson_run(params: ModelParams, t_final: float,
     t_final is the final state itself.  Raises NormDriftError when psi's
     norm drifts or psi or b is not finite, checked every ``HEALTH_STRIDE``
     steps, or when a state at a requested time is not finite.
+    ``form_factors`` are both oscillators' tables on ``grid``, at truncation
+    ``n_max`` or above; GridError otherwise, as in ``channels.evolve``.
     """
     if not t_final > 0:
         raise ValueError(f"t_final must be positive, got {t_final!r}")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max!r}")
     ff1, ff2 = form_factors
-    if ff1.n_max < n_max or ff2.n_max < n_max:
-        raise ValueError("form-factor tables truncated below requested n_max")
+    if ff1.grid != grid or ff2.grid != grid or ff1.n_max < n_max or ff2.n_max < n_max:
+        raise GridError("form-factor tables do not match the propagation grid/truncation")
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt!r}")
     segments = time_segments(0.0, t_final, snapshot_times, dt)

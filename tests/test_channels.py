@@ -500,6 +500,79 @@ def test_config_validation():
 # the worker thread
 
 
+@pytest.mark.parametrize("runs, cut, caller, worker", [
+    ([(100, 200), (300, 310)], 150, [(100, 150)], [(150, 200), (300, 310)]),
+    ([(100, 150), (300, 310)], 150, [(100, 150)], [(300, 310)]),
+    ([], 0, [], []),
+], ids=["run-straddles-cut", "run-ends-at-cut", "no-runs"])
+def test_coupling_slabs_split_at_the_cut(reduced_collinear, reduced_grid, tables, runs, cut,
+                                         caller, worker):
+    # the two sides' slabs partition the coupled points, none twice and
+    # none dropped, and every point's factor is the one it has in an uncut
+    # slab, bit for bit
+    p = reduced_collinear
+    n_points = reduced_grid.n_points
+    table, _ = tables(p, reduced_grid, 2)
+    energies = OscillatorBasis.for_oscillator(p, 1, 2).energies
+    on = np.zeros(n_points, dtype=bool)
+    for lo, hi in runs:
+        on[lo:hi] = True
+    taus = [0.3, -0.2]
+
+    def per_point(slabs):
+        u = np.zeros((3, 3, n_points), dtype=np.complex128)
+        for span, factor in slabs:
+            u[:, :, span] = factor
+        return u
+
+    split = ch._coupling_slabs(p, table, energies, taus, on, cut)
+    whole = ch._coupling_slabs(p, table, energies, taus, on, 0)
+    assert len(split) == len(whole) == len(taus)
+    for (left, right), (none, uncut) in zip(split, whole):
+        assert none == []
+        assert [(s.start, s.stop) for s, _ in left] == caller
+        assert [(s.start, s.stop) for s, _ in right] == worker
+        points = [np.arange(s.start, s.stop) for s, _ in left + right]
+        assert np.array_equal(np.sort(np.concatenate(points or [np.empty(0, int)])),
+                              np.flatnonzero(on))
+        assert np.array_equal(per_point(left + right), per_point(uncut))
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "free"])
+def test_evolve_cuts_at_half_of_both_oscillators_slab_points(reduced_collinear, reduced_grid,
+                                                             tables, monkeypatch, coupled):
+    # the cut is the first point at which the count of both oscillators'
+    # slab points reaches half, so the two threads' coupling points differ
+    # by at most 4; without coupling there are no slabs and the cut is 0
+    p = reduced_collinear if coupled else replace(reduced_collinear, lam=0.0)
+    calls = []
+    original = ch._coupling_slabs
+
+    def spy(params, table, energies, taus, on, cut):
+        slabs = original(params, table, energies, taus, on, cut)
+        calls.append((on, cut, slabs))
+        return slabs
+
+    monkeypatch.setattr(ch, "_coupling_slabs", spy)
+    # the top shell overfills at n_max = 1; only the slabs matter here
+    config = ch.PropagatorConfig(n_max=1, top_shell_threshold=1.0)
+    ch.evolve(ch.initialize_channels(p, reduced_grid, 1), p, config, 0.5 * p.tau2,
+              tables(p, reduced_grid, 1))
+    (on1, cut, slabs1), (on2, cut2, slabs2) = calls
+    assert cut2 == cut
+    weight = on1.astype(int) + on2
+    total = int(weight.sum())
+    if coupled:
+        assert total > 0 and weight[:cut].sum() < total / 2 <= weight[:cut + 1].sum()
+    else:
+        assert total == 0 and cut == 0
+    for (c1, w1), (c2, w2) in zip(slabs1, slabs2):
+        left = sum(s.stop - s.start for s, _ in c1 + c2)
+        right = sum(s.stop - s.start for s, _ in w1 + w2)
+        assert left + right == total and abs(left - right) <= 4
+        assert all(s.stop <= cut for s, _ in c1 + c2) and all(s.start >= cut for s, _ in w1 + w2)
+
+
 @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "free"])
 @pytest.mark.parametrize("n_max", [1, 4])
 @pytest.mark.parametrize("case", ["collinear", "opposite"])

@@ -152,10 +152,18 @@ def test_type_errors_are_reported(tmp_path):
     ({"scenario": {"t_factor": 1.5}}, "scenario.'t_factor'"),
     ({"sweep": {"lambda_values": [1e-4, 2.5e-4, 5e-4, 1e-3]}}, "sweep.'lambda_values'"),
     ({"numerics": {"x_max": 500.0}}, "numerics.'x_max'"),
+    # a step, tolerance or threshold that is not positive is caught before
+    # any engine starts, not after a PT run or an escalation ladder
+    ({"numerics": {"dt_oracle": 0}}, "numerics.dt_oracle: dt must be positive"),
+    ({"numerics": {"dt_duhamel": -0.1}}, "numerics.dt_duhamel: dt must be positive"),
+    ({"numerics": {"pt_rtol": -1}}, "numerics.pt_rtol"),
+    ({"numerics": {"top_shell_threshold": -1}}, "numerics.top_shell_threshold"),
 ], ids=["times", "times-empty", "targets", "lambda0_values", "density_channels",
         "formats", "times-infinity", "density_channels-negative",
         "density_channels-above-n_max", "targets-above-n_max", "snapshot-pt",
-        "snapshot-string", "removed-t_factor", "removed-lambda_values", "removed-x_max"])
+        "snapshot-string", "removed-t_factor", "removed-lambda_values", "removed-x_max",
+        "dt_oracle-zero", "dt_duhamel-negative", "pt_rtol-negative",
+        "top_shell_threshold-negative"])
 def test_list_keys_must_be_lists(tmp_path, overrides, match):
     path = write_config(tmp_path, **overrides)
     with pytest.raises(cli.ConfigError, match=match):
@@ -372,7 +380,9 @@ def test_non_positive_duhamel_step_fails_cleanly(tmp_path, capsys, dt):
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "dt must be positive" in manifest["error"]
-    assert "dt must be positive" in capsys.readouterr().err
+        assert "numerics.dt_duhamel" in manifest["error"]
+    err = capsys.readouterr().err
+    assert "dt must be positive" in err and "numerics.dt_duhamel" in err
 
 
 def test_run_failure_message_names_scenario(tmp_path, monkeypatch):

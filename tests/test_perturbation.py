@@ -15,6 +15,7 @@ import mott1d.perturbation as pt
 from mott1d import experiments as ex
 from mott1d.channels import channel_probabilities, form_factor_pair
 from mott1d.core import (
+    GridError,
     ModelParams,
     NormDriftError,
     OscillatorBasis,
@@ -446,6 +447,16 @@ def test_converged_run_one_pass_for_every_time(reduced_collinear, reduced_grid, 
 
 def test_max_rel_change_is_relative():
     assert pt._max_rel_change({"a": 1.0}, {"a": 1.0 + 1e-6}) == pytest.approx(1e-6, rel=1e-5)
+
+
+def test_dyson_run_rejects_tables_on_another_grid(reduced_collinear, reduced_grid):
+    # tables on a wider grid with the same points would be read point by
+    # point as if on this one, and give a wrong P10 without a word
+    p = reduced_collinear
+    g = reduced_grid
+    wide = SpatialGrid(1.25 * g.x_min, 1.25 * g.x_max, g.n_points)
+    with pytest.raises(GridError, match="grid"):
+        pt.dyson_run(p, 1.5 * p.tau2, form_factor_pair(p, wide, 1), g, 1, 0.2)
 
 
 def test_non_finite_form_factor_table_rejected(reduced_collinear, reduced_grid):
