@@ -17,8 +17,13 @@ dt 0.1, before the oracle took composed fourth-order steps.  They are kept
 frozen.  Run today, the script hashes the current acceptance_numerics() to
 46f83853bcf2c46a, runs the current oracle and writes new values.
 
+With ``--check`` the script writes nothing: it recomputes the five
+quantities at the acceptance settings, prints each against its frozen
+threshold in the fixture, and exits 1 if one falls outside it (a ``_max`` or
+``_hi`` threshold bounds from above, a ``_min`` or ``_lo`` one from below).
+
 Usage:
-    python scripts/freeze_thresholds.py [--out tests/fixtures/thresholds.json]
+    python scripts/freeze_thresholds.py [--out tests/fixtures/thresholds.json] [--check]
 """
 
 from __future__ import annotations
@@ -36,13 +41,9 @@ from mott1d import __version__
 MARGIN = 1e6  # measured suppression ratios get six orders of headroom
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=str(Path(__file__).resolve().parents[1]
-                                             / "tests/fixtures/thresholds.json"))
-    args = parser.parse_args()
-
-    t0 = time.perf_counter()
+def measure() -> tuple[str, dict[str, float]]:
+    """The run id and each threshold's measured quantity, from the oracle at
+    the acceptance settings and a reduced-cost oracle lambda sweep."""
     scen = {case: ex.acceptance_scenario(case, engine="oracle")
             for case in ("collinear", "opposite")}
     run_id_src = json.dumps({
@@ -89,27 +90,49 @@ def main() -> int:
         numerics=ex.NumericSettings(n_points=2 ** 13, n_max=3, dt_oracle=0.1))
     fit = ex.sweep_lambda(sweep_spec, [1e-4, 2.5e-4, 5e-4, 1e-3])
     print(f"  oracle sweep slope = {fit.slope:.6f} (residual max {fit.residual_max:.2e})")
+    return run_id, {"case_ratio_p11_max": case_ratio, "history_both_ratio_max": hist_ratio,
+                    "oracle_sweep_slope_lo": fit.slope, "oracle_sweep_slope_hi": fit.slope,
+                    "localization_min_mass": mass}
+
+
+def check(fixture: Path, measured: dict[str, float]) -> int:
+    """0 if every measured quantity lies within its frozen threshold, else 1."""
+    failed = 0
+    for entry in json.loads(fixture.read_text()):
+        name, bound = entry["threshold_name"], entry["value"]
+        value = measured[name]
+        upper = name.endswith(("_max", "_hi"))
+        ok = value <= bound if upper else value >= bound
+        failed += not ok
+        print(f"  {name}: measured {value:.6e} {'<=' if upper else '>='} {bound:.6e} "
+              f"{'ok' if ok else 'OUTSIDE'}")
+    return int(failed > 0)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--out", default=str(Path(__file__).resolve().parents[1]
+                                             / "tests/fixtures/thresholds.json"))
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the thresholds in --out and write nothing")
+    args = parser.parse_args()
+
+    t0 = time.perf_counter()
+    run_id, measured = measure()
+    if args.check:
+        code = check(Path(args.out), measured)
+        print(f"checked {args.out}: {'pass' if code == 0 else 'FAIL'} "
+              f"({time.perf_counter() - t0:.0f}s total)")
+        return code
 
     date = time.strftime("%Y-%m-%d", time.gmtime())
-    entries = [
-        {"threshold_name": "case_ratio_p11_max",
-         "value": case_ratio * MARGIN,
-         "measured": case_ratio,
-         "oracle_run_id": run_id, "date": date},
-        {"threshold_name": "history_both_ratio_max",
-         "value": hist_ratio * MARGIN,
-         "measured": hist_ratio,
-         "oracle_run_id": run_id, "date": date},
-        {"threshold_name": "oracle_sweep_slope_lo",
-         "value": 3.9, "measured": fit.slope,
-         "oracle_run_id": run_id, "date": date},
-        {"threshold_name": "oracle_sweep_slope_hi",
-         "value": 4.1, "measured": fit.slope,
-         "oracle_run_id": run_id, "date": date},
-        {"threshold_name": "localization_min_mass",
-         "value": 0.99, "measured": mass,
-         "oracle_run_id": run_id, "date": date},
-    ]
+    fixed = {"oracle_sweep_slope_lo": 3.9, "oracle_sweep_slope_hi": 4.1,
+             "localization_min_mass": 0.99}
+    entries = [{"threshold_name": name,
+                "value": fixed.get(name, value * MARGIN),
+                "measured": value,
+                "oracle_run_id": run_id, "date": date}
+               for name, value in measured.items()]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(entries, indent=2) + "\n")

@@ -30,6 +30,48 @@ far from both oscillators cost nothing beyond the free step.  A negative
 stage is as exact as a positive one: the coupling factor is the exponential
 of a Hermitian matrix for any real tau.
 
+Off the slabs a channel moves freely, so the steps act only on a window of
+the grid (after Heather and Metiu, J. Chem. Phys. 86, 5009, 1987): a
+contiguous run of its points, with its dx, whose length has no prime factor
+above 5, so that pocketfft transforms it fast.  The window holds the core,
+the hull of both oscillators' slabs and of the entry state's support (the
+points where some channel exceeds ``COUPLING_ERROR_BUDGET`` of the largest
+amplitude), and a band at each end.  It is periodic in its own length, and
+its kinetic factor is the exact spectral phase on its own wavenumbers.  Every
+``every`` composed steps the bands' amplitude g = f s moves out of the
+window, where s is an erf ramp from 0 in the core to 1 at the window's ends,
+into one full-grid k-space accumulator per channel row:
+A += exp(+i omega t) FFT(g on the grid), omega = hbar k^2/2M + E/hbar, with
+t the window's time.  That is exact free flight, so the state at a requested
+time is the window on the grid plus ifft(exp(-i omega t) A).  At entry the
+part of the state off the window goes into A, so nothing is dropped.  The
+band's constants follow from the budget and the run's scales, with
+z = ``BUDGET_WIDTHS`` the widths at which a Gaussian falls to the budget:
+
+* the ramp's Gaussian width is w = sqrt(hbar T / M) / 2 for a run of length
+  T.  A carried piece found d past the core travelled at least d from it, so
+  to come back within the run it must turn by at least 4 M d / (hbar T) in
+  wavenumber; the ramp spreads wavenumbers by a Gaussian of width 1/w, which
+  holds that turn to the budget once d = z w;
+* the ramp's centre lies d = z w past the core, where s falls to the budget;
+* between carries, content moves out by at most its speed times ``every``
+  steps; a wavenumber a fraction u of the way to the budget level of the
+  packet's and the ramp's spread about P0/hbar carries amplitude
+  budget^(u^2), and each carry multiplies what stays by 1 - s, so the band
+  reaches past the ramp until, for every u, the product of those factors
+  falls to the budget before the content reaches the window's end, where it
+  would wrap round to the other end;
+* ``every`` balances a carry's full-grid transforms against the window
+  points that the content's travel between carries adds.
+
+A window that would not fit inside the grid is the grid, on the same code,
+with no bands.  The carried part's squared norm and its overlap with the
+window change only at a carry, where the carry's own transform updates
+them; between carries both parts move under the same free flight off the
+slabs, so their overlap holds to the budget.  The in-run checks therefore
+read the whole state's norms with no transform, and each requested time's
+check reads the state as it is formed.
+
 Each stage runs on two threads.  ``evolve`` opens one single-worker
 executor per call and submits to it half of each stage: the upper half of
 the channel rows in every kinetic factor, and the slabs from one cut on in
@@ -38,18 +80,21 @@ points of both oscillators, and each oscillator's slabs are built on each
 side of it, so all stage lengths share it.  The calling thread does the
 other half and then waits for the worker's, so a stage has two synchronous
 hand-offs.  Each kinetic factor transforms its rows in place (numpy's
-``out=``) in ``evolve``'s private copy of the state, so a stage allocates no
+``out=``) in ``evolve``'s private copy of the window, so a stage allocates no
 spectrum, and the two threads' row slices are disjoint.  Each row's
 transforms and each point's U1' and U2' are the same operations in the same
 order as on one thread, so every amplitude is bit-identical to a one-thread
-run.  The health checks, snapshots and typed errors stay on the calling
-thread and fall on composed-step boundaries; a failure in the worker's half
+run.  The entry, each carry and each requested time's state split their
+channel rows the same way, each thread through its own row of scratch.  The
+health checks, snapshots and typed errors stay on the calling thread and
+fall on composed-step boundaries; a failure in the worker's half
 is re-raised there, and the executor is shut down before ``evolve`` returns
 or raises.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -202,6 +247,9 @@ class ChannelState:
     t: float
     grid: SpatialGrid
     amplitudes: np.ndarray
+    # on the state evolve returns at t_final, the run's window record:
+    # {points, carried_norm, band_norm_max} (see evolve); None elsewhere
+    window: dict[str, float | int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -259,6 +307,8 @@ HEALTH_STRIDE = 3
 # zeroing couplings below the floor costs at most this much amplitude over
 # the whole run
 COUPLING_ERROR_BUDGET = 1e-14
+# a Gaussian tail falls to COUPLING_ERROR_BUDGET this many widths out
+BUDGET_WIDTHS = math.sqrt(2.0 * math.log(1.0 / COUPLING_ERROR_BUDGET))
 # evolve_with_escalation raises n_max by 2 up to this cap
 N_MAX_CAP = 10
 
@@ -280,14 +330,76 @@ class PropagatorConfig:
 
 
 Slabs = list[tuple[slice, np.ndarray]]
+# one band of the window: its points, the ramp s on them, and its outer part
+# (past the ramp's centre), all counted in window points
+Band = tuple[slice, np.ndarray, slice]
+
+
+def _fft_size(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n: a length pocketfft transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            f = f35
+            while f < n:
+                f *= 2
+            best = min(best, f)
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def _window(params: ModelParams, grid: SpatialGrid, core: np.ndarray, duration: float,
+            h: float) -> tuple[int, int, int, list[Band]]:
+    """(start, points, every, bands): the window of ``grid`` that evolve
+    steps on for ``duration`` in steps of at most h, the composed steps
+    between two carries, and the window's two bands.
+
+    ``core`` lists the grid points the window must hold away from its
+    bands; each band adds the ramp's offset and its outer reach (module
+    docstring), and the window's length is rounded up to a fast transform
+    length.  A window that would not fit inside the grid is the grid, with
+    no bands.
+    """
+    z = BUDGET_WIDTHS
+    width = 0.5 * math.sqrt(params.hbar * duration / params.M)
+    offset = z * width
+    # wavenumbers a fraction u of the way out to the budget level, in the
+    # packet's spread about P0/hbar and the ramp's together, carry amplitude
+    # budget^(u^2) and move out by travel[u] between two carries
+    spread = params.hbar * z * math.hypot(1.0 / params.sigma, 1.0 / width)
+    every = max(1, round(math.sqrt(grid.length * params.M / (12.0 * (params.P0 + spread) * h))))
+    u = np.linspace(0.0, 1.0, 11)
+    travel = (params.P0 + spread * u) / params.M * every * h
+    need = offset ** 2 * (1.0 - u ** 2)
+    reach = float(np.max(travel + np.minimum(np.sqrt(need), np.cbrt(3.0 * travel * need))))
+    pad = math.ceil((offset + reach) / grid.dx)
+    lo, hi = (int(core[0]), int(core[-1]) + 1) if core.size else (0, grid.n_points)
+    points = _fft_size(hi - lo + 2 * pad)
+    start = lo - pad - (points - (hi - lo + 2 * pad)) // 2
+    if start < 0 or start + points > grid.n_points or points == grid.n_points:
+        return 0, grid.n_points, every, []
+    lo, hi = lo - start, hi - start
+    bands = []
+    for span, centre, sign in ((slice(0, lo), lo - offset / grid.dx, -1.0),
+                               (slice(hi, points), hi - 1 + offset / grid.dx, 1.0)):
+        x = sign * (centre - np.arange(span.start, span.stop)) * grid.dx
+        ramp = np.array([0.5 * math.erfc(v / (math.sqrt(2.0) * width)) for v in x])
+        outer = slice(0, math.ceil(centre)) if sign < 0 else slice(math.floor(centre) + 1, points)
+        bands.append((span, ramp, outer))
+    return start, points, every, bands
 
 
 def _coupling_slabs(params: ModelParams, table: FormFactorTable, energies: np.ndarray,
-                    taus: Sequence[float], on: np.ndarray, cut: int
+                    taus: Sequence[float], on: np.ndarray, cut: int, start: int
                     ) -> list[tuple[Slabs, Slabs]]:
     """One oscillator's coupling factor in the interaction picture, per slab,
     for each step length in ``taus``: the slabs on the points [0, cut) and
-    those on [cut, N), one pair per step length.
+    those on [cut, N), one pair per step length.  ``on``, ``cut`` and the
+    slabs count the points of the window that starts at grid point
+    ``start``.
 
     A slab is one contiguous run, on one side of ``cut``, of the points
     where ``on`` holds (lam max|V| exceeds the floor); the coupling is
@@ -307,7 +419,8 @@ def _coupling_slabs(params: ModelParams, table: FormFactorTable, energies: np.nd
         padded = np.zeros(b - a + 2, dtype=bool)
         padded[1:-1] = on[a:b]
         for lo, hi in a + np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2):
-            h = params.lam * values[:, :, lo:hi].transpose(2, 0, 1) + np.diag(energies)
+            h = (params.lam * values[:, :, start + lo:start + hi].transpose(2, 0, 1)
+                 + np.diag(energies))
             evals, evecs = np.linalg.eigh(h)
             for tau, d, sides in zip(taus, d_half_inv, out):
                 u = np.einsum("xij,xj,xkj->ikx", evecs, np.exp(-1j * evals * tau / params.hbar),
@@ -341,6 +454,68 @@ def _couple_points(f3: np.ndarray, slabs1: Slabs, slabs2: Slabs) -> None:
             g[...] = out
 
 
+def _re_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re sum conj(u) v along the last axis, which must be contiguous: one
+    pass over the real views, with no temporary array and no BLAS call,
+    whose threads would spin beside the engine's two."""
+    return np.einsum("...i,...i->...", u.view(np.float64), v.view(np.float64))
+
+
+def _enter_rows(a: np.ndarray, f0: np.ndarray, start: int, stop: int, plus: np.ndarray,
+                energy: np.ndarray, carried: np.ndarray) -> None:
+    """a = exp(+i omega t) FFT(f0 off the window [start, stop)), row by row;
+    ``carried`` gets each row's sum |f0|^2 off the window."""
+    for i, (acc, row, e) in enumerate(zip(a, f0, energy)):
+        acc[:start] = row[:start]
+        acc[start:stop] = 0.0
+        acc[stop:] = row[stop:]
+        carried[i] = _re_dot(acc, acc)
+        np.fft.fft(acc, out=acc)
+        acc *= plus
+        acc *= e
+
+
+def _carry_rows(f: np.ndarray, a: np.ndarray, scratch: np.ndarray, start: int,
+                bands: list[Band], plus: np.ndarray, energy: np.ndarray,
+                sums: np.ndarray) -> None:
+    """Move each row's band amplitude g = f s out of the window into its
+    accumulator, a += exp(+i omega t) FFT(embed(g)), through one row of
+    scratch.  ``sums`` gets, per row and as sums over points: the outer
+    bands' |f|^2 before the carry, the change of the carried part's |c|^2,
+    |g|^2 + 2 Re<g, c>, and that of Re<f, c>, Re<f - g, g> - Re<g, c>; the
+    spectral sum over N wavenumbers gives <g, c> times N."""
+    n = a.shape[1]
+    for i, (row, acc, e) in enumerate(zip(f, a, energy)):
+        scratch[:] = 0.0
+        outer_sq = piece_sq = kept_piece = 0.0
+        for span, ramp, outer in bands:
+            outer_sq += _re_dot(row[outer], row[outer])
+            band = row[span]
+            piece = band * ramp
+            band -= piece
+            piece_sq += _re_dot(piece, piece)
+            kept_piece += _re_dot(band, piece)
+            scratch[start + span.start:start + span.stop] = piece
+        np.fft.fft(scratch, out=scratch)
+        scratch *= plus
+        scratch *= e
+        piece_carried = _re_dot(scratch, acc) / n
+        acc += scratch
+        sums[i] = outer_sq, piece_sq + 2.0 * piece_carried, kept_piece - piece_carried
+
+
+def _form_rows(out: np.ndarray, f: np.ndarray, a: np.ndarray, start: int, minus: np.ndarray,
+               energy: np.ndarray) -> None:
+    """out = embed(f) + ifft(exp(-i omega t) a), row by row; ``out`` may be
+    ``a`` itself."""
+    stop = start + f.shape[1]
+    for o, row, acc, e in zip(out, f, a, energy):
+        np.multiply(acc, minus, out=o)
+        o *= e
+        np.fft.ifft(o, out=o)
+        o[start:stop] += row
+
+
 def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
            t_final: float, form_factors: tuple[FormFactorTable, FormFactorTable],
            snapshot_times: Sequence[float] = ()
@@ -353,21 +528,29 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     S(W1 h), whose adjacent kinetic halves merge.  Unitary to rounding: the
     kinetic factor is an exact spectral phase and each oscillator's coupling
     factor an exact Hermitian exponential, for the negative W0 too.  The
-    state's health is checked every ``HEALTH_STRIDE`` steps of the whole
-    run, at every snapshot and at t_final, and the run stops at the first
-    failed check: TruncationError when the top oscillator shell holds more
-    norm than ``config.top_shell_threshold``, NormDriftError when the total
-    norm drifts beyond ``NORM_TOLERANCE`` or an amplitude is not finite.
-    The in-run checks read the state just after the kinetic factor that
-    joins two steps, whose per-channel norms are those at the step boundary
-    (the kinetic factor is a unitary phase on each channel), so they cost
-    no extra transforms.
+    steps act on a window of the grid and amplitude that leaves it is
+    carried exactly in k-space (module docstring).  The state's health is
+    checked every ``HEALTH_STRIDE`` steps of the whole run, at every
+    snapshot and at t_final, and the run stops at the first failed check:
+    TruncationError when the top oscillator shell holds more norm than
+    ``config.top_shell_threshold``, NormDriftError when the total norm
+    drifts beyond ``NORM_TOLERANCE`` or an amplitude is not finite.  Each
+    check reads the norms of the whole state, window and carried part: the
+    in-run checks from the window's norms and the carried part's norm and
+    overlap with the window as of the last carry (module docstring), read
+    just after the kinetic factor that joins two steps, whose per-channel
+    norms are those at the step boundary (the kinetic factor is a unitary
+    phase on each channel); the checks at the requested times from the
+    state as formed.
 
     ``form_factors`` are both oscillators' tables on the state's grid, at
     truncation ``config.n_max`` or above (only the leading block is read).
     Returns the final state and the snapshots, keyed by the requested
-    ``snapshot_times``: each is a copy of the state at exactly its time,
-    except that one at t_final is the final state itself.
+    ``snapshot_times``: each is a new state at exactly its time, except
+    that one at t_final is the final state itself.  The final state's
+    ``window`` records the window's ``points``, ``carried_norm`` (the
+    squared norm carried in k-space at t_final) and ``band_norm_max`` (the
+    largest squared norm in the bands' outer parts just before a carry).
     """
     if not t_final > state.t:
         raise ValueError(f"t_final={t_final} must exceed state.t={state.t}")
@@ -389,30 +572,58 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     steps = sorted({(end - start) / n for start, end, n in segments})
     taus = [tau for h in steps for tau in (W1 * h, W0 * h)]
     n_lvl = config.n_max + 1
+    rows = n_lvl * n_lvl
     on1, on2 = (params.lam * np.abs(ff.values[:n_lvl, :n_lvl]).max(axis=(0, 1)) > floor
                 for ff in (ff1, ff2))
+
+    # the window holds both oscillators' slabs and the entry state's
+    # support, the points where some channel exceeds the error budget
+    # relative to the largest amplitude
+    f0 = state.amplitudes.reshape(rows, grid.n_points)
+    norm0 = l2_norm(f0, grid.dx)
+    mag = np.abs(f0).max(axis=0)
+    core = np.flatnonzero(on1 | on2 | (mag > COUPLING_ERROR_BUDGET * mag.max()))
+    del mag
+    start, points, every, bands = _window(params, grid, core, t_final - state.t, steps[-1])
+    stop = start + points
+    on1, on2 = on1[start:stop], on2[start:stop]
+
     # the calling thread takes points [0, cut) of each coupling stage and
-    # rows [0, r) of each kinetic factor; the worker takes the rest.  All
-    # stage lengths have the same slabs, so one cut, at half of both
-    # oscillators' slab points, halves each.
+    # rows [0, r) of each kinetic factor, of the entry, of each carry and of
+    # each formed state; the worker takes the rest.  All stage lengths have
+    # the same slabs, so one cut, at half of both oscillators' slab points,
+    # halves each.
     cut = int(np.searchsorted(np.cumsum(on1 + on2.astype(np.int64)),
                               (np.count_nonzero(on1) + np.count_nonzero(on2)) / 2.0))
-    r = n_lvl * n_lvl // 2
-    slabs1 = _coupling_slabs(params, ff1, e1, taus, on1, cut)
-    slabs2 = _coupling_slabs(params, ff2, e2, taus, on2, cut)
+    r = rows // 2
+    slabs1 = _coupling_slabs(params, ff1, e1, taus, on1, cut, start)
+    slabs2 = _coupling_slabs(params, ff2, e2, taus, on2, cut, start)
 
-    f = state.amplitudes.reshape(n_lvl * n_lvl, grid.n_points).copy()
-    f3 = f.reshape(n_lvl, n_lvl, grid.n_points)
-    norm0 = l2_norm(f, grid.dx)
+    # the window's private copy, and the carried amplitude in k-space; per
+    # row, the carried part's sum |c|^2 and Re<f, c>, its overlap with the
+    # window, as sums over points
+    f = f0[:, start:stop].copy()
+    f3 = f.reshape(n_lvl, n_lvl, points)
+    a = np.empty((rows, grid.n_points), dtype=np.complex128)
+    scratch = np.empty((2, grid.n_points), dtype=np.complex128)
+    carried = np.empty(rows)
+    overlap = np.zeros(rows)
+    sums = np.empty((rows, 3))
+    wavenumbers = 2.0 * np.pi * np.fft.fftfreq(points, d=grid.dx)
 
     # the channel energy phases D^(1/2) ride on the kinetic factors: a bare
     # free factor per point, then an energy phase per row
     energies = (e1[:, None] + e2[None, :]).reshape(-1)
 
     def kinetic(tau: float) -> tuple[tuple, tuple]:
-        free = kinetic_phase(grid, params, tau)
+        free = kinetic_phase(wavenumbers, params, tau)
         energy = np.exp(-1j * tau / params.hbar * energies)
         return (f[:r], free, energy[:r]), (f[r:], free, energy[r:])
+
+    def at(t: float) -> tuple[np.ndarray, np.ndarray]:
+        """exp(+i omega t) on the grid, as the bare factor per point and the
+        energy factor per row; at(-t) undoes it."""
+        return kinetic_phase(grid, params, -t), np.exp(1j * t / params.hbar * energies)
 
     # each step -> its (outer, middle) coupling stages: W1 h and W0 h
     parts = [((f3, c1, c2), (f3, w1, w2)) for (c1, w1), (c2, w2) in zip(slabs1, slabs2)]
@@ -430,15 +641,31 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
             # it the run's arrays, in a cycle with the error's traceback
             del future
 
+    band_norm_max = 0.0
+
+    def carry(t: float) -> None:
+        nonlocal band_norm_max
+        plus, energy = at(t)
+        halves(_carry_rows, (f[:r], a[:r], scratch[0], start, bands, plus, energy[:r], sums[:r]),
+               (f[r:], a[r:], scratch[1], start, bands, plus, energy[r:], sums[r:]))
+        band_norm_max = max(band_norm_max, float(np.sum(sums[:, 0])) * grid.dx)
+        carried[:] += sums[:, 1]
+        overlap[:] += sums[:, 2]
+
     at_time: dict[float, ChannelState] = {}
     step = 0  # composed steps over the whole run
     with pool:
+        # nothing is dropped: what the window does not hold is carried
+        plus, energy = at(state.t)
+        halves(_enter_rows, (a[:r], f0[:r], start, stop, plus, energy[:r], carried[:r]),
+               (a[r:], f0[r:], start, stop, plus, energy[r:], carried[r:]))
         # per segment of n steps of h: K(W1 h/2) [C1 K' C0 K' C1 K(W1 h)]^{n-1}
         # C1 K' C0 K' C1 K(W1 h/2), with C1, C0 the coupling stages, K' =
         # K((W1 + W0) h/2) the inner factor and K(W1 h/2), K(W1 h) the edge
-        # and seam factors, so the state at its end sits on its time
-        for start, end, n_steps in segments:
-            h = (end - start) / n_steps
+        # and seam factors, so the state at its end sits on its time; after a
+        # seam the window is K(W1 h/2) past the step boundary
+        for start_t, end, n_steps in segments:
+            h = (end - start_t) / n_steps
             outer, middle = stages[h]
             edge, inner, seam = (kinetic(w * h) for w in (0.5 * W1, 0.5 * (W1 + W0), W1))
             halves(_kinetic_rows, *edge)
@@ -450,22 +677,36 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
                 halves(_kinetic_rows, *inner)
                 halves(_couple_points, *outer)
                 halves(_kinetic_rows, *(edge if k == n_steps else seam))
+                if bands and step % every == 0:
+                    carry(end if k == n_steps else start_t + (k + 0.5 * W1) * h)
                 if step % HEALTH_STRIDE == 0 and k < n_steps:
-                    _health_check(ChannelState(start + k * h, grid, f3), config, norm0)
-            # a copy at each requested time, except at the end
-            at_time[end] = ChannelState(end, grid, f3 if end == t_final else f3.copy())
-            _health_check(at_time[end], config, norm0)
+                    _health_check(start_t + k * h,
+                                  (_re_dot(f, f) + carried + 2.0 * overlap) * grid.dx, config,
+                                  norm0)
+            # a new state at each requested time, formed in a at the end,
+            # and checked as formed
+            out = a if end == t_final else np.empty_like(a)
+            minus, energy = at(-end)
+            halves(_form_rows, (out[:r], f[:r], a[:r], start, minus, energy[:r]),
+                   (out[r:], f[r:], a[r:], start, minus, energy[r:]))
+            at_time[end] = ChannelState(end, grid, out.reshape(n_lvl, n_lvl, grid.n_points))
+            _health_check(end, _re_dot(out, out) * grid.dx, config, norm0)
+    at_time[t_final].window = {"points": points, "carried_norm": float(np.sum(carried)) * grid.dx,
+                               "band_norm_max": band_norm_max}
     return at_time[t_final], {ts: at_time[ts] for ts in snapshot_times}
 
 
-def _health_check(state: ChannelState, config: PropagatorConfig, norm0: float) -> None:
-    norm = state.norm()
-    check_norm(norm, norm, norm0, state.t, state.n_max)
-    top = state.top_shell_norm()
+def _health_check(t: float, sq: np.ndarray, config: PropagatorConfig, norm0: float) -> None:
+    """Check the per-row squared norms ``sq`` of the state at t."""
+    n = config.n_max
+    sq = sq.reshape(n + 1, n + 1)
+    norm = math.sqrt(float(np.sum(sq)))
+    check_norm(norm, norm, norm0, t, n)
+    top = float(np.sum(sq[n, :]) + np.sum(sq[:, n]) - sq[n, n])
     if not top <= config.top_shell_threshold:
         raise _at_breach(TruncationError(
             f"top-shell norm {top:.3e} exceeds {config.top_shell_threshold:.1e} "
-            f"at n_max={state.n_max}, t={state.t:.6g}"), state.t, top, state.n_max)
+            f"at n_max={n}, t={t:.6g}"), t, top, n)
 
 
 def evolve_with_escalation(params: ModelParams, grid: SpatialGrid, config: PropagatorConfig,

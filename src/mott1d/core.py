@@ -253,12 +253,14 @@ def free_spread(sigma: float, t: float, hbar: float, M: float) -> float:
     return sigma * math.sqrt(1.0 + (hbar * t / (M * sigma ** 2)) ** 2)
 
 
-def kinetic_phase(grid: SpatialGrid, params: ModelParams, dt: float,
+def kinetic_phase(grid: SpatialGrid | np.ndarray, params: ModelParams, dt: float,
                   energies: np.ndarray | None = None) -> np.ndarray:
     """Exact spectral free step exp(-i (hbar k^2/2M + E/hbar) dt) on the grid's
-    wavenumbers; one row per entry of ``energies`` when given, else the bare
-    kinetic factor (E = 0)."""
-    omega = params.hbar * grid.wavenumbers ** 2 / (2.0 * params.M)
+    wavenumbers, or on the wavenumbers k given in place of a grid; one row
+    per entry of ``energies`` when given, else the bare kinetic factor
+    (E = 0)."""
+    k = grid.wavenumbers if isinstance(grid, SpatialGrid) else grid
+    omega = params.hbar * k ** 2 / (2.0 * params.M)
     if energies is not None:
         omega = omega[None, :] + np.asarray(energies)[:, None] / params.hbar
     return np.exp(-1j * omega * dt)

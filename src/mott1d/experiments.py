@@ -283,6 +283,10 @@ def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid,
         "escalations": escalations,
         "top_shell_norm": final.top_shell_norm(),
         "norm_drift": abs(final.norm() - 1.0),
+        # the passing attempt's window: its points, the squared norm carried
+        # in k-space at the end, and the largest outer-band squared norm
+        # just before a carry
+        "window": final.window,
     }
     return _engine_run("oracle", states, convergence, wall), states
 

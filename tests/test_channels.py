@@ -497,6 +497,112 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
+# the window and the carry
+
+
+def test_fft_size_is_the_least_5_smooth_length():
+    def smooth(n):
+        for prime in (2, 3, 5):
+            while n % prime == 0:
+                n //= prime
+        return n == 1
+
+    for n in range(1, 3000):
+        assert ch._fft_size(n) == next(m for m in range(n, 2 * n + 1) if smooth(m))
+
+
+@pytest.mark.parametrize("lambda0", [1e-3, 0.05])
+@pytest.mark.parametrize("case", ["collinear", "opposite"])
+def test_windowed_evolve_matches_reference_kernel(case, lambda0):
+    # the reference kernel steps on the whole grid; evolve steps on a
+    # window well inside it and carries the rest in k-space.  By 1.5 tau2
+    # the collinear run has carried a quarter of the norm, psi- past the
+    # window's left end; the opposite window holds oscillator 2's slabs, far
+    # to the left, so only psi+'s front is carried there
+    p = ex.default_params(case, epsilon=0.2, lambda0=lambda0)
+    times = (1.5 * p.tau1, 1.5 * p.tau2)
+    grid = suggest_grid(p, times[-1])
+    n_max = 2
+    config = ch.PropagatorConfig(n_max=n_max, top_shell_threshold=1.0)
+    ff = ch.form_factor_pair(p, grid, n_max)
+    state = ch.initialize_channels(p, grid, n_max)
+    final, seen = ch.evolve(state, p, config, times[-1], ff, snapshot_times=times)
+    energies = [OscillatorBasis.for_oscillator(p, i, n_max).energies for i in (1, 2)]
+    ref = reference_channel_evolve(state.amplitudes, ff[0].values, ff[1].values, *energies,
+                                   grid.dx, times[-1], config.dt, p.lam, p.hbar, p.M,
+                                   ch.COUPLING_ERROR_BUDGET, snapshot_times=times)
+    for t in times:
+        np.testing.assert_allclose(seen[t].amplitudes, ref["snapshots"][t], rtol=0, atol=1e-12)
+    window = final.window
+    if case == "collinear":
+        assert window["points"] < 0.6 * grid.n_points and window["carried_norm"] > 0.1
+    else:
+        assert window["points"] < 0.75 * grid.n_points and window["carried_norm"] > 1e-5
+    assert 0.0 < window["band_norm_max"] < window["carried_norm"]
+
+
+def test_run_continued_from_a_late_snapshot_equals_the_whole_run(reduced_collinear):
+    # in a box narrower than suggest_grid's, by 0.9 of the run the state
+    # exceeds the budget everywhere on the grid, so a run continued from
+    # there steps on the whole grid and carries nothing; it must land on
+    # the final state of the whole run, which carried a quarter of the norm
+    p = reduced_collinear
+    n_max = 2
+    grid = SpatialGrid.symmetric(180.0, 2048)
+    t_late, t_final = 0.9 * 1.5 * p.tau2, 1.5 * p.tau2
+    ff = ch.form_factor_pair(p, grid, n_max)
+    config = ch.PropagatorConfig(n_max=n_max)
+    whole, seen = ch.evolve(ch.initialize_channels(p, grid, n_max), p, config, t_final, ff,
+                            snapshot_times=[t_late])
+    continued, _ = ch.evolve(seen[t_late], p, config, t_final, ff)
+    assert whole.window["points"] < 0.8 * grid.n_points and whole.window["carried_norm"] > 0.1
+    assert continued.window == {"points": grid.n_points, "carried_norm": 0.0,
+                                "band_norm_max": 0.0}
+    np.testing.assert_allclose(continued.amplitudes, whole.amplitudes, rtol=0, atol=1e-12)
+
+
+def test_breach_after_a_carry_reads_the_whole_states_top_shell(reduced_collinear,
+                                                               reduced_grid, tables):
+    # at n_max = 1 and lambda0 = 0.05 the top shell holds every excitation,
+    # and by the last in-run check psi-'s share of it is past the window's
+    # left end, in k-space: the breach must report the top-shell norm of
+    # the state the run reports, not of the window
+    strong = replace(reduced_collinear, lam=0.05)
+    t_final = 1.5 * strong.tau2
+    ff = tables(strong, reduced_grid, 1)
+    config = ch.PropagatorConfig(n_max=1, top_shell_threshold=1.0)
+    # the last two in-run checks, on the run's step boundaries
+    n_steps = round(t_final / config.dt)
+    last, before = ((n_steps - k * ch.HEALTH_STRIDE) * (t_final / n_steps) for k in (1, 2))
+    final, seen = ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong, config,
+                            t_final, ff, snapshot_times=[before, last])
+    assert final.window["carried_norm"] > 0.1
+    top = {t: seen[t].top_shell_norm() for t in (before, last)}
+    assert top[before] < top[last]
+    threshold = 0.5 * (top[before] + top[last])
+    with pytest.raises(ch.TruncationError) as info:
+        ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong,
+                  replace(config, top_shell_threshold=threshold), t_final, ff)
+    assert info.value.t == last
+    assert info.value.norm == pytest.approx(top[last], rel=1e-9)
+
+
+def test_free_run_past_the_window_matches_analytic(reduced_collinear, reduced_grid, tables):
+    # without coupling the window holds only the initial packet and its
+    # bands; by 1.5 tau2 most of both packets is carried in k-space
+    p = replace(reduced_collinear, lam=0.0)
+    t_final = 1.5 * p.tau2
+    state = ch.initialize_channels(p, reduced_grid, 1)
+    final, _ = ch.evolve(state, p, ch.PropagatorConfig(n_max=1), t_final,
+                         tables(p, reduced_grid, 1))
+    assert final.window["points"] < 0.5 * reduced_grid.n_points
+    assert final.window["carried_norm"] > 0.5
+    assert ch.channel_probabilities(final)[(0, 0)] == pytest.approx(1.0, abs=1e-12)
+    exact = free_two_packet(reduced_grid.points, t_final, p.sigma, p.P0, p.hbar, p.M)
+    assert np.max(np.abs(np.abs(final.amplitudes[0, 0]) - np.abs(exact))) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
 # the worker thread
 
 
@@ -525,8 +631,8 @@ def test_coupling_slabs_split_at_the_cut(reduced_collinear, reduced_grid, tables
             u[:, :, span] = factor
         return u
 
-    split = ch._coupling_slabs(p, table, energies, taus, on, cut)
-    whole = ch._coupling_slabs(p, table, energies, taus, on, 0)
+    split = ch._coupling_slabs(p, table, energies, taus, on, cut, 0)
+    whole = ch._coupling_slabs(p, table, energies, taus, on, 0, 0)
     assert len(split) == len(whole) == len(taus)
     for (left, right), (none, uncut) in zip(split, whole):
         assert none == []
@@ -536,6 +642,14 @@ def test_coupling_slabs_split_at_the_cut(reduced_collinear, reduced_grid, tables
         assert np.array_equal(np.sort(np.concatenate(points or [np.empty(0, int)])),
                               np.flatnonzero(on))
         assert np.array_equal(per_point(left + right), per_point(uncut))
+    # a window from grid point 50 on counts its own points, and each reads
+    # the table at its grid point
+    shift = 50
+    windowed = ch._coupling_slabs(p, table, energies, taus, on[shift:], max(cut - shift, 0),
+                                  shift)
+    for (left, right), (_, uncut) in zip(windowed, whole):
+        assert np.array_equal(per_point(left + right)[:, :, :n_points - shift],
+                              per_point(uncut)[:, :, shift:])
 
 
 @pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "free"])
@@ -548,8 +662,8 @@ def test_evolve_cuts_at_half_of_both_oscillators_slab_points(reduced_collinear, 
     calls = []
     original = ch._coupling_slabs
 
-    def spy(params, table, energies, taus, on, cut):
-        slabs = original(params, table, energies, taus, on, cut)
+    def spy(params, table, energies, taus, on, cut, start):
+        slabs = original(params, table, energies, taus, on, cut, start)
         calls.append((on, cut, slabs))
         return slabs
 

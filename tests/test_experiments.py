@@ -268,6 +268,20 @@ def test_oracle_records_the_steps_it_took(on_grid):
     assert json.loads(json.dumps(conv["segments"])) == conv["segments"]
 
 
+def test_oracle_records_its_window():
+    # convergence.window: the window's points, the squared norm carried in
+    # k-space at the end and the largest outer-band squared norm before a
+    # carry; json-ready and the same on a rerun
+    spec = _reduced_spec("collinear", "oracle")
+    spec = replace(spec, times=(1.5 * spec.params.tau2,))
+    runs = [ex.run_scenario(spec).engines["oracle"].convergence["window"] for _ in range(2)]
+    window = runs[0]
+    assert set(window) == {"points", "carried_norm", "band_norm_max"}
+    assert 0 < window["points"] < spec.grid().n_points
+    assert 0.0 < window["band_norm_max"] < window["carried_norm"] < 1.0
+    assert json.loads(json.dumps(window)) == window == runs[1]
+
+
 def test_run_scenario_keeps_escalated_snapshots():
     # every kept state comes from the attempt that passed, and the last
     # requested time lands on t_final itself

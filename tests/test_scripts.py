@@ -39,3 +39,17 @@ def test_threshold_fixture_follows_the_freeze_rule():
     assert entries["localization_min_mass"]["value"] == 0.99
     (run_id,) = {e["oracle_run_id"] for e in entries.values()}
     assert run_id in script["__doc__"]
+
+
+def test_threshold_check_bounds_each_quantity_from_its_side(tmp_path):
+    # --check compares each recomputed quantity with its frozen threshold:
+    # the frozen measurements pass, and moving any one of them past its
+    # threshold, from the side its name gives, fails
+    check = runpy.run_path(str(SCRIPTS / "freeze_thresholds.py"))["check"]
+    entries = json.loads(FIXTURE.read_text())
+    measured = {e["threshold_name"]: e["measured"] for e in entries}
+    assert check(FIXTURE, measured) == 0
+    for e in entries:
+        name, bound = e["threshold_name"], e["value"]
+        past = bound * 1.01 if name.endswith(("_max", "_hi")) else bound * 0.99
+        assert check(FIXTURE, {**measured, name: past}) == 1, name
