@@ -9,7 +9,6 @@ from .core import (
     QuadratureError,
     SpatialGrid,
     TruncationError,
-    born_probability,
     free_spread,
     make_spherical_wave_1d,
     suggest_grid,

@@ -337,18 +337,15 @@ Band = tuple[slice, np.ndarray, slice]
 
 def _fft_size(n: int) -> int:
     """The least 2^a 3^b 5^c >= n: a length pocketfft transforms fast."""
-    best = 1 << (n - 1).bit_length()
-    f5 = 1
-    while f5 < best:
-        f35 = f5
-        while f35 < best:
-            f = f35
-            while f < n:
-                f *= 2
-            best = min(best, f)
-            f35 *= 3
-        f5 *= 5
-    return best
+    size = max(n, 1)
+    while True:
+        rest = size
+        for prime in (2, 3, 5):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return size
+        size += 1
 
 
 def _window(params: ModelParams, grid: SpatialGrid, core: np.ndarray, duration: float,

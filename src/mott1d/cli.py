@@ -158,6 +158,9 @@ class RunConfig:
         formats = _as_list(output.get("formats", ["json", "csv"]), "output.formats", _as_format)
         density_channels = _as_list(output.get("density_channels", [[0, 0], [1, 0]]),
                                     "output.density_channels", _as_channel)
+        if len(set(density_channels)) < len(density_channels):
+            raise ConfigError("output.density_channels must not repeat a channel, got "
+                              f"{[list(c) for c in density_channels]}")
         n_max = spec.numerics.n_max
         for where, channels in (("scenario.targets", targets),
                                 ("output.density_channels", density_channels)):

@@ -1,5 +1,5 @@
 """Typed errors, grids, the initial two-packet state, oscillator eigenbasis
-and the position-space diagnostics.
+and the outcome-history sums.
 
 Model conventions used throughout the package:
 
@@ -26,7 +26,7 @@ import numpy as np
 
 
 class GridError(ValueError):
-    """Grid too narrow, mismatched grids, or interval outside the grid."""
+    """Grid too narrow, or mismatched grids."""
 
 
 class QuadratureError(RuntimeError):
@@ -230,9 +230,6 @@ class ComplexField:
             raise ValueError("cannot normalize the zero field")
         return ComplexField(self.grid, self.values / n)
 
-    def density(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
-
 
 # a packet's envelope at the grid edge may reach this fraction of its peak
 BOUNDARY_TOL = 1e-12
@@ -371,38 +368,7 @@ class OscillatorBasis:
 
 
 # ---------------------------------------------------------------------------
-# diagnostics
-
-
-def _check_normalized(psi: ComplexField, rtol: float = 1e-6) -> None:
-    n = psi.norm()
-    if abs(n - 1.0) > rtol:
-        raise ValueError(f"field is not normalized (norm {n!r})")
-
-
-def born_probability(psi: ComplexField, omega_set: Sequence[tuple[float, float]]) -> float:
-    """Probability that the position lies in the union of intervals.
-
-    Quadrature treats |psi_j|^2 as constant on the cell
-    [x_j - dx/2, x_j + dx/2), so the result is exactly additive over
-    disjoint intervals and monotone under inclusion.
-    """
-    _check_normalized(psi)
-    grid = psi.grid
-    x = grid.points
-    dx = grid.dx
-    total = 0.0
-    density = psi.density()
-    for lo, hi in omega_set:
-        if not lo <= hi:
-            raise ValueError(f"interval has lo > hi: ({lo}, {hi})")
-        if lo < grid.x_min - 1e-12 * grid.length or hi > grid.x_max + 1e-12 * grid.length:
-            raise GridError(f"interval ({lo}, {hi}) outside grid [{grid.x_min}, {grid.x_max}]")
-        cell_lo = np.maximum(x - 0.5 * dx, lo)
-        cell_hi = np.minimum(x + 0.5 * dx, hi)
-        overlap = np.clip(cell_hi - cell_lo, 0.0, None)
-        total += float(np.sum(density * overlap))
-    return total
+# outcome histories
 
 
 def history_sums(pmap: Mapping[tuple[int, int], float]) -> dict[str, float]:

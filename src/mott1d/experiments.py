@@ -4,8 +4,9 @@ A scenario is one geometry (oscillators on opposite sides of the origin, or
 both on the same side) evaluated by one or both engines: the second-order
 Dyson engine ("pt") and the coupled-channel propagator ("oracle").  The
 harness also owns the dimensionless-regime verdict, the lambda-scaling fits
-and the conditional-localization summary.  The acceptance defaults at the
-end pin the settings that the acceptance suite and the scripts run at.
+and the localization summary, one masked sum over |f|^2 per excited
+channel.  The acceptance defaults at the end pin the settings that the
+acceptance suite and the scripts run at.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .core import (
     ComplexField,
     ModelParams,
     SpatialGrid,
-    born_probability,
     dimensionless_group,
     history_sums,
     suggest_grid,
@@ -171,6 +171,8 @@ class ScenarioSpec:
             raise ValueError("targets must not be empty")
         if self.times is not None and not self.times:
             raise ValueError("times must not be empty; None means (1.5 * tau2,)")
+        if self.times is not None and len(set(self.times)) < len(self.times):
+            raise ValueError(f"scenario.times must not repeat a time, got {list(self.times)}")
         for tgt in self.targets:
             n1, n2 = tgt
             if n1 < 0 or n2 < 0 or (n1 == 0 and n2 == 0):
@@ -438,16 +440,16 @@ def sweep_lambda(spec: ScenarioSpec, lambda_values: Sequence[float],
 @dataclass(frozen=True)
 class LocalizationEntry:
     channel: tuple[int, int]
-    t: float
-    channel_probability: float
     side: str  # "right" (x > 0) or "left" (x < 0)
-    mass_same_side: float | None
-    defined: bool
+    mass_same_side: float | None  # None at or below LOCALIZATION_NORM_FLOOR
+
+    @property
+    def defined(self) -> bool:
+        return self.mass_same_side is not None
 
 
 @dataclass(frozen=True)
 class LocalizationReport:
-    t: float
     entries: tuple[LocalizationEntry, ...]
 
     def entry(self, channel: tuple[int, int]) -> LocalizationEntry:
@@ -462,31 +464,29 @@ LOCALIZATION_NORM_FLOOR = 1e-200
 
 
 def localization_from_state(state: ch.ChannelState, params: ModelParams) -> LocalizationReport:
-    """Conditional position statistics of every singly-excited channel.
-
-    For each channel (n, 0) / (0, n) with n >= 1 the conditional state
-    f / ||f|| is formed (when the channel carries norm above the floor) and
-    the Born mass on the excited oscillator's side of the origin reported.
+    """For each singly-excited channel (n, 0) / (0, n), n >= 1, the share of
+    its norm on its oscillator's side of the origin: the masked sum
+    sum(|f|^2 w) / sum(|f|^2), with w = 1 on that side, 1/2 at x = 0 and 0
+    elsewhere, which is the Born probability of the half-line for the
+    conditional state f / ||f||, each point standing for its cell.  A
+    channel whose probability is at or below LOCALIZATION_NORM_FLOOR has
+    no mass.
     """
+    x = state.grid.points
+    # a symmetric power-of-two grid holds x = 0 exactly; its cell is split
+    weights = {side: np.where(x == 0.0, 0.5, sign * x > 0.0)
+               for side, sign in (("right", 1.0), ("left", -1.0))}
     entries: list[LocalizationEntry] = []
-    grid = state.grid
-    pmap = ch.channel_probabilities(state)
     for n in range(1, state.n_max + 1):
         for channel, center in (((n, 0), params.a1), ((0, n), params.a2)):
-            p_ch = pmap[channel]
             side = "right" if center > 0 else "left"
-            if p_ch <= LOCALIZATION_NORM_FLOOR:
-                entries.append(LocalizationEntry(channel=channel, t=state.t,
-                                                 channel_probability=p_ch, side=side,
-                                                 mass_same_side=None, defined=False))
-                continue
-            conditional = state.channel_field(*channel).normalized()
-            interval = (0.0, grid.x_max) if center > 0 else (grid.x_min, 0.0)
-            mass = born_probability(conditional, [interval])
-            entries.append(LocalizationEntry(channel=channel, t=state.t,
-                                             channel_probability=p_ch, side=side,
-                                             mass_same_side=mass, defined=True))
-    return LocalizationReport(t=state.t, entries=tuple(entries))
+            sq = np.abs(state.amplitudes[channel]) ** 2
+            total = float(np.sum(sq))
+            # np.sum of the product, not a BLAS dot (see core.l2_norm)
+            mass = (float(np.sum(sq * weights[side])) / total
+                    if total * state.grid.dx > LOCALIZATION_NORM_FLOOR else None)
+            entries.append(LocalizationEntry(channel=channel, side=side, mass_same_side=mass))
+    return LocalizationReport(entries=tuple(entries))
 
 
 # ---------------------------------------------------------------------------

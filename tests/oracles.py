@@ -8,9 +8,11 @@ moments.  The test tools are ``mirror`` (reflection about the origin of a
 symmetric grid), ``mirrored`` (the reflected parameter set),
 ``free_propagate`` (the free step through ``core.kinetic_phase``),
 ``make_gaussian_packet`` (one packet, under ``core``'s grid-edge rule),
-``uncertainty_product`` (spectral position and momentum spreads) and
-``eigenfunctions`` (an oscillator basis on arbitrary positions); no run
-calls them, so they live here and not in the package.
+``uncertainty_product`` (spectral position and momentum spreads),
+``eigenfunctions`` (an oscillator basis on arbitrary positions) and
+``born_probability`` (a cell-overlap quadrature over a union of intervals,
+the reference for ``experiments.localization_from_state``'s masked sum); no
+run calls them, so they live here and not in the package.
 ``reference_dyson_stack`` is the plain 41-row (at n_max = 4) Dyson kernel
 with a per-pair Python kick loop and both interaction orderings carried
 separately, kept as the differential reference for the production engine.
@@ -24,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from mott1d.core import (ComplexField, ModelParams, OscillatorBasis, SpatialGrid, _check_boundary,
-                         _check_normalized, hermite_functions, kinetic_phase)
+from mott1d.core import (ComplexField, GridError, ModelParams, OscillatorBasis, SpatialGrid,
+                         _check_boundary, hermite_functions, kinetic_phase)
 
 
 def mirror(values: np.ndarray) -> np.ndarray:
@@ -63,6 +65,37 @@ def make_gaussian_packet(grid: SpatialGrid, sigma: float, P0: float,
     return ComplexField(grid, psi).normalized()
 
 
+def _check_normalized(psi: ComplexField, rtol: float = 1e-6) -> None:
+    n = psi.norm()
+    if abs(n - 1.0) > rtol:
+        raise ValueError(f"field is not normalized (norm {n!r})")
+
+
+def born_probability(psi: ComplexField, omega_set: Sequence[tuple[float, float]]) -> float:
+    """Probability that the position lies in the union of intervals.
+
+    Quadrature treats |psi_j|^2 as constant on the cell
+    [x_j - dx/2, x_j + dx/2), so the result is exactly additive over
+    disjoint intervals and monotone under inclusion.
+    """
+    _check_normalized(psi)
+    grid = psi.grid
+    x = grid.points
+    dx = grid.dx
+    total = 0.0
+    density = np.abs(psi.values) ** 2
+    for lo, hi in omega_set:
+        if not lo <= hi:
+            raise ValueError(f"interval has lo > hi: ({lo}, {hi})")
+        if lo < grid.x_min - 1e-12 * grid.length or hi > grid.x_max + 1e-12 * grid.length:
+            raise GridError(f"interval ({lo}, {hi}) outside grid [{grid.x_min}, {grid.x_max}]")
+        cell_lo = np.maximum(x - 0.5 * dx, lo)
+        cell_hi = np.minimum(x + 0.5 * dx, hi)
+        overlap = np.clip(cell_hi - cell_lo, 0.0, None)
+        total += float(np.sum(density * overlap))
+    return total
+
+
 class UncertaintyResult(NamedTuple):
     delta_x: float
     delta_p: float
@@ -78,7 +111,7 @@ def uncertainty_product(psi: ComplexField, hbar: float = 1.0) -> UncertaintyResu
     _check_normalized(psi)
     grid = psi.grid
     x = grid.points
-    rho_x = psi.density() * grid.dx
+    rho_x = np.abs(psi.values) ** 2 * grid.dx
     mean_x = float(np.sum(rho_x * x))
     var_x = float(np.sum(rho_x * (x - mean_x) ** 2))
 

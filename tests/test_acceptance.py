@@ -16,8 +16,9 @@ import mott1d.channels as ch
 import mott1d.experiments as ex
 import mott1d.perturbation as pt
 from mott1d import cli
-from mott1d.core import OscillatorBasis, SpatialGrid, born_probability, history_sums
-from oracles import eigenfunctions, make_gaussian_packet, mirrored, uncertainty_product
+from mott1d.core import OscillatorBasis, SpatialGrid, history_sums
+from oracles import (born_probability, eigenfunctions, make_gaussian_packet, mirrored,
+                     uncertainty_product)
 
 LAMBDA0 = ex.ACCEPTANCE_LAMBDA0
 

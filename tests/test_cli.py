@@ -158,12 +158,17 @@ def test_type_errors_are_reported(tmp_path):
     ({"numerics": {"dt_duhamel": -0.1}}, "numerics.dt_duhamel: dt must be positive"),
     ({"numerics": {"pt_rtol": -1}}, "numerics.pt_rtol"),
     ({"numerics": {"top_shell_threshold": -1}}, "numerics.top_shell_threshold"),
+    # a repeat would be solved once, reported once and listed twice
+    ({"scenario": {"times": [20, 20.0]}}, "scenario.times must not repeat"),
+    # a repeat would write its field file twice and list it twice
+    ({"output": {"density_channels": [[1, 0], [1, 0]]}},
+     "output.density_channels must not repeat"),
 ], ids=["times", "times-empty", "targets", "lambda0_values", "density_channels",
         "formats", "times-infinity", "density_channels-negative",
         "density_channels-above-n_max", "targets-above-n_max", "snapshot-pt",
         "snapshot-string", "removed-t_factor", "removed-lambda_values", "removed-x_max",
         "dt_oracle-zero", "dt_duhamel-negative", "pt_rtol-negative",
-        "top_shell_threshold-negative"])
+        "top_shell_threshold-negative", "times-repeated", "density_channels-repeated"])
 def test_list_keys_must_be_lists(tmp_path, overrides, match):
     path = write_config(tmp_path, **overrides)
     with pytest.raises(cli.ConfigError, match=match):

@@ -14,15 +14,14 @@ from mott1d.core import (
     NormDriftError,
     OscillatorBasis,
     SpatialGrid,
-    born_probability,
     check_norm,
     dimensionless_group,
     free_spread,
     hermite_functions,
     make_spherical_wave_1d,
 )
-from oracles import (eigenfunctions, fd_momentum_moments, make_gaussian_packet, mirror,
-                     spherical_wave_norm_sq, uncertainty_product)
+from oracles import (born_probability, eigenfunctions, fd_momentum_moments, make_gaussian_packet,
+                     mirror, spherical_wave_norm_sq, uncertainty_product)
 
 
 def grid_for_packet(sigma=1.0, x_max=32.0, n=2048):
@@ -234,7 +233,8 @@ def test_fringe_spacing_matches_momentum():
     plus = make_gaussian_packet(g, 1.0, p0, +1, hbar)
     minus = make_gaussian_packet(g, 1.0, p0, -1, hbar)
     # the cross term of |psi+ + psi-|^2
-    cross_term = np.abs(plus.values + minus.values) ** 2 - plus.density() - minus.density()
+    cross_term = (np.abs(plus.values + minus.values) ** 2 - np.abs(plus.values) ** 2
+                  - np.abs(minus.values) ** 2)
     x = g.points
     window = np.abs(x) < 2.0
     cross = cross_term[window]
@@ -271,7 +271,7 @@ def test_uncertainty_spherical_wave_against_moment_oracle():
     result = uncertainty_product(psi)
     _, dp_oracle = fd_momentum_moments(psi.values, g.dx)
     assert result.delta_p == pytest.approx(dp_oracle, rel=1e-8)
-    dx_direct = math.sqrt(float(np.sum(psi.density() * g.points ** 2) * g.dx))
+    dx_direct = math.sqrt(float(np.sum(np.abs(psi.values) ** 2 * g.points ** 2) * g.dx))
     assert result.product == pytest.approx(dx_direct * dp_oracle, rel=1e-8)
 
 

@@ -10,8 +10,8 @@ import mott1d as m
 import mott1d.channels as ch
 import mott1d.experiments as ex
 import mott1d.perturbation as pt
-from mott1d.core import history_sums
-from oracles import mirror
+from mott1d.core import ComplexField, history_sums
+from oracles import born_probability, mirror, mirrored
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +397,65 @@ def test_localization_opposite_sides(reduced_opposite):
     left = report.entry((0, 1))
     assert right.side == "right" and right.mass_same_side >= 0.99
     assert left.side == "left" and left.mass_same_side >= 0.99
+
+
+# (case, lambda0, reflected about the origin, sides of (n, 0) and (0, n))
+LOCALIZATION_ROWS = {
+    "collinear-1e-3": ("collinear", 1e-3, False, ("right", "right")),
+    "collinear-0.05": ("collinear", 0.05, False, ("right", "right")),
+    "opposite-1e-3": ("opposite", 1e-3, False, ("right", "left")),
+    "opposite-0.05": ("opposite", 0.05, False, ("right", "left")),
+    # a1 < 0: oscillator 1, and so channel (1, 0), on the left
+    "collinear-1e-3-mirrored": ("collinear", 1e-3, True, ("left", "left")),
+}
+
+
+@pytest.fixture(scope="module", params=list(LOCALIZATION_ROWS), ids=list(LOCALIZATION_ROWS))
+def localization_runs(request):
+    """(row, params, engine -> t -> state): both engines' states at 1.5 tau1
+    and 1.5 tau2 at epsilon 0.2 and n_max 2 (the oracle escalates as a
+    scenario run does)."""
+    case, lambda0, reflected, _ = LOCALIZATION_ROWS[request.param]
+    p = ex.default_params(case, epsilon=0.2, lambda0=lambda0)
+    p = mirrored(p) if reflected else p
+    times = (1.5 * p.tau1, 1.5 * p.tau2)
+    grid = m.suggest_grid(p, times[-1])
+    assert grid.n_points == 2048
+    ff = ch.form_factor_pair(p, grid, 2)
+    _, oracle, _ = ch.evolve_with_escalation(p, grid, ch.PropagatorConfig(n_max=2), times[-1],
+                                             ff, snapshot_times=times)
+    _, dyson, _ = pt.converged_dyson_run(p, times[-1], ff, grid, 2, snapshot_times=times)
+    return LOCALIZATION_ROWS[request.param], p, {"oracle": oracle, "pt": dyson}
+
+
+def test_localization_is_the_born_mass_of_the_conditional_state(localization_runs):
+    # the masked sum against the cell-overlap quadrature of the normalized
+    # channel on the half-line; the quadrature gives the edge cell at x_min
+    # half weight, which a state held away from the grid's edge never feels
+    (_, _, _, sides), params, runs = localization_runs
+    for states in runs.values():
+        for state in states.values():
+            grid = state.grid
+            report = ex.localization_from_state(state, params)
+            assert len(report.entries) == 2 * state.n_max
+            for entry in report.entries:
+                assert entry.side == (sides[0] if entry.channel[1] == 0 else sides[1])
+                assert entry.defined
+                conditional = ComplexField(grid, state.amplitudes[entry.channel]).normalized()
+                half = (0.0, grid.x_max) if entry.side == "right" else (grid.x_min, 0.0)
+                assert abs(entry.mass_same_side
+                           - born_probability(conditional, [half])) <= 1e-12, entry
+
+
+def test_pt_localization_deficit_matches_the_oracle(localization_runs):
+    # the (1, 0) wrong-side deficit 1 - mass, from PT's states and the
+    # oracle's, within 2.2 lambda0 relative: the constant measured for the
+    # engines' probability gap with the Gaussian potential
+    (_, lambda0, _, _), params, runs = localization_runs
+    for t in runs["oracle"]:
+        deficit = {engine: 1.0 - ex.localization_from_state(states[t], params)
+                   .entry((1, 0)).mass_same_side for engine, states in runs.items()}
+        assert abs(deficit["pt"] - deficit["oracle"]) <= 2.2 * lambda0 * deficit["oracle"], t
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_free_propagate_center_and_width(free_params):
     t = 5.0
     out = free_propagate(psi, t, p)
     x = g.points
-    rho = out.density() * g.dx
+    rho = np.abs(out.values) ** 2 * g.dx
     mean = float(np.sum(rho * x))
     spread = math.sqrt(float(np.sum(rho * (x - mean) ** 2)))
     assert mean == pytest.approx(p.v0 * t, abs=1e-9)
