@@ -247,8 +247,9 @@ class ChannelState:
     t: float
     grid: SpatialGrid
     amplitudes: np.ndarray
-    # on the state evolve returns at t_final, the run's window record:
-    # {points, carried_norm, band_norm_max} (see evolve); None elsewhere
+    # the run's record of where its steps acted: on the state evolve returns
+    # at t_final, {points, carried_norm, band_norm_max} (see evolve); on each
+    # state perturbation.dyson_run returns, {points}; None elsewhere
     window: dict[str, float | int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:

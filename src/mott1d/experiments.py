@@ -310,7 +310,10 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid,
                    "halving_rel_change": max(h["rel_change"] or 0.0 for h in accepted),
                    "halving_rel_change_observables": max(h["obs_change"] or 0.0
                                                          for h in accepted),
-                   "halving": halving}
+                   "halving": halving,
+                   # the accepted pass's points, the coarsest sampling of the
+                   # box that holds the band (perturbation module docstring)
+                   "points": final.window["points"]}
     fields = {(n1, n2): final.channel_field(n1, n2)
               for n1 in range(num.n_max + 1) for n2 in range(num.n_max + 1)}
     return _engine_run("pt", states, convergence, wall), fields

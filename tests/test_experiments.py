@@ -282,6 +282,17 @@ def test_oracle_records_its_window():
     assert json.loads(json.dumps(window)) == window == runs[1]
 
 
+def test_pt_records_its_points():
+    # convergence.points: the points the accepted pass stepped on, the
+    # coarsest sampling of the box that holds the band; here half the grid's,
+    # json-ready and the same on a rerun
+    spec = _reduced_spec("collinear", "pt")
+    spec = replace(spec, times=(1.5 * spec.params.tau2,))
+    runs = [ex.run_scenario(spec).engines["pt"].convergence["points"] for _ in range(2)]
+    assert runs[0] == runs[1] == spec.grid().n_points // 2
+    assert json.loads(json.dumps(runs[0])) == runs[0]
+
+
 def test_run_scenario_keeps_escalated_snapshots():
     # every kept state comes from the attempt that passed, and the last
     # requested time lands on t_final itself
