@@ -72,30 +72,47 @@ slabs, so their overlap holds to the budget.  The in-run checks therefore
 read the whole state's norms with no transform, and each requested time's
 check reads the state as it is formed.
 
-Each stage runs on two threads.  ``evolve`` opens one single-worker
-executor per call and submits to it half of each stage: the upper half of
-the channel rows in every kinetic factor, and the slabs from one cut on in
-every coupling stage.  The cut is chosen once per call to halve the slab
-points of both oscillators, and each oscillator's slabs are built on each
-side of it, so all stage lengths share it.  The calling thread does the
-other half and then waits for the worker's, so a stage has two synchronous
-hand-offs.  Each kinetic factor transforms its rows in place (numpy's
-``out=``) in ``evolve``'s private copy of the window, so a stage allocates no
-spectrum, and the two threads' row slices are disjoint.  Each row's
-transforms and each point's U1' and U2' are the same operations in the same
-order as on one thread, so every amplitude is bit-identical to a one-thread
-run.  The entry, each carry and each requested time's state split their
-channel rows the same way, each thread through its own row of scratch.  The
-health checks, snapshots and typed errors stay on the calling thread and
-fall on composed-step boundaries; a failure in the worker's half
-is re-raised there, and the executor is shut down before ``evolve`` returns
-or raises.
+Each stage runs on the calling thread and transforms its rows in place
+(numpy's ``out=``) in ``evolve``'s private copy of the window, so a stage
+allocates no spectrum.
+
+Both engines step on the coarsest grid of the same box that holds the
+band (Fourier-grid sampling: Kosloff and Kosloff, J. Comput. Phys. 52, 35,
+1983), picked by one rule, ``band_sampling``, that their entry points
+apply: ``evolve_with_escalation`` to each attempt's own tables and
+``perturbation.converged_dyson_run`` once per ladder.  On the N-point grid
+of record the packet's spectrum vanishes, to ``COUPLING_ERROR_BUDGET`` of
+its peak, beyond the wavenumber index K_psi, and every table row's beyond
+K_g.  The free step only rephases each wavenumber, and a pointwise product
+adds the bands of its factors.  The rule takes M = N / 2^j points, the
+fewest with M/2 > K_psi + 2 K_g, and reads the tables at every (N/M)-th
+point; the packet built on the M points is its samples to rounding.  The
+same box at M points has the wavenumbers 2 pi j / L for |j| < M/2, so
+while a state's band stays below M/2 its samples are the whole state: a
+pointwise product of samples is the sample of the product, and each
+transform is the N-point one restricted to |j| < M/2 and scaled by M/N.
+``on_grid`` takes each requested state back to the grid of record, each
+row's spectrum zero-padded to N points.  A band that fills the grid gives
+M = N.
+
+PT's widest product is its joint source (g2 b1, g1 b2 or g1 g2 psi), of
+band K_psi + 2 K_g, so nothing it forms folds.  The oracle's coupling
+factor is a power series in lam V(R) at each point: for a stage of length
+tau its k-th term is a product of k table rows, of band k K_g and size at
+most x^k / k!, x = tau lam max|V| / hbar.  So the state's part of order k
+in lam has band K_psi + k K_g: up to k = 2 it stays below M/2, and only
+what the orders from 3 on, x^3 / 6 per stage or less, put past M/2 can
+fold.  That is far less than those orders: for Gaussian rows a k-fold
+product falls to the budget near sqrt(k) K_g, not k K_g.  The margin,
+measured at lambda0 = 0.05 (epsilon 0.2, 8192 points, n_max 4, dt 0.5,
+both geometries), where x is 0.028 and x^3 / 6 is 3.5e-6: on the rule's
+M = 1024 no amplitude moves by more than 1.1e-14 against ``evolve`` on
+all 8192 points; on M = 512 none moves by more than 2.8e-12; M = 256 fails the norm check.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -249,8 +266,9 @@ class ChannelState:
     amplitudes: np.ndarray
     # the run's record of where its steps acted: on the state evolve returns
     # at t_final, {points, carried_norm, band_norm_max} (see evolve); on each
-    # state perturbation.dyson_run returns, {points}; None elsewhere
-    window: dict[str, float | int] | None = field(default=None, compare=False, repr=False)
+    # state on_grid returns, {points, window}, the sampled grid's points and
+    # the stepped state's own record; None elsewhere
+    window: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -391,18 +409,14 @@ def _window(params: ModelParams, grid: SpatialGrid, core: np.ndarray, duration: 
 
 
 def _coupling_slabs(params: ModelParams, table: FormFactorTable, energies: np.ndarray,
-                    taus: Sequence[float], on: np.ndarray, cut: int, start: int
-                    ) -> list[tuple[Slabs, Slabs]]:
+                    taus: Sequence[float], on: np.ndarray, start: int) -> list[Slabs]:
     """One oscillator's coupling factor in the interaction picture, per slab,
-    for each step length in ``taus``: the slabs on the points [0, cut) and
-    those on [cut, N), one pair per step length.  ``on``, ``cut`` and the
-    slabs count the points of the window that starts at grid point
-    ``start``.
+    for each step length in ``taus``.  ``on`` and the slabs count the points
+    of the window that starts at grid point ``start``.
 
-    A slab is one contiguous run, on one side of ``cut``, of the points
-    where ``on`` holds (lam max|V| exceeds the floor); the coupling is
-    zeroed everywhere else, so every step length has the same slabs.  On a
-    slab the factor is
+    A slab is one contiguous run of the points where ``on`` holds (lam
+    max|V| exceeds the floor); the coupling is zeroed everywhere else, so
+    every step length has the same slabs.  On a slab the factor is
     U'(R) = D^(-1/2) exp(-i tau (diag(E) + lam V(R)) / hbar) D^(-1/2) with
     D = exp(-i tau E / hbar), stored as u[n, n', j] for the slab's j-th
     point.  Off the slabs U' is the identity, because D is carried by the
@@ -411,20 +425,17 @@ def _coupling_slabs(params: ModelParams, table: FormFactorTable, energies: np.nd
     n_lvl = energies.size
     values = table.values[:n_lvl, :n_lvl]
     d_half_inv = [np.exp(0.5j * tau * energies / params.hbar) for tau in taus]
-    out: list[tuple[Slabs, Slabs]] = [([], []) for _ in taus]
-    for side, (a, b) in enumerate(((0, cut), (cut, on.size))):
-        # padded with False so that every run has a rising and a falling edge
-        padded = np.zeros(b - a + 2, dtype=bool)
-        padded[1:-1] = on[a:b]
-        for lo, hi in a + np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2):
-            h = (params.lam * values[:, :, start + lo:start + hi].transpose(2, 0, 1)
-                 + np.diag(energies))
-            evals, evecs = np.linalg.eigh(h)
-            for tau, d, sides in zip(taus, d_half_inv, out):
-                u = np.einsum("xij,xj,xkj->ikx", evecs, np.exp(-1j * evals * tau / params.hbar),
-                              evecs)
-                u *= d[:, None, None] * d[None, :, None]
-                sides[side].append((slice(lo, hi), np.ascontiguousarray(u)))
+    out: list[Slabs] = [[] for _ in taus]
+    # padded with False so that every run has a rising and a falling edge
+    padded = np.zeros(on.size + 2, dtype=bool)
+    padded[1:-1] = on
+    for lo, hi in np.flatnonzero(padded[1:] != padded[:-1]).reshape(-1, 2):
+        h = params.lam * values[:, :, start + lo:start + hi].transpose(2, 0, 1) + np.diag(energies)
+        evals, evecs = np.linalg.eigh(h)
+        for tau, d, slabs in zip(taus, d_half_inv, out):
+            u = np.einsum("xij,xj,xkj->ikx", evecs, np.exp(-1j * evals * tau / params.hbar), evecs)
+            u *= d[:, None, None] * d[None, :, None]
+            slabs.append((slice(lo, hi), np.ascontiguousarray(u)))
     return out
 
 
@@ -455,37 +466,24 @@ def _couple_points(f3: np.ndarray, slabs1: Slabs, slabs2: Slabs) -> None:
 def _re_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Re sum conj(u) v along the last axis, which must be contiguous: one
     pass over the real views, with no temporary array and no BLAS call,
-    whose threads would spin beside the engine's two."""
+    whose threads would spin beside the engine's."""
     return np.einsum("...i,...i->...", u.view(np.float64), v.view(np.float64))
-
-
-def _enter_rows(a: np.ndarray, f0: np.ndarray, start: int, stop: int, plus: np.ndarray,
-                energy: np.ndarray, carried: np.ndarray) -> None:
-    """a = exp(+i omega t) FFT(f0 off the window [start, stop)), row by row;
-    ``carried`` gets each row's sum |f0|^2 off the window."""
-    for i, (acc, row, e) in enumerate(zip(a, f0, energy)):
-        acc[:start] = row[:start]
-        acc[start:stop] = 0.0
-        acc[stop:] = row[stop:]
-        carried[i] = _re_dot(acc, acc)
-        np.fft.fft(acc, out=acc)
-        acc *= plus
-        acc *= e
 
 
 def _carry_rows(f: np.ndarray, a: np.ndarray, scratch: np.ndarray, start: int,
                 bands: list[Band], plus: np.ndarray, energy: np.ndarray,
-                sums: np.ndarray) -> None:
+                carried: np.ndarray, overlap: np.ndarray) -> float:
     """Move each row's band amplitude g = f s out of the window into its
-    accumulator, a += exp(+i omega t) FFT(embed(g)), through one row of
-    scratch.  ``sums`` gets, per row and as sums over points: the outer
-    bands' |f|^2 before the carry, the change of the carried part's |c|^2,
-    |g|^2 + 2 Re<g, c>, and that of Re<f, c>, Re<f - g, g> - Re<g, c>; the
-    spectral sum over N wavenumbers gives <g, c> times N."""
+    accumulator, a += exp(+i omega t) FFT(embed(g)), through ``scratch``.
+    Per row and as sums over points, ``carried`` (the carried part's |c|^2)
+    gains |g|^2 + 2 Re<g, c> and ``overlap`` (Re<f, c>) gains
+    Re<f - g, g> - Re<g, c>; the spectral sum over N wavenumbers gives
+    <g, c> times N.  Returns the outer bands' sum |f|^2 before the carry."""
     n = a.shape[1]
+    outer_sq = 0.0
     for i, (row, acc, e) in enumerate(zip(f, a, energy)):
         scratch[:] = 0.0
-        outer_sq = piece_sq = kept_piece = 0.0
+        piece_sq = kept_piece = 0.0
         for span, ramp, outer in bands:
             outer_sq += _re_dot(row[outer], row[outer])
             band = row[span]
@@ -499,19 +497,9 @@ def _carry_rows(f: np.ndarray, a: np.ndarray, scratch: np.ndarray, start: int,
         scratch *= e
         piece_carried = _re_dot(scratch, acc) / n
         acc += scratch
-        sums[i] = outer_sq, piece_sq + 2.0 * piece_carried, kept_piece - piece_carried
-
-
-def _form_rows(out: np.ndarray, f: np.ndarray, a: np.ndarray, start: int, minus: np.ndarray,
-               energy: np.ndarray) -> None:
-    """out = embed(f) + ifft(exp(-i omega t) a), row by row; ``out`` may be
-    ``a`` itself."""
-    stop = start + f.shape[1]
-    for o, row, acc, e in zip(out, f, a, energy):
-        np.multiply(acc, minus, out=o)
-        o *= e
-        np.fft.ifft(o, out=o)
-        o[start:stop] += row
+        carried[i] += piece_sq + 2.0 * piece_carried
+        overlap[i] += kept_piece - piece_carried
+    return outer_sq
 
 
 def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
@@ -584,18 +572,8 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     del mag
     start, points, every, bands = _window(params, grid, core, t_final - state.t, steps[-1])
     stop = start + points
-    on1, on2 = on1[start:stop], on2[start:stop]
-
-    # the calling thread takes points [0, cut) of each coupling stage and
-    # rows [0, r) of each kinetic factor, of the entry, of each carry and of
-    # each formed state; the worker takes the rest.  All stage lengths have
-    # the same slabs, so one cut, at half of both oscillators' slab points,
-    # halves each.
-    cut = int(np.searchsorted(np.cumsum(on1 + on2.astype(np.int64)),
-                              (np.count_nonzero(on1) + np.count_nonzero(on2)) / 2.0))
-    r = rows // 2
-    slabs1 = _coupling_slabs(params, ff1, e1, taus, on1, cut, start)
-    slabs2 = _coupling_slabs(params, ff2, e2, taus, on2, cut, start)
+    slabs1 = _coupling_slabs(params, ff1, e1, taus, on1[start:stop], start)
+    slabs2 = _coupling_slabs(params, ff2, e2, taus, on2[start:stop], start)
 
     # the window's private copy, and the carried amplitude in k-space; per
     # row, the carried part's sum |c|^2 and Re<f, c>, its overlap with the
@@ -603,20 +581,17 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     f = f0[:, start:stop].copy()
     f3 = f.reshape(n_lvl, n_lvl, points)
     a = np.empty((rows, grid.n_points), dtype=np.complex128)
-    scratch = np.empty((2, grid.n_points), dtype=np.complex128)
+    scratch = np.empty(grid.n_points, dtype=np.complex128)
     carried = np.empty(rows)
     overlap = np.zeros(rows)
-    sums = np.empty((rows, 3))
     wavenumbers = 2.0 * np.pi * np.fft.fftfreq(points, d=grid.dx)
 
     # the channel energy phases D^(1/2) ride on the kinetic factors: a bare
     # free factor per point, then an energy phase per row
     energies = (e1[:, None] + e2[None, :]).reshape(-1)
 
-    def kinetic(tau: float) -> tuple[tuple, tuple]:
-        free = kinetic_phase(wavenumbers, params, tau)
-        energy = np.exp(-1j * tau / params.hbar * energies)
-        return (f[:r], free, energy[:r]), (f[r:], free, energy[r:])
+    def kinetic(tau: float) -> tuple[np.ndarray, np.ndarray]:
+        return kinetic_phase(wavenumbers, params, tau), np.exp(-1j * tau / params.hbar * energies)
 
     def at(t: float) -> tuple[np.ndarray, np.ndarray]:
         """exp(+i omega t) on the grid, as the bare factor per point and the
@@ -624,71 +599,58 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
         return kinetic_phase(grid, params, -t), np.exp(1j * t / params.hbar * energies)
 
     # each step -> its (outer, middle) coupling stages: W1 h and W0 h
-    parts = [((f3, c1, c2), (f3, w1, w2)) for (c1, w1), (c2, w2) in zip(slabs1, slabs2)]
+    parts = list(zip(slabs1, slabs2))
     stages = dict(zip(steps, zip(parts[0::2], parts[1::2])))
-    pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="evolve-half")
 
-    def halves(work: Callable[..., None], args: tuple, worker_args: tuple) -> None:
-        # one synchronous hand-off: the worker's half runs beside this one
-        future = pool.submit(work, *worker_args)
-        work(*args)
-        try:
-            future.result()
-        finally:
-            # a worker failure would otherwise keep this frame, and through
-            # it the run's arrays, in a cycle with the error's traceback
-            del future
-
-    band_norm_max = 0.0
-
-    def carry(t: float) -> None:
-        nonlocal band_norm_max
-        plus, energy = at(t)
-        halves(_carry_rows, (f[:r], a[:r], scratch[0], start, bands, plus, energy[:r], sums[:r]),
-               (f[r:], a[r:], scratch[1], start, bands, plus, energy[r:], sums[r:]))
-        band_norm_max = max(band_norm_max, float(np.sum(sums[:, 0])) * grid.dx)
-        carried[:] += sums[:, 1]
-        overlap[:] += sums[:, 2]
+    # nothing is dropped: a = exp(+i omega t) FFT(f0 off the window), and
+    # carried its sum |f0|^2, row by row
+    plus, energy = at(state.t)
+    for i, (acc, row, e) in enumerate(zip(a, f0, energy)):
+        acc[:start], acc[start:stop], acc[stop:] = row[:start], 0.0, row[stop:]
+        carried[i] = _re_dot(acc, acc)
+        np.fft.fft(acc, out=acc)
+        acc *= plus
+        acc *= e
 
     at_time: dict[float, ChannelState] = {}
     step = 0  # composed steps over the whole run
-    with pool:
-        # nothing is dropped: what the window does not hold is carried
-        plus, energy = at(state.t)
-        halves(_enter_rows, (a[:r], f0[:r], start, stop, plus, energy[:r], carried[:r]),
-               (a[r:], f0[r:], start, stop, plus, energy[r:], carried[r:]))
-        # per segment of n steps of h: K(W1 h/2) [C1 K' C0 K' C1 K(W1 h)]^{n-1}
-        # C1 K' C0 K' C1 K(W1 h/2), with C1, C0 the coupling stages, K' =
-        # K((W1 + W0) h/2) the inner factor and K(W1 h/2), K(W1 h) the edge
-        # and seam factors, so the state at its end sits on its time; after a
-        # seam the window is K(W1 h/2) past the step boundary
-        for start_t, end, n_steps in segments:
-            h = (end - start_t) / n_steps
-            outer, middle = stages[h]
-            edge, inner, seam = (kinetic(w * h) for w in (0.5 * W1, 0.5 * (W1 + W0), W1))
-            halves(_kinetic_rows, *edge)
-            for k in range(1, n_steps + 1):
-                step += 1
-                halves(_couple_points, *outer)
-                halves(_kinetic_rows, *inner)
-                halves(_couple_points, *middle)
-                halves(_kinetic_rows, *inner)
-                halves(_couple_points, *outer)
-                halves(_kinetic_rows, *(edge if k == n_steps else seam))
-                if bands and step % every == 0:
-                    carry(end if k == n_steps else start_t + (k + 0.5 * W1) * h)
-                if step % HEALTH_STRIDE == 0 and k < n_steps:
-                    _health_check(start_t + k * h,
-                                  (_re_dot(f, f) + carried + 2.0 * overlap) * grid.dx, config,
-                                  norm0)
-            # a new state at each requested time, formed in a at the end,
-            # and checked as formed
-            out = a if end == t_final else np.empty_like(a)
-            minus, energy = at(-end)
-            halves(_form_rows, (out[:r], f[:r], a[:r], start, minus, energy[:r]),
-                   (out[r:], f[r:], a[r:], start, minus, energy[r:]))
-            at_time[end] = ChannelState(end, grid, out.reshape(n_lvl, n_lvl, grid.n_points))
-            _health_check(end, _re_dot(out, out) * grid.dx, config, norm0)
+    band_norm_max = 0.0
+    # per segment of n steps of h: K(W1 h/2) [C1 K' C0 K' C1 K(W1 h)]^{n-1}
+    # C1 K' C0 K' C1 K(W1 h/2), with C1, C0 the coupling stages, K' =
+    # K((W1 + W0) h/2) the inner factor and K(W1 h/2), K(W1 h) the edge and
+    # seam factors, so the state at its end sits on its time; after a seam
+    # the window is K(W1 h/2) past the step boundary
+    for start_t, end, n_steps in segments:
+        h = (end - start_t) / n_steps
+        outer, middle = stages[h]
+        edge, inner, seam = (kinetic(w * h) for w in (0.5 * W1, 0.5 * (W1 + W0), W1))
+        _kinetic_rows(f, *edge)
+        for k in range(1, n_steps + 1):
+            step += 1
+            _couple_points(f3, *outer)
+            _kinetic_rows(f, *inner)
+            _couple_points(f3, *middle)
+            _kinetic_rows(f, *inner)
+            _couple_points(f3, *outer)
+            _kinetic_rows(f, *(edge if k == n_steps else seam))
+            if bands and step % every == 0:
+                at_carry = at(end if k == n_steps else start_t + (k + 0.5 * W1) * h)
+                outer_sq = _carry_rows(f, a, scratch, start, bands, *at_carry, carried, overlap)
+                band_norm_max = max(band_norm_max, outer_sq * grid.dx)
+            if step % HEALTH_STRIDE == 0 and k < n_steps:
+                _health_check(start_t + k * h,
+                              (_re_dot(f, f) + carried + 2.0 * overlap) * grid.dx, config, norm0)
+        # a new state at each requested time, embed(f) + ifft(exp(-i omega
+        # t) a) row by row, formed in a at the end, and checked as formed
+        out = a if end == t_final else np.empty_like(a)
+        minus, energy = at(-end)
+        for o, row, acc, e in zip(out, f, a, energy):
+            np.multiply(acc, minus, out=o)
+            o *= e
+            np.fft.ifft(o, out=o)
+            o[start:stop] += row
+        at_time[end] = ChannelState(end, grid, out.reshape(n_lvl, n_lvl, grid.n_points))
+        _health_check(end, _re_dot(out, out) * grid.dx, config, norm0)
     at_time[t_final].window = {"points": points, "carried_norm": float(np.sum(carried)) * grid.dx,
                                "band_norm_max": band_norm_max}
     return at_time[t_final], {ts: at_time[ts] for ts in snapshot_times}
@@ -707,6 +669,84 @@ def _health_check(t: float, sq: np.ndarray, config: PropagatorConfig, norm0: flo
             f"at n_max={n}, t={t:.6g}"), t, top, n)
 
 
+# ---------------------------------------------------------------------------
+# sampling on the band
+
+
+def _band(rows: np.ndarray) -> int:
+    """Largest wavenumber index |j| at which the spectrum of some row of
+    ``rows`` (last axis) exceeds ``COUPLING_ERROR_BUDGET`` of that row's peak.
+
+    A non-finite row raises ValueError: its spectrum is NaN throughout, every
+    comparison would be False, and the row would read as having no band.
+    """
+    n = rows.shape[-1]
+    j = np.minimum(np.arange(n), n - np.arange(n))
+    band = 0
+    for row in rows.reshape(-1, n):
+        mag = np.abs(np.fft.fft(row))
+        peak = mag.max()
+        if not math.isfinite(peak):
+            raise ValueError("form-factor table is not finite")
+        band = max(band, int(j[mag > COUPLING_ERROR_BUDGET * peak].max(initial=0)))
+    return band
+
+
+def _step_points(n_points: int, band: int) -> int:
+    """The fewest points M = n_points / 2^j whose spectrum holds every index
+    up to ``band`` below its Nyquist index: M/2 > band."""
+    m = n_points
+    while m // 4 > band:
+        m //= 2
+    return m
+
+
+def band_sampling(params: ModelParams, grid: SpatialGrid,
+                  form_factors: tuple[FormFactorTable, FormFactorTable]
+                  ) -> tuple[SpatialGrid, tuple[FormFactorTable, FormFactorTable]]:
+    """The M-point grid of ``grid``'s box that holds the band, and both
+    tables sampled on it (module docstring).
+
+    K_psi is the initial packet's band and K_g the largest band of any row
+    of either table, both measured on ``grid``; M = N / 2^j is the fewest
+    points with M/2 > K_psi + 2 K_g, and the tables are read at every
+    (N/M)-th point.  A band that fills the grid returns ``grid`` and the
+    tables themselves.  GridError when a table is not on ``grid``, and
+    ValueError when one is not finite, on any point.
+    """
+    if any(ff.grid != grid for ff in form_factors):
+        raise GridError("form-factor tables do not match the grid of record")
+    psi0 = make_spherical_wave_1d(grid, params.sigma, params.P0, params.hbar).values
+    m = _step_points(grid.n_points,
+                     _band(psi0) + 2 * max(_band(ff.values) for ff in form_factors))
+    if m == grid.n_points:
+        return grid, form_factors
+    coarse = SpatialGrid(grid.x_min, grid.x_max, m)
+    every = grid.n_points // m
+    ff1, ff2 = (replace(ff, grid=coarse, values=ff.values[..., ::every].copy())
+                for ff in form_factors)
+    return coarse, (ff1, ff2)
+
+
+def on_grid(state: ChannelState, grid: SpatialGrid) -> ChannelState:
+    """``state``, stepped on the M points ``band_sampling`` chose, on the
+    N-point ``grid`` of the same box: each row's M-point spectrum
+    zero-padded to N points, transformed back and scaled by N/M.  Its
+    ``window`` records ``{"points": M, "window": state.window}``."""
+    m = state.grid.n_points
+    record = {"points": m, "window": state.window}
+    if state.grid == grid:
+        return ChannelState(state.t, grid, state.amplitudes, window=record)
+    spectrum = np.fft.fft(state.amplitudes, axis=-1)
+    amplitudes = np.zeros(spectrum.shape[:-1] + (grid.n_points,), dtype=np.complex128)
+    # indices 0..M/2-1 and -M/2..-1 keep their place; the band ends below M/2
+    for k in (slice(None, m // 2), slice(-(m // 2), None)):
+        amplitudes[..., k] = spectrum[..., k]
+    np.fft.ifft(amplitudes, axis=-1, out=amplitudes)
+    amplitudes *= grid.n_points // m
+    return ChannelState(state.t, grid, amplitudes, window=record)
+
+
 def evolve_with_escalation(params: ModelParams, grid: SpatialGrid, config: PropagatorConfig,
                            t_final: float,
                            form_factors: tuple[FormFactorTable, FormFactorTable],
@@ -716,25 +756,30 @@ def evolve_with_escalation(params: ModelParams, grid: SpatialGrid, config: Propa
     """Run from the product initial state, raising n_max by 2 until the
     top-shell check passes.
 
-    Returns ``evolve``'s final state and snapshots from the attempt that
-    passed (its n_max is the final state's), and one {n_max, t,
-    top_shell_norm} entry for each failed attempt, read from its
-    TruncationError.  ``form_factors`` serve every attempt whose n_max they
-    cover; each attempt beyond builds its own pair, in the given tables'
-    potential shape.
+    Each attempt steps on the grid ``band_sampling`` picks for its own
+    tables.  Returns ``evolve``'s final state and snapshots from the attempt
+    that passed (its n_max is the final state's), each ``on_grid`` on
+    ``grid``, and one {n_max, t, top_shell_norm} entry for each failed
+    attempt, read from its TruncationError.  ``form_factors``, on ``grid``,
+    serve every attempt whose n_max they cover; each attempt beyond builds
+    its own pair, in the given tables' potential shape.
     """
     attempts: list[dict[str, float | int]] = []
     cfg = config
     while True:
-        state = initialize_channels(params, grid, cfg.n_max)
         tables = form_factors
         if min(t.n_max for t in form_factors) < cfg.n_max:
             tables = form_factor_pair(params, grid, cfg.n_max, form_factors[0].shape)
+        coarse, tables = band_sampling(params, grid, tables)
         try:
-            final, snapshots = evolve(state, params, cfg, t_final, tables, snapshot_times)
-            return final, snapshots, attempts
+            final, snapshots = evolve(initialize_channels(params, coarse, cfg.n_max), params, cfg,
+                                      t_final, tables, snapshot_times)
         except TruncationError as err:
             if cfg.n_max + 2 > N_MAX_CAP:
                 raise
             attempts.append({"n_max": err.n_max, "t": err.t, "top_shell_norm": err.norm})
             cfg = replace(cfg, n_max=cfg.n_max + 2)
+            continue
+        # a snapshot at t_final is the final state itself
+        states = {t: on_grid(s, grid) for t, s in {**snapshots, t_final: final}.items()}
+        return states[t_final], {t: states[t] for t in snapshots}, attempts

@@ -285,10 +285,13 @@ def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid,
         "escalations": escalations,
         "top_shell_norm": final.top_shell_norm(),
         "norm_drift": abs(final.norm() - 1.0),
-        # the passing attempt's window: its points, the squared norm carried
-        # in k-space at the end, and the largest outer-band squared norm
-        # just before a carry
-        "window": final.window,
+        # the passing attempt's window on its sampled grid: its points, the
+        # squared norm carried in k-space at the end, and the largest
+        # outer-band squared norm just before a carry
+        "window": final.window["window"],
+        # the points of that grid, the coarsest sampling of the box that
+        # holds the band (channels module docstring)
+        "points": final.window["points"],
     }
     return _engine_run("oracle", states, convergence, wall), states
 
@@ -311,8 +314,8 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid,
                    "halving_rel_change_observables": max(h["obs_change"] or 0.0
                                                          for h in accepted),
                    "halving": halving,
-                   # the accepted pass's points, the coarsest sampling of the
-                   # box that holds the band (perturbation module docstring)
+                   # the points the passes stepped on, the coarsest sampling
+                   # of the box that holds the band (channels module docstring)
                    "points": final.window["points"]}
     fields = {(n1, n2): final.channel_field(n1, n2)
               for n1 in range(num.n_max + 1) for n2 in range(num.n_max + 1)}

@@ -48,33 +48,11 @@ A pass returns psi, b and c as the oracle's ``ChannelState``, one
 (n_max+1, n_max+1, N) channel stack: psi at (0, 0), b1[n] at (n, 0), b2[n]
 at (0, n) and c at (n1, n2).
 
-Every row is band-limited, so a pass steps on the coarsest grid of the same
-box that holds the band (Fourier-grid sampling: Kosloff and Kosloff,
-J. Comput. Phys. 52, 35, 1983).  On the N-point grid of record the packet's
-spectrum vanishes, to ``KICK_FLOOR`` of its peak, beyond the wavenumber
-index K_psi, and every kick-table row's beyond K_g.  The free step only
-rephases each wavenumber, so psi keeps its band at all times; a kick is a
-pointwise product, which adds the bands of its factors, so b holds
-K_psi + K_g and the joint source g2 b1, g1 b2 or g1 g2 psi, the widest
-product formed, K = K_psi + 2 K_g.  The pass takes M = N / 2^j points, the
-fewest with M/2 > K.  The same box at M points has the same wavenumbers
-2 pi j / L for |j| < M/2, so the samples at every (N/M)-th point of the
-grid of record are the whole state: each pointwise product of such samples
-is the sample of the product, with nothing aliased, and each transform is
-the N-point one restricted to |j| < M/2 and scaled by M/N.  The kick,
-phase and accumulator code run unchanged on the M points.  At each
-requested time each row's M-point spectrum, zero-padded to N points and
-scaled by N/M, is transformed back on the grid of record; the joint block
-already is a spectrum.  A band that fills the grid gives M = N.
-
-The sampling drops only spectral content below ``KICK_FLOOR`` of a peak,
-the slabs' own budget, so that is its noise floor.  At the acceptance
-settings (M = 2048 of 16384) every single-excitation probability moves by
-at most 1.4e-12 relative against a pass on every point.  The opposite
-geometry's joint channels (P ~ 1e-27 to 1e-34), suppressed far below the
-product of the single amplitudes, move by up to 1.2e-6 relative; a 1e-16
-relative change of psi moves them by as much in a pass on every point, so
-those digits are rounding noise in both.
+A pass steps on the grid it is given.  ``converged_dyson_run`` gives every
+pass of its ladder the coarsest grid of the box that holds the band, with
+the tables sampled on it, and returns the accepted pass's states on the
+grid of record (``channels.band_sampling`` and ``channels.on_grid``; the
+``channels`` module docstring derives the rule).
 """
 
 from __future__ import annotations
@@ -85,7 +63,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .channels import ChannelState, FormFactorTable, channel_probabilities
+from .channels import ChannelState, FormFactorTable, band_sampling, channel_probabilities, on_grid
 from .core import (
     GridError,
     ModelParams,
@@ -127,35 +105,17 @@ def default_duhamel_step(params: ModelParams) -> float:
 
 def _kick_slab(g: np.ndarray) -> slice:
     """Smallest index range holding every point where some row of the bare
-    form-factor table g exceeds KICK_FLOOR of its maximum magnitude."""
-    mag = np.abs(g).max(axis=0)
-    idx = np.flatnonzero(mag > KICK_FLOOR * mag.max())
-    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
+    form-factor table g exceeds KICK_FLOOR of its maximum magnitude.
 
-
-def _band(rows: np.ndarray) -> int:
-    """Largest wavenumber index |j| at which the spectrum of some row of
-    ``rows`` exceeds KICK_FLOOR of that row's peak.
-
-    A non-finite row raises ValueError: its spectrum is NaN throughout, every
-    comparison would be False, and the row would read as having no band.
+    A non-finite table raises ValueError: every comparison with its NaN
+    maximum would be False and leave the slab, and so every kick, empty.
     """
-    n = rows.shape[-1]
-    mag = np.abs(np.fft.fft(rows, axis=-1)).reshape(-1, n)
-    peak = mag.max(axis=-1, keepdims=True)
-    if not np.isfinite(peak).all():
-        raise ValueError("form-factor table is not finite")
-    j = np.minimum(np.arange(n), n - np.arange(n))
-    return int(j[(mag > KICK_FLOOR * peak).any(axis=0)].max(initial=0))
-
-
-def _step_points(n_points: int, band: int) -> int:
-    """The fewest points M = n_points / 2^j whose spectrum holds every index
-    up to ``band`` below its Nyquist index: M/2 > band."""
-    m = n_points
-    while m // 4 > band:
-        m //= 2
-    return m
+    mag = np.abs(g).max(axis=0)
+    peak = mag.max()
+    if not np.isfinite(peak):
+        raise ValueError(f"form-factor table is not finite (max |V| = {peak})")
+    idx = np.flatnonzero(mag > KICK_FLOOR * peak)
+    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else slice(0, 0)
 
 
 def _add_spectrum(acc: np.ndarray, values: np.ndarray, phase: np.ndarray,
@@ -183,16 +143,14 @@ def dyson_run(params: ModelParams, t_final: float,
 
     From 0 to each requested time in turn it takes the fewest equal steps no
     longer than ``dt`` (``core.time_segments``, the oracle's time grid too),
-    so it lands exactly on each.  The steps act on the M points of ``grid``'s
-    box that hold the band (module docstring); every returned state is on
-    ``grid``, and its ``window`` records ``{"points": M}``.  Returns the final
-    state and the snapshots keyed by the requested ``snapshot_times``; one at
+    so it lands exactly on each.  Returns the final state and the snapshots
+    keyed by the requested ``snapshot_times``, all on ``grid``; one at
     t_final is the final state itself.  Raises NormDriftError when psi's
     norm drifts or psi or b is not finite, checked every ``HEALTH_STRIDE``
     steps, or when a state at a requested time is not finite.
     ``form_factors`` are both oscillators' tables on ``grid``, at truncation
     ``n_max`` or above; GridError otherwise, as in ``channels.evolve``, and
-    ValueError when a table is not finite.
+    ValueError when a kick table is not finite.
     """
     if not t_final > 0:
         raise ValueError(f"t_final must be positive, got {t_final!r}")
@@ -208,14 +166,6 @@ def dyson_run(params: ModelParams, t_final: float,
     n = n_max
     g1 = ff1.values[1:n + 1, 0, :]  # V1_{n 0}(R) for n = 1..n_max
     g2 = ff2.values[1:n + 1, 0, :]
-    psi0 = make_spherical_wave_1d(grid, params.sigma, params.P0, params.hbar).values
-
-    # the steps act on every r-th point of the grid of record, the coarsest
-    # sampling of the box that holds the joint source's band
-    m = _step_points(grid.n_points, _band(psi0) + 2 * _band(np.concatenate((g1, g2))))
-    r = grid.n_points // m
-    coarse = SpatialGrid(grid.x_min, grid.x_max, m)
-    g1, g2 = g1[:, ::r], g2[:, ::r]
     e1 = OscillatorBasis.for_oscillator(params, 1, n).energies
     e2 = OscillatorBasis.for_oscillator(params, 2, n).energies
 
@@ -229,10 +179,10 @@ def dyson_run(params: ModelParams, t_final: float,
     s12 = slice(max(s1.start, s2.start), min(s1.stop, s2.stop))  # empty if disjoint
     span = slice(min(s1.start, s2.start), max(s1.stop, s2.stop))
 
-    st = np.zeros((len(e_rows), m), dtype=np.complex128)
-    st[0] = psi0[::r]
-    norm0 = l2_norm(st[0], coarse.dx)
-    acc = np.zeros((n, n, m), dtype=np.complex128)
+    st = np.zeros((len(e_rows), grid.n_points), dtype=np.complex128)
+    st[0] = make_spherical_wave_1d(grid, params.sigma, params.P0, params.hbar).values
+    norm0 = l2_norm(st[0], grid.dx)
+    acc = np.zeros((n, n, grid.n_points), dtype=np.complex128)
     # the slabs relative to the span, which is all a source covers
     r1, r2, r12 = (slice(s.start - span.start, s.stop - span.start) for s in (s1, s2, s12))
 
@@ -254,35 +204,27 @@ def dyson_run(params: ModelParams, t_final: float,
 
     # exp(+i omega_k tau_j) at the kick times tau_j; from here on only the
     # worker touches phase, padded, spectrum and acc
-    phase = np.empty(m, dtype=np.complex128)
+    phase = np.empty(grid.n_points, dtype=np.complex128)
     padded = np.zeros_like(acc)  # zero off the span for the whole run
     spectrum = np.empty_like(acc)  # each source's transform, overwritten per step
 
     def accumulate(src: np.ndarray, advance: np.ndarray, restart: float | None) -> None:
         # a segment's first source restarts the phase at its kick time
         if restart is not None:
-            phase[...] = kinetic_phase(coarse, params, -restart)
+            phase[...] = kinetic_phase(grid, params, -restart)
         padded[..., span] = src
         _add_spectrum(acc, padded, phase, spectrum)
         np.multiply(phase, advance, out=phase)
 
     def stack(t: float, joint: np.ndarray) -> ChannelState:
-        """The checked channel stack at t on the grid of record, c formed from
-        the accumulator ``joint``: each row's spectrum zero-padded to N points."""
-        joint *= kinetic_phase(coarse, params, t, e_joint).reshape(n, n, -1)
-        rows = np.fft.fft(st, axis=-1)
+        """The checked channel stack at t, c formed from the accumulator ``joint``."""
+        joint *= kinetic_phase(grid, params, t, e_joint).reshape(n, n, -1)
         # allocated after the phase's temporaries are gone, so they never coexist
-        amplitudes = np.zeros((n + 1, n + 1, grid.n_points), dtype=np.complex128)
-        # indices 0..M/2-1 and -M/2..-1 keep their place; the band ends below M/2
-        for k in (slice(None, m // 2), slice(-(m // 2), None)):
-            amplitudes[0, 0, k], amplitudes[1:, 0, k], amplitudes[0, 1:, k] = (
-                rows[0, k], rows[1:1 + n, k], rows[1 + n:, k])
-            amplitudes[1:, 1:, k] = joint[..., k]
-        np.fft.ifft(amplitudes, axis=-1, out=amplitudes)
-        amplitudes *= r
-        check_norm(l2_norm(amplitudes[0, 0], grid.dx), l2_norm(amplitudes, grid.dx), norm0,
-                   t, n)
-        return ChannelState(t, grid, amplitudes, window={"points": m})
+        amplitudes = np.empty((n + 1, n + 1, grid.n_points), dtype=np.complex128)
+        amplitudes[0, 0], amplitudes[1:, 0], amplitudes[0, 1:] = st[0], st[1:1 + n], st[1 + n:]
+        amplitudes[1:, 1:] = np.fft.ifft(joint, axis=-1)
+        check_norm(l2_norm(st[0], grid.dx), l2_norm(amplitudes, grid.dx), norm0, t, n)
+        return ChannelState(t, grid, amplitudes)
 
     at_time: dict[float, ChannelState] = {}
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dyson-joint") as pool:
@@ -295,9 +237,9 @@ def dyson_run(params: ModelParams, t_final: float,
                 k1 = kappa * g1[:, s1]
                 k2 = kappa * g2[:, s2]
                 k12 = kappa * kappa * g1[:, None, s12] * g2[None, :, s12]
-                kin_half = kinetic_phase(coarse, params, h / 2.0, e_rows)
+                kin_half = kinetic_phase(grid, params, h / 2.0, e_rows)
                 kin_full = kin_half * kin_half
-                advance = kinetic_phase(coarse, params, -h)
+                advance = kinetic_phase(grid, params, -h)
                 _propagate(st, kin_half)
                 for step in range(1, n_steps + 1):
                     if len(in_flight) == 3:
@@ -307,7 +249,7 @@ def dyson_run(params: ModelParams, t_final: float,
                                                  advance, tau if step == 1 else None))
                     _propagate(st, kin_half if step == n_steps else kin_full)
                     if step % HEALTH_STRIDE == 0 and step < n_steps:
-                        check_norm(l2_norm(st[0], coarse.dx), l2_norm(st, coarse.dx), norm0,
+                        check_norm(l2_norm(st[0], grid.dx), l2_norm(st, grid.dx), norm0,
                                    start + step * h, n)
                 while in_flight:
                     in_flight.popleft().result()
@@ -330,9 +272,11 @@ def converged_dyson_run(params: ModelParams, t_final: float,
     """Halve the Duhamel step until every probability is stable at every time.
 
     Each pass is one ``dyson_run`` to t_final with snapshots at
-    ``snapshot_times``.  Returns the final state and snapshots of the first
-    pass whose probabilities changed by at most ``rtol`` from the previous
-    pass's at every time (the only pass when lam is 0), and ``halving``:
+    ``snapshot_times``, on the grid and tables ``channels.band_sampling``
+    picks once for the ladder.  Returns the final state and snapshots of
+    the first pass whose probabilities changed by at most ``rtol`` from the
+    previous pass's at every time (the only pass when lam is 0), each
+    ``channels.on_grid`` on ``grid``, and ``halving``:
     one {t, dt, rel_change, obs_change} entry per pass and time, ordered by
     time, then pass, with dt the step that reached t and the changes over
     every channel and over the outcome sums, which the weak top-shell
@@ -341,11 +285,11 @@ def converged_dyson_run(params: ModelParams, t_final: float,
     ``NOISE_FLOOR`` are left out of the metric.
     """
     step = dt if dt is not None else default_duhamel_step(params)
+    coarse, tables = band_sampling(params, grid, form_factors)
     halving: list[dict[str, float | None]] = []
     probs = None
     for _ in range(MAX_HALVINGS + 1):
-        final, snapshots = dyson_run(params, t_final, form_factors, grid, n_max, step,
-                                     snapshot_times)
+        final, snapshots = dyson_run(params, t_final, tables, coarse, n_max, step, snapshot_times)
         cur = {t: channel_probabilities(s) for t, s in {**snapshots, t_final: final}.items()}
         worst = 0.0
         for start, t, n_steps in time_segments(0.0, t_final, snapshot_times, step):
@@ -358,7 +302,10 @@ def converged_dyson_run(params: ModelParams, t_final: float,
                             "rel_change": rel, "obs_change": obs})
         done = params.lam == 0.0 if probs is None else worst <= rtol
         if done:
-            return final, snapshots, sorted(halving, key=lambda h: h["t"])
+            # a snapshot at t_final is the final state itself
+            states = {t: on_grid(s, grid) for t, s in {**snapshots, t_final: final}.items()}
+            return (states[t_final], {t: states[t] for t in snapshots},
+                    sorted(halving, key=lambda h: h["t"]))
         probs = cur
         step /= 2.0
         # the next pass needs only this one's probabilities, not its fields

@@ -1,8 +1,6 @@
 """Form factors, channel states and the split-step coupled-channel propagator."""
 
 import gc
-import sys
-import threading
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import mott1d.channels as ch
 import mott1d.experiments as ex
 from mott1d.core import (
+    GridError,
     ModelParams,
     NormDriftError,
     OscillatorBasis,
@@ -247,23 +246,18 @@ def test_evolve_leaves_the_callers_state_unchanged(reduced_collinear, reduced_gr
     assert np.array_equal(mid.amplitudes, before)
 
 
-@pytest.mark.parametrize("half", ["caller", "worker"])
-def test_kinetic_rows_in_place_equals_out_of_place(half):
-    # evolve's threads transform the row slices f[:r] and f[r:] of one
-    # stack in place: each must read bit for bit as the out-of-place
-    # composition fft -> x free phase -> ifft -> x energy phase, and the
-    # other slice must stay untouched
+def test_kinetic_rows_in_place_equals_out_of_place():
+    # evolve transforms its stack in place: it must read bit for bit as the
+    # out-of-place composition fft -> x free phase -> ifft -> x energy phase
     rng = np.random.default_rng(20)
     rows, n_points = 9, 2048  # (n_max + 1)^2 rows at n_max 2
     f = rng.standard_normal((rows, n_points)) + 1j * rng.standard_normal((rows, n_points))
     free = np.exp(1j * rng.uniform(-np.pi, np.pi, n_points))
     energy = np.exp(1j * rng.uniform(-np.pi, np.pi, rows))
-    part = slice(0, rows // 2) if half == "caller" else slice(rows // 2, rows)
-    spectrum = np.fft.fft(f[part], axis=-1)
+    spectrum = np.fft.fft(f, axis=-1)
     spectrum *= free
-    expected = f.copy()
-    expected[part] = np.fft.ifft(spectrum, axis=-1) * energy[part, None]
-    ch._kinetic_rows(f[part], free, energy[part])
+    expected = np.fft.ifft(spectrum, axis=-1) * energy[:, None]
+    ch._kinetic_rows(f, free, energy)
     assert np.array_equal(f, expected)
 
 
@@ -400,27 +394,24 @@ def test_truncation_stops_at_first_breach(reduced_collinear, reduced_grid, table
     assert all(s.top_shell_norm() <= config.top_shell_threshold for s in before)
 
 
-@pytest.mark.parametrize("failing_half", ["caller", "worker"])
+@pytest.mark.parametrize("failing", ["health-check", "stage"])
 def test_failed_evolve_leaves_no_reference_cycle(reduced_collinear, reduced_grid,
-                                                 monkeypatch, failing_half, tables):
+                                                 monkeypatch, failing, tables):
     # a cycle through the error's traceback would keep the failed attempt's
-    # arrays alive while escalation allocates the next, larger one; the
-    # calling thread fails a health check, the worker one of its halves
+    # arrays alive while escalation allocates the next, larger one; the run
+    # fails a health check, or a kinetic stage raises
     strong = replace(reduced_collinear, lam=0.05)
     config = ch.PropagatorConfig(n_max=1)
     state = ch.initialize_channels(strong, reduced_grid, 1)
     ff = tables(strong, reduced_grid, 1)
     expected = ch.TruncationError
-    if failing_half == "worker":
+    if failing == "stage":
         expected = ZeroDivisionError
-        caller, original = threading.current_thread(), ch._kinetic_rows
 
-        def failing(f, *factor):
-            if threading.current_thread() is not caller:
-                raise ZeroDivisionError("worker failed")
-            original(f, *factor)
+        def stage(f, *factor):
+            raise ZeroDivisionError("stage failed")
 
-        monkeypatch.setattr(ch, "_kinetic_rows", failing)
+        monkeypatch.setattr(ch, "_kinetic_rows", stage)
     raised = None
     gc.collect()
     gc.disable()
@@ -602,27 +593,16 @@ def test_free_run_past_the_window_matches_analytic(reduced_collinear, reduced_gr
     assert np.max(np.abs(np.abs(final.amplitudes[0, 0]) - np.abs(exact))) <= 1e-8
 
 
-# ---------------------------------------------------------------------------
-# the worker thread
-
-
-@pytest.mark.parametrize("runs, cut, caller, worker", [
-    ([(100, 200), (300, 310)], 150, [(100, 150)], [(150, 200), (300, 310)]),
-    ([(100, 150), (300, 310)], 150, [(100, 150)], [(300, 310)]),
-    ([], 0, [], []),
-], ids=["run-straddles-cut", "run-ends-at-cut", "no-runs"])
-def test_coupling_slabs_split_at_the_cut(reduced_collinear, reduced_grid, tables, runs, cut,
-                                         caller, worker):
-    # the two sides' slabs partition the coupled points, none twice and
-    # none dropped, and every point's factor is the one it has in an uncut
-    # slab, bit for bit
+def test_coupling_slabs_are_the_runs_of_the_window(reduced_collinear, reduced_grid, tables):
+    # one slab per run of coupled points, none dropped and none twice, and a
+    # window from grid point 50 on counts its own points and reads the table
+    # at its grid point, bit for bit
     p = reduced_collinear
     n_points = reduced_grid.n_points
     table, _ = tables(p, reduced_grid, 2)
     energies = OscillatorBasis.for_oscillator(p, 1, 2).energies
     on = np.zeros(n_points, dtype=bool)
-    for lo, hi in runs:
-        on[lo:hi] = True
+    on[100:200] = on[300:310] = True
     taus = [0.3, -0.2]
 
     def per_point(slabs):
@@ -631,142 +611,99 @@ def test_coupling_slabs_split_at_the_cut(reduced_collinear, reduced_grid, tables
             u[:, :, span] = factor
         return u
 
-    split = ch._coupling_slabs(p, table, energies, taus, on, cut, 0)
-    whole = ch._coupling_slabs(p, table, energies, taus, on, 0, 0)
-    assert len(split) == len(whole) == len(taus)
-    for (left, right), (none, uncut) in zip(split, whole):
-        assert none == []
-        assert [(s.start, s.stop) for s, _ in left] == caller
-        assert [(s.start, s.stop) for s, _ in right] == worker
-        points = [np.arange(s.start, s.stop) for s, _ in left + right]
-        assert np.array_equal(np.sort(np.concatenate(points or [np.empty(0, int)])),
-                              np.flatnonzero(on))
-        assert np.array_equal(per_point(left + right), per_point(uncut))
-    # a window from grid point 50 on counts its own points, and each reads
-    # the table at its grid point
+    whole = ch._coupling_slabs(p, table, energies, taus, on, 0)
+    assert len(whole) == len(taus)
+    for slabs in whole:
+        assert [(s.start, s.stop) for s, _ in slabs] == [(100, 200), (300, 310)]
+    no_runs = np.zeros(n_points, dtype=bool)
+    assert ch._coupling_slabs(p, table, energies, taus, no_runs, 0) == [[], []]
     shift = 50
-    windowed = ch._coupling_slabs(p, table, energies, taus, on[shift:], max(cut - shift, 0),
-                                  shift)
-    for (left, right), (_, uncut) in zip(windowed, whole):
-        assert np.array_equal(per_point(left + right)[:, :, :n_points - shift],
+    windowed = ch._coupling_slabs(p, table, energies, taus, on[shift:], shift)
+    for slabs, uncut in zip(windowed, whole):
+        assert np.array_equal(per_point(slabs)[:, :, :n_points - shift],
                               per_point(uncut)[:, :, shift:])
 
 
-@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "free"])
-def test_evolve_cuts_at_half_of_both_oscillators_slab_points(reduced_collinear, reduced_grid,
-                                                             tables, monkeypatch, coupled):
-    # the cut is the first point at which the count of both oscillators'
-    # slab points reaches half, so the two threads' coupling points differ
-    # by at most 4; without coupling there are no slabs and the cut is 0
-    p = reduced_collinear if coupled else replace(reduced_collinear, lam=0.0)
-    calls = []
-    original = ch._coupling_slabs
-
-    def spy(params, table, energies, taus, on, cut, start):
-        slabs = original(params, table, energies, taus, on, cut, start)
-        calls.append((on, cut, slabs))
-        return slabs
-
-    monkeypatch.setattr(ch, "_coupling_slabs", spy)
-    # the top shell overfills at n_max = 1; only the slabs matter here
-    config = ch.PropagatorConfig(n_max=1, top_shell_threshold=1.0)
-    ch.evolve(ch.initialize_channels(p, reduced_grid, 1), p, config, 0.5 * p.tau2,
-              tables(p, reduced_grid, 1))
-    (on1, cut, slabs1), (on2, cut2, slabs2) = calls
-    assert cut2 == cut
-    weight = on1.astype(int) + on2
-    total = int(weight.sum())
-    if coupled:
-        assert total > 0 and weight[:cut].sum() < total / 2 <= weight[:cut + 1].sum()
-    else:
-        assert total == 0 and cut == 0
-    for (c1, w1), (c2, w2) in zip(slabs1, slabs2):
-        left = sum(s.stop - s.start for s, _ in c1 + c2)
-        right = sum(s.stop - s.start for s, _ in w1 + w2)
-        assert left + right == total and abs(left - right) <= 4
-        assert all(s.stop <= cut for s, _ in c1 + c2) and all(s.start >= cut for s, _ in w1 + w2)
+# ---------------------------------------------------------------------------
+# sampling on the band
 
 
-@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "free"])
-@pytest.mark.parametrize("n_max", [1, 4])
-@pytest.mark.parametrize("case", ["collinear", "opposite"])
-def test_evolve_bitwise_under_short_switch_interval(case, n_max, coupled):
-    # each row's transforms and each point's coupling run in the same order
-    # whatever the thread interleaving, so a GIL hand-off every microsecond
-    # changes no bit; n_max 1 and 4 split 4 and 25 rows, and without
-    # coupling there are no slabs to split
-    p = ex.default_params(case, epsilon=0.2)
-    if not coupled:
-        p = replace(p, lam=0.0)
-    grid = suggest_grid(p, p.tau2)
-    # the top shell overfills at n_max = 1; the comparison only needs both
-    # runs to reach the end
-    config = ch.PropagatorConfig(n_max=n_max, top_shell_threshold=1.0)
-    ff = ch.form_factor_pair(p, grid, n_max)
-
-    def run():
-        final, seen = ch.evolve(ch.initialize_channels(p, grid, n_max), p, config, p.tau2, ff,
-                                snapshot_times=[p.tau1])
-        return final, seen[p.tau1]
-
-    base, base_snap = run()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        fast, fast_snap = run()
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(fast.amplitudes, base.amplitudes)
-    assert fast_snap.t == base_snap.t
-    assert np.array_equal(fast_snap.amplitudes, base_snap.amplitudes)
-
-
-def test_evolve_worker_failure_leaves_the_call(reduced_collinear, reduced_grid,
-                                               reduced_config, monkeypatch, tables):
-    # a failure in the worker's half surfaces from evolve unchanged, and the
-    # executor's thread is joined before evolve raises
+def test_band_filling_the_grid_steps_on_every_point(reduced_collinear):
+    # M is the fewest points N / 2^j with M/2 above the joint source's band
+    assert ch._step_points(2048, 511) == 1024
+    assert ch._step_points(2048, 512) == 2048
+    # the bands of this run need more than 256 indices, so on 1024 points
+    # the rule keeps the grid and the tables themselves
     p = reduced_collinear
-    ff = tables(p, reduced_grid, reduced_config.n_max)
-    boom = RuntimeError("worker failed")
-    workers = set()
-    original = ch._kinetic_rows
-    caller = None
-
-    def failing(f, *factor):
-        if threading.current_thread() is not caller:  # the worker's half
-            workers.add(threading.current_thread())
-            failing.calls += 1
-            if failing.calls == 5:
-                raise boom
-        original(f, *factor)
-
-    failing.calls = 0
-    monkeypatch.setattr(ch, "_kinetic_rows", failing)
-    before = threading.active_count()
-    outcome = []
-
-    def call():
-        state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
-        try:
-            ch.evolve(state, p, reduced_config, 1.5 * p.tau2, ff)
-        except RuntimeError as exc:
-            outcome.append(exc)
-
-    caller = threading.Thread(target=call, daemon=True)
-    caller.start()
-    caller.join(timeout=60.0)
-    assert not caller.is_alive(), "evolve blocked after its worker failed"
-    assert len(outcome) == 1 and outcome[0] is boom
-    assert len(workers) == 1
-    assert threading.active_count() == before
+    grid = suggest_grid(p, 1.5 * p.tau2, 1024)
+    ff = ch.form_factor_pair(p, grid, 2)
+    coarse, sampled = ch.band_sampling(p, grid, ff)
+    assert coarse is grid and sampled is ff
 
 
-def test_escalation_leaves_no_worker_thread(reduced_collinear, reduced_grid, tables):
+def test_non_finite_table_between_the_step_points_rejected(reduced_collinear, reduced_grid,
+                                                           monkeypatch):
+    # the steps read every second point of this grid; a NaN on a point they
+    # skip still fails the run, in the band measurement, before any step
+    p = reduced_collinear
+    ff1, ff2 = ch.form_factor_pair(p, reduced_grid, 1)
+    values = ff2.values.copy()
+    values[1, 0, reduced_grid.n_points // 2 + 1] = np.nan
+    steps = []
+    monkeypatch.setattr(ch, "evolve", lambda *args: steps.append(None))
+    with pytest.raises(ValueError, match="not finite"):
+        ch.evolve_with_escalation(p, reduced_grid, ch.PropagatorConfig(n_max=1), 1.5 * p.tau2,
+                                  (ff1, replace(ff2, values=values)))
+    assert not steps
+    coarse, sampled = ch.band_sampling(p, reduced_grid, (ff1, ff2))
+    assert coarse == SpatialGrid(reduced_grid.x_min, reduced_grid.x_max,
+                                 reduced_grid.n_points // 2)
+    for table, full in zip(sampled, (ff1, ff2)):
+        assert table.grid == coarse and np.array_equal(table.values, full.values[..., ::2])
+    # tables on a wider grid with the same points would be sampled as if on
+    # this one
+    wide = SpatialGrid(1.25 * reduced_grid.x_min, 1.25 * reduced_grid.x_max,
+                       reduced_grid.n_points)
+    with pytest.raises(GridError, match="grid"):
+        ch.band_sampling(p, reduced_grid, ch.form_factor_pair(p, wide, 1))
+
+
+def test_escalation_samples_each_attempts_own_tables(reduced_collinear, reduced_grid,
+                                                     monkeypatch, tables):
+    # the rule runs once per attempt, on the tables that attempt steps with:
+    # the given n_max = 1 pair, then each pair the escalation builds
     strong = replace(reduced_collinear, lam=0.05)
-    config = ch.PropagatorConfig(n_max=1)
     ff = tables(strong, reduced_grid, 1)
-    before = threading.active_count()
-    final, _, failed = ch.evolve_with_escalation(strong, reduced_grid, config,
+    seen = []
+    rule = ch.band_sampling
+
+    def spy(params, grid, form_factors):
+        seen.append(form_factors)
+        return rule(params, grid, form_factors)
+
+    monkeypatch.setattr(ch, "band_sampling", spy)
+    final, _, failed = ch.evolve_with_escalation(strong, reduced_grid,
+                                                 ch.PropagatorConfig(n_max=1),
                                                  1.5 * strong.tau2, ff)
-    assert failed[0]["n_max"] == 1 and final.n_max > 1
-    assert threading.active_count() == before
+    attempts = [e["n_max"] for e in failed] + [final.n_max]
+    assert len(attempts) > 1
+    assert seen[0] is ff
+    assert [pair[0].n_max for pair in seen] == [pair[1].n_max for pair in seen] == attempts
+    assert all(t.grid == reduced_grid for pair in seen for t in pair)
+
+
+@pytest.mark.parametrize("case", ["collinear", "opposite"])
+def test_sampled_oracle_matches_evolve_on_the_grid_of_record(case):
+    # 8192 points at epsilon = 0.2 sample the band 8x finer than the rule
+    # needs; every amplitude the escalation returns on the grid of record,
+    # stepped on 1024 points, matches evolve stepped on all 8192
+    p = ex.default_params(case, epsilon=0.2)
+    times = (1.5 * p.tau1, 1.5 * p.tau2)
+    grid = suggest_grid(p, times[-1], 8192)
+    config = ch.PropagatorConfig(n_max=2, top_shell_threshold=1.0)
+    ff = ch.form_factor_pair(p, grid, 2)
+    final, seen, _ = ch.evolve_with_escalation(p, grid, config, times[-1], ff, times)
+    assert final.window["points"] == 1024 and final.grid == grid
+    _, ref = ch.evolve(ch.initialize_channels(p, grid, 2), p, config, times[-1], ff, times)
+    for t in times:
+        np.testing.assert_allclose(seen[t].amplitudes, ref[t].amplitudes, rtol=0, atol=1e-12)

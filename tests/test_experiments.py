@@ -269,26 +269,27 @@ def test_oracle_records_the_steps_it_took(on_grid):
 
 
 def test_oracle_records_its_window():
-    # convergence.window: the window's points, the squared norm carried in
-    # k-space at the end and the largest outer-band squared norm before a
-    # carry; json-ready and the same on a rerun
+    # convergence.window: the window's points on the sampled grid, the
+    # squared norm carried in k-space at the end and the largest outer-band
+    # squared norm before a carry; json-ready and the same on a rerun
     spec = _reduced_spec("collinear", "oracle")
     spec = replace(spec, times=(1.5 * spec.params.tau2,))
-    runs = [ex.run_scenario(spec).engines["oracle"].convergence["window"] for _ in range(2)]
-    window = runs[0]
+    runs = [ex.run_scenario(spec).engines["oracle"].convergence for _ in range(2)]
+    window = runs[0]["window"]
     assert set(window) == {"points", "carried_norm", "band_norm_max"}
-    assert 0 < window["points"] < spec.grid().n_points
+    assert 0 < window["points"] < runs[0]["points"]
     assert 0.0 < window["band_norm_max"] < window["carried_norm"] < 1.0
-    assert json.loads(json.dumps(window)) == window == runs[1]
+    assert json.loads(json.dumps(window)) == window == runs[1]["window"]
 
 
-def test_pt_records_its_points():
-    # convergence.points: the points the accepted pass stepped on, the
-    # coarsest sampling of the box that holds the band; here half the grid's,
+@pytest.mark.parametrize("engine", ["oracle", "pt"])
+def test_engine_records_its_points(engine):
+    # convergence.points: the points the engine stepped on, the coarsest
+    # sampling of the box that holds the band; here half the grid's,
     # json-ready and the same on a rerun
-    spec = _reduced_spec("collinear", "pt")
+    spec = _reduced_spec("collinear", engine)
     spec = replace(spec, times=(1.5 * spec.params.tau2,))
-    runs = [ex.run_scenario(spec).engines["pt"].convergence["points"] for _ in range(2)]
+    runs = [ex.run_scenario(spec).engines[engine].convergence["points"] for _ in range(2)]
     assert runs[0] == runs[1] == spec.grid().n_points // 2
     assert json.loads(json.dumps(runs[0])) == runs[0]
 

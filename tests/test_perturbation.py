@@ -162,18 +162,15 @@ def _norm_sq(values, grid):
     return float(np.sum(np.abs(values) ** 2)) * grid.dx
 
 
-def _reference(p, t, ff, grid, n_max, dt, every=None):
-    """The reference pass on the full tables and the grid of record, or, with
-    ``every``, on every every-th point of it and on the engine's kick slabs:
-    what a pass that steps on those points computes."""
+def _reference(p, t, ff, grid, n_max, dt, on_kick_slabs=False):
+    """The reference pass on the full tables, or, with ``on_kick_slabs``, on
+    the engine's kick slabs."""
     energies = OscillatorBasis.for_oscillator(p, 1, n_max).energies
     psi0 = make_spherical_wave_1d(grid, p.sigma, p.P0, p.hbar).values
     g1, g2 = (f.values[:n_max + 1, 0] for f in ff)
-    dx = grid.dx
-    if every is not None:
-        psi0, g1, g2 = psi0[::every], _on_kick_slab(g1[:, ::every]), _on_kick_slab(g2[:, ::every])
-        dx *= every
-    return reference_dyson_stack(psi0, g1, g2, energies, dx, t, dt, p.lam, p.hbar, p.M)
+    if on_kick_slabs:
+        g1, g2 = _on_kick_slab(g1), _on_kick_slab(g2)
+    return reference_dyson_stack(psi0, g1, g2, energies, grid.dx, t, dt, p.lam, p.hbar, p.M)
 
 
 def _on_kick_slab(g):
@@ -209,19 +206,19 @@ def _assert_probabilities_match(run, ref, grid):
         assert prob == pytest.approx(expected, rel=1e-12), (n1, n2)
 
 
-def _field_errors(run, ref, every=1):
+def _field_errors(run, ref):
     """{label: max |engine - reference| / reference peak} over the b rows and
-    the joint rows (orderings summed), the engine read at every every-th point."""
+    the joint rows (orderings summed)."""
     n_max = run.n_max
     out = {}
     for n in range(1, n_max + 1):
         for got, want, label in ((run.amplitudes[n, 0], ref["b1"][n], ("b1", n)),
                                  (run.amplitudes[0, n], ref["b2"][n], ("b2", n))):
-            out[label] = np.max(np.abs(got[::every] - want)) / np.max(np.abs(want))
+            out[label] = np.max(np.abs(got - want)) / np.max(np.abs(want))
     for n1 in range(1, n_max + 1):
         for n2 in range(1, n_max + 1):
             c12, c21 = ref["c12"][n1, n2], ref["c21"][n1, n2]
-            out[n1, n2] = (np.max(np.abs(run.amplitudes[n1, n2][::every] - (c12 + c21)))
+            out[n1, n2] = (np.max(np.abs(run.amplitudes[n1, n2] - (c12 + c21)))
                            / (np.max(np.abs(c12)) + np.max(np.abs(c21))))
     return out
 
@@ -235,51 +232,40 @@ def test_dyson_run_matches_reference_kernel(case, shape, n_max, hbar, dt):
     run, _ = pt.dyson_run(p, t, ff, grid, n_max, dt)
     _assert_probabilities_match(run, _reference(p, t, ff, grid, n_max, dt), grid)
 
-    # amplitudes, phases included, to 1e-12 of each channel's peak, at the
-    # engine's own points against the reference pass on those points and the
-    # engine's slabs.  Against the full tables on the grid of record the
-    # opposite geometry's joint fields, suppressed far below the b peaks,
-    # differ by up to 6.4e-12 of their peak; a 1e-16 relative change of psi0
-    # alone moves a pass on every point by 7.5e-13 to 6.7e-12 there
-    every = grid.n_points // run.window["points"]
-    ref = _reference(p, t, ff, grid, n_max, dt, every)
-    for label, err in _field_errors(run, ref, every).items():
+    # amplitudes, phases included, to 1e-12 of each channel's peak, at every
+    # point of the grid the pass steps on, against the reference pass on the
+    # engine's slabs.  Against the full tables the opposite geometry's joint
+    # fields, suppressed far below the b peaks, differ by up to 6.4e-12 of
+    # their peak; a 1e-16 relative change of psi0 alone moves a pass by
+    # 7.5e-13 to 6.7e-12 there
+    ref = _reference(p, t, ff, grid, n_max, dt, on_kick_slabs=True)
+    for label, err in _field_errors(run, ref).items():
         assert err <= 1e-12, label
 
 
 @pytest.mark.parametrize("case", [ex.COLLINEAR, ex.OPPOSITE])
 def test_decimated_dyson_run_matches_reference_on_the_grid_of_record(case):
     # 8192 points at epsilon = 0.2 sample the band 4x finer than
-    # suggest_grid's rule, so the steps act on fewer points; every amplitude
-    # returned on the grid of record matches the reference pass there.  The
-    # opposite geometry's joint fields are left out for the reason the kernel
-    # test gives.  So is the bump table: its opposite-geometry probabilities read
-    # 1.5e-12 here, where a pass on every point reads 5.6e-13 and a 1e-16
-    # relative change of psi0 moves it by 3.9e-13, so these digits are noise
+    # suggest_grid's rule, so the ladder's passes step on fewer points; every
+    # amplitude of the accepted pass, returned on the grid of record, matches
+    # the reference pass there.  The opposite geometry's joint fields are
+    # left out for the reason the kernel test gives.  So is the bump table:
+    # its opposite-geometry probabilities read 1.5e-12 here, where a pass on
+    # every point reads 5.6e-13 and a 1e-16 relative change of psi0 moves it
+    # by 3.9e-13, so these digits are noise.  From dt 0.4 with any change
+    # accepted, the second pass, at dt 0.2, is the accepted one
     p = ex.default_params(case, epsilon=0.2)
     t = 1.5 * p.tau2
     grid = suggest_grid(p, t, 8192)
     ff = form_factor_pair(p, grid, 2)
-    run, _ = pt.dyson_run(p, t, ff, grid, 2, 0.2)
-    assert run.window["points"] < grid.n_points
+    run, _, halving = pt.converged_dyson_run(p, t, ff, grid, 2, 0.4, rtol=1.0)
+    assert [h["dt"] for h in halving] == [t / math.ceil(t / 0.4), t / math.ceil(t / 0.2)]
+    assert run.grid == grid and run.window["points"] < grid.n_points
     ref = _reference(p, t, ff, grid, 2, 0.2)
     _assert_probabilities_match(run, ref, grid)
     for label, err in _field_errors(run, ref).items():
         if case == ex.COLLINEAR or label[0] in ("b1", "b2"):
             assert err <= 1e-12, label
-
-
-def test_band_filling_the_grid_steps_on_every_point(reduced_collinear):
-    # M is the fewest points N / 2^j with M/2 above the joint source's band
-    assert pt._step_points(2048, 511) == 1024
-    assert pt._step_points(2048, 512) == 2048
-    # the bands of this run need more than 256 indices, so on 1024 points
-    # the steps keep every point
-    p = reduced_collinear
-    t = 1.5 * p.tau2
-    grid = suggest_grid(p, t, 1024)
-    run, _ = pt.dyson_run(p, t, form_factor_pair(p, grid, 2), grid, 2, 0.2)
-    assert run.window == {"points": grid.n_points}
 
 
 def random_stack(rng, shape):
@@ -525,23 +511,6 @@ def test_non_finite_form_factor_table_rejected(reduced_collinear, reduced_grid):
     values[1, 0, reduced_grid.n_points // 2] = np.nan
     with pytest.raises(ValueError, match="not finite"):
         pt.dyson_run(p, 1.5 * p.tau2, (replace(ff1, values=values), ff2), reduced_grid, 1, 0.2)
-
-
-def test_non_finite_table_between_the_step_points_rejected(reduced_collinear, reduced_grid,
-                                                           monkeypatch):
-    # the steps read every second point of this grid; a NaN on a point they
-    # skip still fails the run, in the band measurement, before any step
-    p = reduced_collinear
-    ff1, ff2 = form_factor_pair(p, reduced_grid, 1)
-    values = ff2.values.copy()
-    values[1, 0, reduced_grid.n_points // 2 + 1] = np.nan
-    steps = []
-    monkeypatch.setattr(pt, "_propagate", lambda st, phase: steps.append(None))
-    with pytest.raises(ValueError, match="not finite"):
-        pt.dyson_run(p, 1.5 * p.tau2, (ff1, replace(ff2, values=values)), reduced_grid, 1, 0.2)
-    assert not steps
-    run, _ = pt.dyson_run(p, 1.5 * p.tau2, (ff1, ff2), reduced_grid, 1, 0.2)
-    assert run.window["points"] == reduced_grid.n_points // 2
 
 
 def test_failed_dyson_run_leaves_no_reference_cycle(reduced_collinear, reduced_grid,
