@@ -246,18 +246,26 @@ def test_evolve_leaves_the_callers_state_unchanged(reduced_collinear, reduced_gr
     assert np.array_equal(mid.amplitudes, before)
 
 
-def test_kinetic_rows_in_place_equals_out_of_place():
-    # evolve transforms its stack in place: it must read bit for bit as the
-    # out-of-place composition fft -> x free phase -> ifft -> x energy phase
+@pytest.mark.parametrize("part", ["caller", "worker", "whole"])
+def test_kinetic_rows_in_place_equals_out_of_place(part):
+    # evolve transforms its stack in place: the rows handed over, the whole
+    # stack or either half of it ("caller" the first, "worker" the second,
+    # the halves a two-thread split would give each side), must read bit for
+    # bit as the out-of-place composition fft -> x free phase -> ifft ->
+    # x energy phase, and the other rows must stay untouched
     rng = np.random.default_rng(20)
     rows, n_points = 9, 2048  # (n_max + 1)^2 rows at n_max 2
     f = rng.standard_normal((rows, n_points)) + 1j * rng.standard_normal((rows, n_points))
     free = np.exp(1j * rng.uniform(-np.pi, np.pi, n_points))
     energy = np.exp(1j * rng.uniform(-np.pi, np.pi, rows))
-    spectrum = np.fft.fft(f, axis=-1)
+    rows_of = {"caller": slice(0, rows // 2), "worker": slice(rows // 2, rows),
+               "whole": slice(0, rows)}
+    sel = rows_of[part]
+    spectrum = np.fft.fft(f[sel], axis=-1)
     spectrum *= free
-    expected = np.fft.ifft(spectrum, axis=-1) * energy[:, None]
-    ch._kinetic_rows(f, free, energy)
+    expected = f.copy()
+    expected[sel] = np.fft.ifft(spectrum, axis=-1) * energy[sel, None]
+    ch._kinetic_rows(f[sel], free, energy[sel])
     assert np.array_equal(f, expected)
 
 
