@@ -93,7 +93,8 @@ pointwise product of samples is the sample of the product, and each
 transform is the N-point one restricted to |j| < M/2 and scaled by M/N.
 ``on_grid`` takes each requested state back to the grid of record, each
 row's spectrum zero-padded to N points.  A band that fills the grid gives
-M = N.
+M = N.  Every engine call returns ``(states, record)``: the states keyed
+by time and a plain dict of the steps, window and attempts that made them.
 
 PT's widest product is its joint source (g2 b1, g1 b2 or g1 g2 psi), of
 band K_psi + 2 K_g, so nothing it forms folds.  The oracle's coupling
@@ -264,11 +265,6 @@ class ChannelState:
     t: float
     grid: SpatialGrid
     amplitudes: np.ndarray
-    # the run's record of where its steps acted: on the state evolve returns
-    # at t_final, {points, carried_norm, band_norm_max} (see evolve); on each
-    # state on_grid returns, {points, window}, the sampled grid's points and
-    # the stepped state's own record; None elsewhere
-    window: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -505,7 +501,7 @@ def _carry_rows(f: np.ndarray, a: np.ndarray, scratch: np.ndarray, start: int,
 def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
            t_final: float, form_factors: tuple[FormFactorTable, FormFactorTable],
            snapshot_times: Sequence[float] = ()
-           ) -> tuple[ChannelState, dict[float, ChannelState]]:
+           ) -> tuple[dict[float, ChannelState], dict]:
     """Propagate the channel state to t_final in composed fourth-order steps.
 
     From state.t to each snapshot time in turn, and on to t_final, it takes
@@ -531,12 +527,13 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
 
     ``form_factors`` are both oscillators' tables on the state's grid, at
     truncation ``config.n_max`` or above (only the leading block is read).
-    Returns the final state and the snapshots, keyed by the requested
-    ``snapshot_times``: each is a new state at exactly its time, except
-    that one at t_final is the final state itself.  The final state's
-    ``window`` records the window's ``points``, ``carried_norm`` (the
-    squared norm carried in k-space at t_final) and ``band_norm_max`` (the
-    largest squared norm in the bands' outer parts just before a carry).
+    Returns ``(states, record)``: ``states`` holds a new state at exactly
+    each snapshot time and at t_final, keyed by time in time order.
+    ``record["segments"]`` holds one {t, dt, steps} per time, dt the step
+    that reached t, and ``record["window"]`` the window's ``points``,
+    ``carried_norm`` (the squared norm carried in k-space at t_final) and
+    ``band_norm_max`` (the largest squared norm in the bands' outer parts
+    just before a carry).
     """
     if not t_final > state.t:
         raise ValueError(f"t_final={t_final} must exceed state.t={state.t}")
@@ -651,9 +648,11 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
             o[start:stop] += row
         at_time[end] = ChannelState(end, grid, out.reshape(n_lvl, n_lvl, grid.n_points))
         _health_check(end, _re_dot(out, out) * grid.dx, config, norm0)
-    at_time[t_final].window = {"points": points, "carried_norm": float(np.sum(carried)) * grid.dx,
-                               "band_norm_max": band_norm_max}
-    return at_time[t_final], {ts: at_time[ts] for ts in snapshot_times}
+    return at_time, {"segments": [{"t": end, "dt": (end - t0) / n, "steps": n}
+                                  for t0, end, n in segments],
+                     "window": {"points": points,
+                                "carried_norm": float(np.sum(carried)) * grid.dx,
+                                "band_norm_max": band_norm_max}}
 
 
 def _health_check(t: float, sq: np.ndarray, config: PropagatorConfig, norm0: float) -> None:
@@ -731,12 +730,10 @@ def band_sampling(params: ModelParams, grid: SpatialGrid,
 def on_grid(state: ChannelState, grid: SpatialGrid) -> ChannelState:
     """``state``, stepped on the M points ``band_sampling`` chose, on the
     N-point ``grid`` of the same box: each row's M-point spectrum
-    zero-padded to N points, transformed back and scaled by N/M.  Its
-    ``window`` records ``{"points": M, "window": state.window}``."""
-    m = state.grid.n_points
-    record = {"points": m, "window": state.window}
+    zero-padded to N points, transformed back and scaled by N/M."""
     if state.grid == grid:
-        return ChannelState(state.t, grid, state.amplitudes, window=record)
+        return state
+    m = state.grid.n_points
     spectrum = np.fft.fft(state.amplitudes, axis=-1)
     amplitudes = np.zeros(spectrum.shape[:-1] + (grid.n_points,), dtype=np.complex128)
     # indices 0..M/2-1 and -M/2..-1 keep their place; the band ends below M/2
@@ -744,42 +741,41 @@ def on_grid(state: ChannelState, grid: SpatialGrid) -> ChannelState:
         amplitudes[..., k] = spectrum[..., k]
     np.fft.ifft(amplitudes, axis=-1, out=amplitudes)
     amplitudes *= grid.n_points // m
-    return ChannelState(state.t, grid, amplitudes, window=record)
+    return ChannelState(state.t, grid, amplitudes)
 
 
-def evolve_with_escalation(params: ModelParams, grid: SpatialGrid, config: PropagatorConfig,
-                           t_final: float,
-                           form_factors: tuple[FormFactorTable, FormFactorTable],
-                           snapshot_times: Sequence[float] = (),
-                           ) -> tuple[ChannelState, dict[float, ChannelState],
-                                      list[dict[str, float | int]]]:
-    """Run from the product initial state, raising n_max by 2 until the
-    top-shell check passes.
+def evolve_with_escalation(params: ModelParams, grid: SpatialGrid,
+                           form_factors: tuple[FormFactorTable, FormFactorTable], n_max: int,
+                           dt: float, times: Sequence[float], top_shell_threshold: float
+                           ) -> tuple[dict[float, ChannelState], dict]:
+    """Run from the product initial state to max(times), raising n_max by 2
+    until the top-shell check passes.
 
     Each attempt steps on the grid ``band_sampling`` picks for its own
-    tables.  Returns ``evolve``'s final state and snapshots from the attempt
-    that passed (its n_max is the final state's), each ``on_grid`` on
-    ``grid``, and one {n_max, t, top_shell_norm} entry for each failed
+    tables.  Returns ``(states, record)`` from the attempt that passed:
+    ``states`` keyed by ``times`` in their order, each ``on_grid`` on
+    ``grid``, and ``record`` with the sampled grid's ``points``, the
+    attempt's ``window`` and ``segments`` from ``evolve``, and one
+    {n_max, t, top_shell_norm} entry in ``escalations`` for each failed
     attempt, read from its TruncationError.  ``form_factors``, on ``grid``,
     serve every attempt whose n_max they cover; each attempt beyond builds
     its own pair, in the given tables' potential shape.
     """
     attempts: list[dict[str, float | int]] = []
-    cfg = config
+    config = PropagatorConfig(dt, n_max, top_shell_threshold)
     while True:
         tables = form_factors
-        if min(t.n_max for t in form_factors) < cfg.n_max:
-            tables = form_factor_pair(params, grid, cfg.n_max, form_factors[0].shape)
+        if min(t.n_max for t in form_factors) < config.n_max:
+            tables = form_factor_pair(params, grid, config.n_max, form_factors[0].shape)
         coarse, tables = band_sampling(params, grid, tables)
         try:
-            final, snapshots = evolve(initialize_channels(params, coarse, cfg.n_max), params, cfg,
-                                      t_final, tables, snapshot_times)
+            states, record = evolve(initialize_channels(params, coarse, config.n_max), params,
+                                    config, max(times), tables, times)
         except TruncationError as err:
-            if cfg.n_max + 2 > N_MAX_CAP:
+            if config.n_max + 2 > N_MAX_CAP:
                 raise
             attempts.append({"n_max": err.n_max, "t": err.t, "top_shell_norm": err.norm})
-            cfg = replace(cfg, n_max=cfg.n_max + 2)
+            config = replace(config, n_max=config.n_max + 2)
             continue
-        # a snapshot at t_final is the final state itself
-        states = {t: on_grid(s, grid) for t, s in {**snapshots, t_final: final}.items()}
-        return states[t_final], {t: states[t] for t in snapshots}, attempts
+        return ({t: on_grid(states[t], grid) for t in times},
+                {"points": coarse.n_points, **record, "escalations": attempts})

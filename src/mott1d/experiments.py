@@ -26,7 +26,6 @@ from .core import (
     dimensionless_group,
     history_sums,
     suggest_grid,
-    time_segments,
 )
 
 OPPOSITE = "opposite"
@@ -268,31 +267,15 @@ def _engine_run(engine: str, states: dict[float, ch.ChannelState],
 def _run_oracle(spec: ScenarioSpec, grid: SpatialGrid,
                 form_factors: Tables) -> tuple[EngineRun, dict[float, ch.ChannelState]]:
     num = spec.numerics
-    t_max = max(spec.eval_times)
-    config = ch.PropagatorConfig(dt=num.dt_oracle, n_max=num.n_max,
-                                 top_shell_threshold=num.top_shell_threshold)
     t0 = time.perf_counter()
-    final, states, escalations = ch.evolve_with_escalation(
-        spec.params, grid, config, t_max, form_factors, snapshot_times=spec.eval_times)
+    states, record = ch.evolve_with_escalation(spec.params, grid, form_factors, num.n_max,
+                                               num.dt_oracle, spec.eval_times,
+                                               num.top_shell_threshold)
     wall = time.perf_counter() - t0
-    # the step evolve took to each requested time, on the same time grid
-    segments = [{"t": end, "dt": (end - start) / steps, "steps": steps}
-                for start, end, steps in time_segments(0.0, t_max, spec.eval_times, config.dt)]
-    convergence = {
-        "dt": config.dt,
-        "segments": segments,
-        "n_max": final.n_max,
-        "escalations": escalations,
-        "top_shell_norm": final.top_shell_norm(),
-        "norm_drift": abs(final.norm() - 1.0),
-        # the passing attempt's window on its sampled grid: its points, the
-        # squared norm carried in k-space at the end, and the largest
-        # outer-band squared norm just before a carry
-        "window": final.window["window"],
-        # the points of that grid, the coarsest sampling of the box that
-        # holds the band (channels module docstring)
-        "points": final.window["points"],
-    }
+    final = states[max(spec.eval_times)]
+    convergence = {"dt": num.dt_oracle, "n_max": final.n_max,
+                   "top_shell_norm": final.top_shell_norm(),
+                   "norm_drift": abs(final.norm() - 1.0), **record}
     return _engine_run("oracle", states, convergence, wall), states
 
 
@@ -300,23 +283,20 @@ def _run_pt(spec: ScenarioSpec, grid: SpatialGrid,
             form_factors: Tables) -> tuple[EngineRun, dict[tuple[int, int], ComplexField]]:
     num = spec.numerics
     t0 = time.perf_counter()
-    final, states, halving = pt.converged_dyson_run(
-        spec.params, max(spec.eval_times), form_factors, grid, num.n_max, num.dt_duhamel,
-        num.pt_rtol, snapshot_times=spec.eval_times)
+    states, record = pt.converged_dyson_run(spec.params, grid, form_factors, num.n_max,
+                                            num.dt_duhamel, spec.eval_times, num.pt_rtol)
     wall = time.perf_counter() - t0
     # the accepted pass's entry for each time (the last); a lone pass at
     # lam = 0 has no change: it counts as 0.0
-    accepted = {h["t"]: h for h in halving}.values()
-    convergence = {"dt": halving[-1]["dt"], "n_max": num.n_max,
+    accepted = {h["t"]: h for h in record["halving"]}.values()
+    convergence = {"dt": record["halving"][-1]["dt"], "n_max": num.n_max,
                    # an unconverged run raises QuadratureError
                    "converged": True,
                    "halving_rel_change": max(h["rel_change"] or 0.0 for h in accepted),
                    "halving_rel_change_observables": max(h["obs_change"] or 0.0
                                                          for h in accepted),
-                   "halving": halving,
-                   # the points the passes stepped on, the coarsest sampling
-                   # of the box that holds the band (channels module docstring)
-                   "points": final.window["points"]}
+                   **record}
+    final = states[max(spec.eval_times)]
     fields = {(n1, n2): final.channel_field(n1, n2)
               for n1 in range(num.n_max + 1) for n2 in range(num.n_max + 1)}
     return _engine_run("pt", states, convergence, wall), fields

@@ -44,9 +44,11 @@ The two interaction orderings (oscillator 1 first vs oscillator 2 first)
 share their channel energies, so one joint block carries both orderings'
 sum.  The kick touches only the index slabs where the bare form factors
 exceed ``KICK_FLOOR`` of their maximum, so the slabs are independent of lam.
-A pass returns psi, b and c as the oracle's ``ChannelState``, one
-(n_max+1, n_max+1, N) channel stack: psi at (0, 0), b1[n] at (n, 0), b2[n]
-at (0, n) and c at (n1, n2).
+A pass returns psi, b and c at each requested time as the oracle's
+``ChannelState``, one (n_max+1, n_max+1, N) channel stack: psi at (0, 0),
+b1[n] at (n, 0), b2[n] at (0, n) and c at (n1, n2).  Like ``channels.evolve``
+it returns ``(states, record)``: the states keyed by time, and the
+``segments`` it stepped on.
 
 A pass steps on the grid it is given.  ``converged_dyson_run`` gives every
 pass of its ladder the coarsest grid of the box that holds the band, with
@@ -138,14 +140,15 @@ def _propagate(st: np.ndarray, phase: np.ndarray) -> None:
 def dyson_run(params: ModelParams, t_final: float,
               form_factors: tuple[FormFactorTable, FormFactorTable], grid: SpatialGrid,
               n_max: int, dt: float, snapshot_times: Sequence[float] = ()
-              ) -> tuple[ChannelState, dict[float, ChannelState]]:
+              ) -> tuple[dict[float, ChannelState], dict]:
     """One kick–propagate pass of the whole amplitude stack up to t_final.
 
     From 0 to each requested time in turn it takes the fewest equal steps no
     longer than ``dt`` (``core.time_segments``, the oracle's time grid too),
-    so it lands exactly on each.  Returns the final state and the snapshots
-    keyed by the requested ``snapshot_times``, all on ``grid``; one at
-    t_final is the final state itself.  Raises NormDriftError when psi's
+    so it lands exactly on each.  Returns ``(states, record)``: a state on
+    ``grid`` at each snapshot time and at t_final, keyed by time in time
+    order, and ``record["segments"]``, one {t, dt, steps} per time with dt
+    the step that reached t.  Raises NormDriftError when psi's
     norm drifts or psi or b is not finite, checked every ``HEALTH_STRIDE``
     steps, or when a state at a requested time is not finite.
     ``form_factors`` are both oscillators' tables on ``grid``, at truncation
@@ -260,56 +263,54 @@ def dyson_run(params: ModelParams, t_final: float,
             # leaving the executor would otherwise wait for each of them
             for future in in_flight:
                 future.cancel()
-    return at_time[t_final], {t: at_time[t] for t in snapshot_times}
+    return at_time, {"segments": [{"t": end, "dt": (end - start) / n, "steps": n}
+                                  for start, end, n in segments]}
 
 
-def converged_dyson_run(params: ModelParams, t_final: float,
-                        form_factors: tuple[FormFactorTable, FormFactorTable],
-                        grid: SpatialGrid, n_max: int = 4, dt: float | None = None,
-                        rtol: float = 1e-3, snapshot_times: Sequence[float] = ()
-                        ) -> tuple[ChannelState, dict[float, ChannelState],
-                                   list[dict[str, float | None]]]:
+def converged_dyson_run(params: ModelParams, grid: SpatialGrid,
+                        form_factors: tuple[FormFactorTable, FormFactorTable], n_max: int,
+                        dt: float | None, times: Sequence[float], rtol: float
+                        ) -> tuple[dict[float, ChannelState], dict]:
     """Halve the Duhamel step until every probability is stable at every time.
 
-    Each pass is one ``dyson_run`` to t_final with snapshots at
-    ``snapshot_times``, on the grid and tables ``channels.band_sampling``
-    picks once for the ladder.  Returns the final state and snapshots of
-    the first pass whose probabilities changed by at most ``rtol`` from the
-    previous pass's at every time (the only pass when lam is 0), each
-    ``channels.on_grid`` on ``grid``, and ``halving``:
-    one {t, dt, rel_change, obs_change} entry per pass and time, ordered by
-    time, then pass, with dt the step that reached t and the changes over
-    every channel and over the outcome sums, which the weak top-shell
-    channels cannot dominate (None at first).  Raises QuadratureError when
-    ``MAX_HALVINGS`` halvings do not get there.  Probabilities below
-    ``NOISE_FLOOR`` are left out of the metric.
+    Each pass is one ``dyson_run`` to max(times), the first at the step
+    ``dt`` (``default_duhamel_step`` when None), on the grid and tables
+    ``channels.band_sampling`` picks once for the ladder.  The accepted pass
+    is the first whose probabilities changed by at most ``rtol`` from the
+    previous pass's at every time (the only pass when lam is 0).  Returns
+    ``(states, record)``: its states keyed by ``times`` in their order, each
+    ``channels.on_grid`` on ``grid``, and ``record`` with the sampled grid's
+    ``points`` and ``halving``: one {t, dt, rel_change, obs_change} entry
+    per pass and time, ordered by time, then pass, with dt the step that
+    reached t and the changes over every channel and over the outcome sums,
+    which the weak top-shell channels cannot dominate (None at first).
+    Raises QuadratureError when ``MAX_HALVINGS`` halvings do not get there.
+    Probabilities below ``NOISE_FLOOR`` are left out of the metric.
     """
     step = dt if dt is not None else default_duhamel_step(params)
     coarse, tables = band_sampling(params, grid, form_factors)
     halving: list[dict[str, float | None]] = []
     probs = None
     for _ in range(MAX_HALVINGS + 1):
-        final, snapshots = dyson_run(params, t_final, tables, coarse, n_max, step, snapshot_times)
-        cur = {t: channel_probabilities(s) for t, s in {**snapshots, t_final: final}.items()}
+        states, record = dyson_run(params, max(times), tables, coarse, n_max, step, times)
+        cur = {t: channel_probabilities(s) for t, s in states.items()}
         worst = 0.0
-        for start, t, n_steps in time_segments(0.0, t_final, snapshot_times, step):
+        for segment in record["segments"]:
+            t = segment["t"]
             rel = obs = None
             if probs is not None:
                 rel = _max_rel_change(probs[t], cur[t])
                 obs = _max_rel_change(history_sums(probs[t]), history_sums(cur[t]))
                 worst = max(worst, rel)
-            halving.append({"t": t, "dt": (t - start) / n_steps,
-                            "rel_change": rel, "obs_change": obs})
+            halving.append({"t": t, "dt": segment["dt"], "rel_change": rel, "obs_change": obs})
         done = params.lam == 0.0 if probs is None else worst <= rtol
         if done:
-            # a snapshot at t_final is the final state itself
-            states = {t: on_grid(s, grid) for t, s in {**snapshots, t_final: final}.items()}
-            return (states[t_final], {t: states[t] for t in snapshots},
-                    sorted(halving, key=lambda h: h["t"]))
+            return ({t: on_grid(states[t], grid) for t in times},
+                    {"points": coarse.n_points, "halving": sorted(halving, key=lambda h: h["t"])})
         probs = cur
         step /= 2.0
-        # the next pass needs only this one's probabilities, not its fields
-        del final, snapshots
+        # the next pass needs only this one's probabilities, not its states
+        del states
     raise QuadratureError(
         f"Duhamel quadrature not converged to rtol={rtol} after {MAX_HALVINGS} halvings")
 

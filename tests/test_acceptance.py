@@ -158,9 +158,9 @@ def test_criterion_6_conservation_suite(oracle_collinear_full, oracle_opposite_f
     maps = {}
     for tag, params in (("base", p), ("mirrored", mirrored(p))):
         state = ch.initialize_channels(params, reduced_grid, reduced_config.n_max)
-        final, _ = ch.evolve(state, params, reduced_config, 1.5 * p.tau2,
-                             tables(params, reduced_grid, reduced_config.n_max))
-        maps[tag] = ch.channel_probabilities(final)
+        states, _ = ch.evolve(state, params, reduced_config, 1.5 * p.tau2,
+                              tables(params, reduced_grid, reduced_config.n_max))
+        maps[tag] = ch.channel_probabilities(states[1.5 * p.tau2])
     parity_gap = max(abs(maps["base"][k] - maps["mirrored"][k]) for k in maps["base"])
     assert parity_gap <= 1e-9
 
@@ -188,19 +188,23 @@ def _observables(probs: dict) -> dict[str, float]:
 
 @pytest.fixture(scope="module")
 def truncation_changes(tables):
-    """n_max 4 -> 6 comparison at the default and at a deep-regime coupling."""
+    """n_max 4 -> 6 comparison at the default and at a deep-regime coupling,
+    each run stepped on the band's sampling of the grid, as a scenario run
+    steps, and at the n_max it was given."""
     grid = SpatialGrid.symmetric(768.0, 2 ** 13)
     base = ex.default_params("collinear", epsilon=0.1, lambda0=LAMBDA0)
     t = 1.5 * base.tau2
+    num = ex.NumericSettings()
     out = {}
     for lam0 in (LAMBDA0, 1e-7):
         params = replace(base, lam=lam0)
         probs = {}
         for n_max in (4, 6):
-            config = ch.PropagatorConfig(n_max=n_max)
-            state = ch.initialize_channels(params, grid, n_max)
-            final, _ = ch.evolve(state, params, config, t, tables(params, grid, n_max))
-            pmap = ch.channel_probabilities(final)
+            states, record = ch.evolve_with_escalation(params, grid, tables(params, grid, n_max),
+                                                       n_max, num.dt_oracle, (t,),
+                                                       num.top_shell_threshold)
+            assert not record["escalations"]
+            pmap = ch.channel_probabilities(states[t])
             probs[n_max] = {k: v for k, v in pmap.items()
                             if k != (0, 0) and k[0] <= 3 and k[1] <= 3}
         abs_change = max(abs(probs[4][k] - probs[6][k]) for k in probs[4])

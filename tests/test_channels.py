@@ -155,7 +155,8 @@ def test_free_evolution_matches_analytic(reduced_collinear, reduced_grid, tables
     p = replace(reduced_collinear, lam=0.0)
     config = ch.PropagatorConfig(n_max=1)
     state = ch.initialize_channels(p, reduced_grid, 1)
-    final, _ = ch.evolve(state, p, config, p.tau2, tables(p, reduced_grid, 1))
+    states, _ = ch.evolve(state, p, config, p.tau2, tables(p, reduced_grid, 1))
+    final = states[p.tau2]
     probs = ch.channel_probabilities(final)
     assert probs[(0, 0)] == pytest.approx(1.0, abs=1e-12)
     exact = free_two_packet(reduced_grid.points, p.tau2, p.sigma, p.P0, p.hbar, p.M)
@@ -165,9 +166,9 @@ def test_free_evolution_matches_analytic(reduced_collinear, reduced_grid, tables
 def test_single_step_norm_preserving(reduced_collinear, reduced_grid, tables):
     config = ch.PropagatorConfig(dt=0.1, n_max=2)
     state = ch.initialize_channels(reduced_collinear, reduced_grid, 2)
-    stepped, _ = ch.evolve(state, reduced_collinear, config, 0.1,
-                           tables(reduced_collinear, reduced_grid, 2))
-    assert abs(stepped.norm() - 1.0) <= 1e-12
+    states, _ = ch.evolve(state, reduced_collinear, config, 0.1,
+                          tables(reduced_collinear, reduced_grid, 2))
+    assert abs(states[0.1].norm() - 1.0) <= 1e-12
 
 
 def test_norm_drift_full_run(reduced_oracle_final):
@@ -186,9 +187,9 @@ def test_mirrored_run_has_identical_probabilities(reduced_opposite, reduced_grid
     runs = {}
     for tag, params in (("base", p), ("mirrored", mirrored(p))):
         state = ch.initialize_channels(params, reduced_grid, n_max)
-        final, _ = ch.evolve(state, params, reduced_config, t_final,
-                             tables(params, reduced_grid, n_max))
-        runs[tag] = ch.channel_probabilities(final)
+        states, _ = ch.evolve(state, params, reduced_config, t_final,
+                              tables(params, reduced_grid, n_max))
+        runs[tag] = ch.channel_probabilities(states[t_final])
     for key in runs["base"]:
         assert runs["base"][key] == pytest.approx(runs["mirrored"][key], abs=1e-9)
 
@@ -198,7 +199,8 @@ def test_evolve_is_deterministic(reduced_collinear, reduced_grid, reduced_config
     p, n_max = reduced_collinear, reduced_config.n_max
     state = ch.initialize_channels(p, reduced_grid, n_max)
     again, _ = ch.evolve(state, p, reduced_config, 1.5 * p.tau2, tables(p, reduced_grid, n_max))
-    np.testing.assert_array_equal(again.amplitudes, reduced_oracle_final.amplitudes)
+    np.testing.assert_array_equal(again[1.5 * p.tau2].amplitudes,
+                                  reduced_oracle_final.amplitudes)
 
 
 def test_snapshot_equals_direct_run(reduced_collinear, reduced_grid, reduced_config, tables):
@@ -206,15 +208,13 @@ def test_snapshot_equals_direct_run(reduced_collinear, reduced_grid, reduced_con
     t_mid, t_final = 0.75 * p.tau2, 1.5 * p.tau2
     ff = tables(p, reduced_grid, reduced_config.n_max)
     state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
-    final, seen = ch.evolve(state, p, reduced_config, t_final, ff,
-                            snapshot_times=[t_mid, t_final])
-    # a snapshot on the last step is the final state itself, not a copy
-    assert seen[t_final] is final and final.t == t_final
-    snap = seen[t_mid]
+    # one state at each time, in time order, the final one among them
+    seen, _ = ch.evolve(state, p, reduced_config, t_final, ff, snapshot_times=[t_final, t_mid])
+    assert [(t, s.t) for t, s in seen.items()] == [(t_mid, t_mid), (t_final, t_final)]
     state2 = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
     direct, _ = ch.evolve(state2, p, reduced_config, t_mid, ff)
-    assert snap.t == t_mid
-    np.testing.assert_allclose(snap.amplitudes, direct.amplitudes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(seen[t_mid].amplitudes, direct[t_mid].amplitudes,
+                               rtol=0, atol=1e-12)
 
 
 def test_off_grid_snapshot_lands_on_its_time(reduced_collinear, reduced_grid, reduced_config,
@@ -225,10 +225,11 @@ def test_off_grid_snapshot_lands_on_its_time(reduced_collinear, reduced_grid, re
     t_mid, t_final = 37.53, 1.5 * p.tau2
     ff = tables(p, reduced_grid, reduced_config.n_max)
     state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
-    final, seen = ch.evolve(state, p, reduced_config, t_final, ff, snapshot_times=[t_mid])
+    seen, _ = ch.evolve(state, p, reduced_config, t_final, ff, snapshot_times=[t_mid])
     direct, _ = ch.evolve(state, p, reduced_config, t_mid, ff)
-    assert seen[t_mid].t == t_mid == direct.t and final.t == t_final
-    np.testing.assert_allclose(seen[t_mid].amplitudes, direct.amplitudes, rtol=0, atol=1e-12)
+    assert seen[t_mid].t == t_mid == direct[t_mid].t and seen[t_final].t == t_final
+    np.testing.assert_allclose(seen[t_mid].amplitudes, direct[t_mid].amplitudes,
+                               rtol=0, atol=1e-12)
 
 
 def test_evolve_leaves_the_callers_state_unchanged(reduced_collinear, reduced_grid,
@@ -238,7 +239,8 @@ def test_evolve_leaves_the_callers_state_unchanged(reduced_collinear, reduced_gr
     p = reduced_collinear
     ff = tables(p, reduced_grid, reduced_config.n_max)
     state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
-    mid, _ = ch.evolve(state, p, reduced_config, 0.75 * p.tau2, ff)
+    states, _ = ch.evolve(state, p, reduced_config, 0.75 * p.tau2, ff)
+    mid = states[0.75 * p.tau2]
     assert np.all(np.abs(mid.amplitudes).max(axis=2) > 0)
     before = mid.amplitudes.copy()
     ch.evolve(mid, p, reduced_config, 1.5 * p.tau2, ff)
@@ -246,19 +248,19 @@ def test_evolve_leaves_the_callers_state_unchanged(reduced_collinear, reduced_gr
     assert np.array_equal(mid.amplitudes, before)
 
 
-@pytest.mark.parametrize("part", ["caller", "worker", "whole"])
+@pytest.mark.parametrize("part", ["first-half", "second-half", "whole"])
 def test_kinetic_rows_in_place_equals_out_of_place(part):
     # evolve transforms its stack in place: the rows handed over, the whole
-    # stack or either half of it ("caller" the first, "worker" the second,
-    # the halves a two-thread split would give each side), must read bit for
-    # bit as the out-of-place composition fft -> x free phase -> ifft ->
-    # x energy phase, and the other rows must stay untouched
+    # stack or either half of it, a view that starts or ends inside the
+    # stack, must read bit for bit as the out-of-place composition fft ->
+    # x free phase -> ifft -> x energy phase, and the other rows must stay
+    # untouched
     rng = np.random.default_rng(20)
     rows, n_points = 9, 2048  # (n_max + 1)^2 rows at n_max 2
     f = rng.standard_normal((rows, n_points)) + 1j * rng.standard_normal((rows, n_points))
     free = np.exp(1j * rng.uniform(-np.pi, np.pi, n_points))
     energy = np.exp(1j * rng.uniform(-np.pi, np.pi, rows))
-    rows_of = {"caller": slice(0, rows // 2), "worker": slice(rows // 2, rows),
+    rows_of = {"first-half": slice(0, rows // 2), "second-half": slice(rows // 2, rows),
                "whole": slice(0, rows)}
     sel = rows_of[part]
     spectrum = np.fft.fft(f[sel], axis=-1)
@@ -285,8 +287,8 @@ def test_evolve_matches_reference_kernel(case, n_max, lambda0, hbar):
     config = ch.PropagatorConfig(dt=0.75, n_max=n_max, top_shell_threshold=1.0)
     ff = ch.form_factor_pair(p, grid, n_max)
     state = ch.initialize_channels(p, grid, n_max)
-    final, seen = ch.evolve(state, p, config, t_final, ff, snapshot_times=[t_mid])
-    [snap] = seen.values()
+    seen, _ = ch.evolve(state, p, config, t_final, ff, snapshot_times=[t_mid])
+    snap, final = seen.values()
     energies = [OscillatorBasis.for_oscillator(p, i, n_max).energies for i in (1, 2)]
     ref = reference_channel_evolve(state.amplitudes, ff[0].values, ff[1].values, *energies,
                                    grid.dx, t_final, config.dt, p.lam, p.hbar, p.M,
@@ -315,7 +317,7 @@ def test_default_step_at_least_as_accurate_as_strang(case, reduced_grid, request
     start = ch.initialize_channels(p, reduced_grid, n_max)
 
     def composed(dt):
-        _, seen = ch.evolve(start, p, ch.PropagatorConfig(dt=dt, n_max=n_max), times[-1], ff,
+        seen, _ = ch.evolve(start, p, ch.PropagatorConfig(dt=dt, n_max=n_max), times[-1], ff,
                             snapshot_times=times)
         return [seen[t].amplitudes for t in times]
 
@@ -345,7 +347,7 @@ def test_evolve_uses_leading_block_of_larger_tables(reduced_collinear, reduced_g
     n_max = reduced_config.n_max
     state = ch.initialize_channels(p, reduced_grid, n_max)
     runs = [ch.evolve(state, p, reduced_config, p.tau1,
-                      ch.form_factor_pair(p, reduced_grid, n))[0]
+                      ch.form_factor_pair(p, reduced_grid, n))[0][p.tau1]
             for n in (n_max, n_max + 2)]
     # the two tables agree to the quadrature tolerance, not bit for bit
     np.testing.assert_allclose(runs[1].amplitudes, runs[0].amplitudes, rtol=0, atol=1e-10)
@@ -373,8 +375,9 @@ def test_truncation_error_and_escalation(reduced_collinear, reduced_grid, tables
     state = ch.initialize_channels(strong, reduced_grid, 1)
     with pytest.raises(ch.TruncationError):
         ch.evolve(state, strong, config, 1.5 * strong.tau2, ff)
-    final, _, _ = ch.evolve_with_escalation(strong, reduced_grid, config,
-                                            1.5 * strong.tau2, ff)
+    states, _ = ch.evolve_with_escalation(strong, reduced_grid, ff, config.n_max, config.dt,
+                                          (1.5 * strong.tau2,), config.top_shell_threshold)
+    [final] = states.values()
     assert final.n_max > 1
     assert final.top_shell_norm() < config.top_shell_threshold
 
@@ -394,7 +397,7 @@ def test_truncation_stops_at_first_breach(reduced_collinear, reduced_grid, table
     # reads the same top-shell norm at the breach on a step boundary
     dt = t_final / round(t_final / config.dt)
     times = [t for t in (breach.t - ch.HEALTH_STRIDE * dt, breach.t) if t > 0.0]
-    _, seen = ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong,
+    seen, _ = ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong,
                         replace(config, top_shell_threshold=1.0), t_final, ff,
                         snapshot_times=times)
     *before, at_breach = (seen[t] for t in times)
@@ -439,7 +442,8 @@ def test_nonfinite_amplitude_fails_within_one_stride(reduced_collinear, reduced_
     p = reduced_collinear
     ff = tables(p, reduced_grid, reduced_config.n_max)
     state = ch.initialize_channels(p, reduced_grid, reduced_config.n_max)
-    mid, _ = ch.evolve(state, p, reduced_config, 0.5 * p.tau2, ff)
+    states, _ = ch.evolve(state, p, reduced_config, 0.5 * p.tau2, ff)
+    mid = states[0.5 * p.tau2]
     mid.amplitudes[0, 0, reduced_grid.n_points // 2] = np.nan
     with pytest.raises(NormDriftError, match="non-finite") as info:
         ch.evolve(mid, p, reduced_config, 1.5 * p.tau2, ff)
@@ -456,8 +460,10 @@ def test_escalation_uses_tables_while_they_cover(reduced_collinear, reduced_grid
     build = ch.build_form_factors
     monkeypatch.setattr(ch, "build_form_factors",
                         lambda *a, **k: built.append(a[1].n_max) or build(*a, **k))
-    final, _, failed = ch.evolve_with_escalation(strong, reduced_grid, config, t_final, ff)
-    assert [e["n_max"] for e in failed] == list(range(1, final.n_max, 2))
+    states, record = ch.evolve_with_escalation(strong, reduced_grid, ff, config.n_max,
+                                               config.dt, (t_final,), config.top_shell_threshold)
+    final = states[t_final]
+    assert [e["n_max"] for e in record["escalations"]] == list(range(1, final.n_max, 2))
     # the given n_max = 1 tables serve the first attempt only
     assert built == [n for n in range(3, final.n_max + 1, 2) for _ in (1, 2)]
     assert final.top_shell_norm() < config.top_shell_threshold
@@ -473,7 +479,9 @@ def test_bump_escalation_builds_bump_tables(reduced_collinear, reduced_grid, mon
     monkeypatch.setattr(ch, "build_form_factors",
                         lambda *a, **k: shapes.append(k["shape"]) or build(*a, **k))
     config = ch.PropagatorConfig(n_max=1)
-    final, _, _ = ch.evolve_with_escalation(strong, reduced_grid, config, 1.5 * strong.tau2, ff)
+    states, _ = ch.evolve_with_escalation(strong, reduced_grid, ff, config.n_max, config.dt,
+                                          (1.5 * strong.tau2,), config.top_shell_threshold)
+    [final] = states.values()
     assert final.n_max > 1
     assert shapes == ["bump"] * (final.n_max - 1)
     assert final.top_shell_norm() < config.top_shell_threshold
@@ -484,8 +492,9 @@ def test_escalation_cap(reduced_collinear, reduced_grid, tables, monkeypatch):
     config = ch.PropagatorConfig(n_max=1)
     monkeypatch.setattr(ch, "N_MAX_CAP", 1)
     with pytest.raises(ch.TruncationError):
-        ch.evolve_with_escalation(strong, reduced_grid, config, 1.5 * strong.tau2,
-                                  tables(strong, reduced_grid, 1))
+        ch.evolve_with_escalation(strong, reduced_grid, tables(strong, reduced_grid, 1),
+                                  config.n_max, config.dt, (1.5 * strong.tau2,),
+                                  config.top_shell_threshold)
 
 
 def test_config_validation():
@@ -525,14 +534,14 @@ def test_windowed_evolve_matches_reference_kernel(case, lambda0):
     config = ch.PropagatorConfig(n_max=n_max, top_shell_threshold=1.0)
     ff = ch.form_factor_pair(p, grid, n_max)
     state = ch.initialize_channels(p, grid, n_max)
-    final, seen = ch.evolve(state, p, config, times[-1], ff, snapshot_times=times)
+    seen, record = ch.evolve(state, p, config, times[-1], ff, snapshot_times=times)
     energies = [OscillatorBasis.for_oscillator(p, i, n_max).energies for i in (1, 2)]
     ref = reference_channel_evolve(state.amplitudes, ff[0].values, ff[1].values, *energies,
                                    grid.dx, times[-1], config.dt, p.lam, p.hbar, p.M,
                                    ch.COUPLING_ERROR_BUDGET, snapshot_times=times)
     for t in times:
         np.testing.assert_allclose(seen[t].amplitudes, ref["snapshots"][t], rtol=0, atol=1e-12)
-    window = final.window
+    window = record["window"]
     if case == "collinear":
         assert window["points"] < 0.6 * grid.n_points and window["carried_norm"] > 0.1
     else:
@@ -551,13 +560,15 @@ def test_run_continued_from_a_late_snapshot_equals_the_whole_run(reduced_colline
     t_late, t_final = 0.9 * 1.5 * p.tau2, 1.5 * p.tau2
     ff = ch.form_factor_pair(p, grid, n_max)
     config = ch.PropagatorConfig(n_max=n_max)
-    whole, seen = ch.evolve(ch.initialize_channels(p, grid, n_max), p, config, t_final, ff,
-                            snapshot_times=[t_late])
-    continued, _ = ch.evolve(seen[t_late], p, config, t_final, ff)
-    assert whole.window["points"] < 0.8 * grid.n_points and whole.window["carried_norm"] > 0.1
-    assert continued.window == {"points": grid.n_points, "carried_norm": 0.0,
-                                "band_norm_max": 0.0}
-    np.testing.assert_allclose(continued.amplitudes, whole.amplitudes, rtol=0, atol=1e-12)
+    whole, record = ch.evolve(ch.initialize_channels(p, grid, n_max), p, config, t_final, ff,
+                              snapshot_times=[t_late])
+    continued, again = ch.evolve(whole[t_late], p, config, t_final, ff)
+    assert record["window"]["points"] < 0.8 * grid.n_points
+    assert record["window"]["carried_norm"] > 0.1
+    assert again["window"] == {"points": grid.n_points, "carried_norm": 0.0,
+                               "band_norm_max": 0.0}
+    np.testing.assert_allclose(continued[t_final].amplitudes, whole[t_final].amplitudes,
+                               rtol=0, atol=1e-12)
 
 
 def test_breach_after_a_carry_reads_the_whole_states_top_shell(reduced_collinear,
@@ -573,9 +584,9 @@ def test_breach_after_a_carry_reads_the_whole_states_top_shell(reduced_collinear
     # the last two in-run checks, on the run's step boundaries
     n_steps = round(t_final / config.dt)
     last, before = ((n_steps - k * ch.HEALTH_STRIDE) * (t_final / n_steps) for k in (1, 2))
-    final, seen = ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong, config,
-                            t_final, ff, snapshot_times=[before, last])
-    assert final.window["carried_norm"] > 0.1
+    seen, record = ch.evolve(ch.initialize_channels(strong, reduced_grid, 1), strong, config,
+                             t_final, ff, snapshot_times=[before, last])
+    assert record["window"]["carried_norm"] > 0.1
     top = {t: seen[t].top_shell_norm() for t in (before, last)}
     assert top[before] < top[last]
     threshold = 0.5 * (top[before] + top[last])
@@ -592,10 +603,11 @@ def test_free_run_past_the_window_matches_analytic(reduced_collinear, reduced_gr
     p = replace(reduced_collinear, lam=0.0)
     t_final = 1.5 * p.tau2
     state = ch.initialize_channels(p, reduced_grid, 1)
-    final, _ = ch.evolve(state, p, ch.PropagatorConfig(n_max=1), t_final,
-                         tables(p, reduced_grid, 1))
-    assert final.window["points"] < 0.5 * reduced_grid.n_points
-    assert final.window["carried_norm"] > 0.5
+    states, record = ch.evolve(state, p, ch.PropagatorConfig(n_max=1), t_final,
+                               tables(p, reduced_grid, 1))
+    final = states[t_final]
+    assert record["window"]["points"] < 0.5 * reduced_grid.n_points
+    assert record["window"]["carried_norm"] > 0.5
     assert ch.channel_probabilities(final)[(0, 0)] == pytest.approx(1.0, abs=1e-12)
     exact = free_two_packet(reduced_grid.points, t_final, p.sigma, p.P0, p.hbar, p.M)
     assert np.max(np.abs(np.abs(final.amplitudes[0, 0]) - np.abs(exact))) <= 1e-8
@@ -660,8 +672,8 @@ def test_non_finite_table_between_the_step_points_rejected(reduced_collinear, re
     steps = []
     monkeypatch.setattr(ch, "evolve", lambda *args: steps.append(None))
     with pytest.raises(ValueError, match="not finite"):
-        ch.evolve_with_escalation(p, reduced_grid, ch.PropagatorConfig(n_max=1), 1.5 * p.tau2,
-                                  (ff1, replace(ff2, values=values)))
+        ch.evolve_with_escalation(p, reduced_grid, (ff1, replace(ff2, values=values)), 1, 0.5,
+                                  (1.5 * p.tau2,), 1e-6)
     assert not steps
     coarse, sampled = ch.band_sampling(p, reduced_grid, (ff1, ff2))
     assert coarse == SpatialGrid(reduced_grid.x_min, reduced_grid.x_max,
@@ -690,10 +702,9 @@ def test_escalation_samples_each_attempts_own_tables(reduced_collinear, reduced_
         return rule(params, grid, form_factors)
 
     monkeypatch.setattr(ch, "band_sampling", spy)
-    final, _, failed = ch.evolve_with_escalation(strong, reduced_grid,
-                                                 ch.PropagatorConfig(n_max=1),
-                                                 1.5 * strong.tau2, ff)
-    attempts = [e["n_max"] for e in failed] + [final.n_max]
+    states, record = ch.evolve_with_escalation(strong, reduced_grid, ff, 1, 0.5,
+                                               (1.5 * strong.tau2,), 1e-6)
+    attempts = [e["n_max"] for e in record["escalations"]] + [states[1.5 * strong.tau2].n_max]
     assert len(attempts) > 1
     assert seen[0] is ff
     assert [pair[0].n_max for pair in seen] == [pair[1].n_max for pair in seen] == attempts
@@ -710,8 +721,9 @@ def test_sampled_oracle_matches_evolve_on_the_grid_of_record(case):
     grid = suggest_grid(p, times[-1], 8192)
     config = ch.PropagatorConfig(n_max=2, top_shell_threshold=1.0)
     ff = ch.form_factor_pair(p, grid, 2)
-    final, seen, _ = ch.evolve_with_escalation(p, grid, config, times[-1], ff, times)
-    assert final.window["points"] == 1024 and final.grid == grid
-    _, ref = ch.evolve(ch.initialize_channels(p, grid, 2), p, config, times[-1], ff, times)
+    seen, record = ch.evolve_with_escalation(p, grid, ff, config.n_max, config.dt, times,
+                                             config.top_shell_threshold)
+    assert record["points"] == 1024 and all(s.grid == grid for s in seen.values())
+    ref, _ = ch.evolve(ch.initialize_channels(p, grid, 2), p, config, times[-1], ff, times)
     for t in times:
         np.testing.assert_allclose(seen[t].amplitudes, ref[t].amplitudes, rtol=0, atol=1e-12)

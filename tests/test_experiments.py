@@ -235,12 +235,16 @@ def test_run_scenario_oracle_lands_on_off_grid_time():
     assert "eval_times" not in run.convergence
 
 
-def test_both_engines_evaluate_at_the_requested_times():
+@pytest.mark.parametrize("order", ["sorted", "unsorted"])
+def test_both_engines_evaluate_at_the_requested_times(order):
     # at epsilon = 0.3, 1.5 tau1 lies half a step from the nearest boundary
-    # of equal oracle steps over the whole run: both engines land on it
+    # of equal oracle steps over the whole run: both engines land on it, and
+    # report the times in the order they were requested
     spec = _reduced_spec("collinear", "both", epsilon=0.3)
     p = spec.params
     times = (1.5 * p.tau1, 1.5 * p.tau2)
+    if order == "unsorted":
+        times = times[::-1]
     report = ex.run_scenario(replace(spec, times=times), keep_oracle_states=True)
     assert [s.t for s in report.oracle_states.values()] == list(times)
     for run in report.engines.values():
@@ -389,9 +393,9 @@ def test_elastic_channel_parity(reduced_collinear, reduced_grid, reduced_oracle_
     # the right-side oscillators imprint an O(lambda0) asymmetry, no more
     p0 = replace(reduced_collinear, lam=0.0)
     state = ch.initialize_channels(p0, reduced_grid, 1)
-    free, _ = ch.evolve(state, p0, ch.PropagatorConfig(n_max=1), 1.5 * p0.tau2,
-                        tables(p0, reduced_grid, 1))
-    rho = np.abs(free.amplitudes[0, 0]) ** 2
+    states, _ = ch.evolve(state, p0, ch.PropagatorConfig(n_max=1), 1.5 * p0.tau2,
+                          tables(p0, reduced_grid, 1))
+    rho = np.abs(states[1.5 * p0.tau2].amplitudes[0, 0]) ** 2
     assert np.max(np.abs(rho - mirror(rho))) <= 1e-9
 
     rho_coupled = np.abs(reduced_oracle_final.amplitudes[0, 0]) ** 2
@@ -434,9 +438,10 @@ def localization_runs(request):
     grid = m.suggest_grid(p, times[-1])
     assert grid.n_points == 2048
     ff = ch.form_factor_pair(p, grid, 2)
-    _, oracle, _ = ch.evolve_with_escalation(p, grid, ch.PropagatorConfig(n_max=2), times[-1],
-                                             ff, snapshot_times=times)
-    _, dyson, _ = pt.converged_dyson_run(p, times[-1], ff, grid, 2, snapshot_times=times)
+    num = ex.NumericSettings(n_max=2)
+    oracle, _ = ch.evolve_with_escalation(p, grid, ff, num.n_max, num.dt_oracle, times,
+                                          num.top_shell_threshold)
+    dyson, _ = pt.converged_dyson_run(p, grid, ff, num.n_max, num.dt_duhamel, times, num.pt_rtol)
     return LOCALIZATION_ROWS[request.param], p, {"oracle": oracle, "pt": dyson}
 
 
@@ -479,10 +484,11 @@ def test_joint_history_ordering_between_cases():
     out = {}
     for case in ("opposite", "collinear"):
         params = ex.default_params(case, epsilon=0.2)
-        grid = m.suggest_grid(params, 1.5 * params.tau2)
-        run, _, _ = pt.converged_dyson_run(params, 1.5 * params.tau2,
-                                           ch.form_factor_pair(params, grid, 1), grid, n_max=1)
-        out[case] = history_sums(ch.channel_probabilities(run))["both"]
+        t = 1.5 * params.tau2
+        grid = m.suggest_grid(params, t)
+        states, _ = pt.converged_dyson_run(params, grid, ch.form_factor_pair(params, grid, 1), 1,
+                                           None, (t,), 1e-3)
+        out[case] = history_sums(ch.channel_probabilities(states[t]))["both"]
     assert out["opposite"] < 1e-3 * out["collinear"]
 
 
@@ -492,8 +498,9 @@ def test_joint_probability_shrinks_with_packet_separation():
     p_both = []
     for eps in (0.35, 0.3, 0.25):
         params = ex.default_params("opposite", epsilon=eps)
-        grid = m.suggest_grid(params, 1.5 * params.tau2)
-        run, _, _ = pt.converged_dyson_run(params, 1.5 * params.tau2,
-                                           ch.form_factor_pair(params, grid, 1), grid, n_max=1)
-        p_both.append(history_sums(ch.channel_probabilities(run))["both"])
+        t = 1.5 * params.tau2
+        grid = m.suggest_grid(params, t)
+        states, _ = pt.converged_dyson_run(params, grid, ch.form_factor_pair(params, grid, 1), 1,
+                                           None, (t,), 1e-3)
+        p_both.append(history_sums(ch.channel_probabilities(states[t]))["both"])
     assert p_both[0] > p_both[1] > p_both[2] > 0.0

@@ -76,7 +76,8 @@ def test_dyson_free_row_honours_hbar(free_params):
     p = replace(free_params, hbar=0.5, lam=1e-3)
     g = SpatialGrid.symmetric(64.0, 2048)
     t = 5.0
-    run, _ = pt.dyson_run(p, t, form_factor_pair(p, g, 1), g, 1, pt.default_duhamel_step(p))
+    states, _ = pt.dyson_run(p, t, form_factor_pair(p, g, 1), g, 1, pt.default_duhamel_step(p))
+    run = states[t]
     e00 = p.hbar * p.omega  # two oscillators at hbar omega / 2 each
     exact = np.exp(-1j * e00 * t / p.hbar) * free_two_packet(g.points, t, p.sigma, p.P0,
                                                               p.hbar, p.M)
@@ -92,8 +93,10 @@ def test_dyson_free_row_honours_hbar(free_params):
 
 def test_first_order_zero_coupling(reduced_collinear, reduced_grid):
     p = replace(reduced_collinear, lam=0.0)
-    run, _, _ = pt.converged_dyson_run(p, 0.5 * p.tau2, form_factor_pair(p, reduced_grid, 1),
-                                       reduced_grid, n_max=1)
+    t = 0.5 * p.tau2
+    states, _ = pt.converged_dyson_run(p, reduced_grid, form_factor_pair(p, reduced_grid, 1), 1,
+                                       None, (t,), 1e-3)
+    run = states[t]
     assert np.all(run.amplitudes[1, 0] == 0.0)
     assert channel_probabilities(run)[(1, 0)] == 0.0
 
@@ -102,9 +105,10 @@ def test_first_order_lambda_doubling_quadruples_exactly(reduced_collinear, reduc
     p = reduced_collinear
     ff = form_factor_pair(p, reduced_grid, 1)
     t = p.tau2
-    r1, _, _ = pt.converged_dyson_run(p, t, ff, reduced_grid, n_max=1)
-    r2, _, _ = pt.converged_dyson_run(replace(p, lam=2.0 * p.lam), t, ff, reduced_grid, n_max=1)
-    assert channel_probabilities(r2)[(1, 0)] == 4.0 * channel_probabilities(r1)[(1, 0)]
+    r1, _ = pt.converged_dyson_run(p, reduced_grid, ff, 1, None, (t,), 1e-3)
+    r2, _ = pt.converged_dyson_run(replace(p, lam=2.0 * p.lam), reduced_grid, ff, 1, None, (t,),
+                                   1e-3)
+    assert channel_probabilities(r2[t])[(1, 0)] == 4.0 * channel_probabilities(r1[t])[(1, 0)]
 
 
 def test_first_order_grows_after_arrival():
@@ -112,8 +116,8 @@ def test_first_order_grows_after_arrival():
     p = ex.default_params("collinear", epsilon=0.1)
     grid = suggest_grid(p, 2.0 * p.tau1)
     ff = form_factor_pair(p, grid, 1)
-    early, _, _ = pt.converged_dyson_run(p, 0.5 * p.tau1, ff, grid, n_max=1)
-    late, _, _ = pt.converged_dyson_run(p, 2.0 * p.tau1, ff, grid, n_max=1)
+    early, late = (pt.converged_dyson_run(p, grid, ff, 1, None, (t,), 1e-3)[0][t]
+                   for t in (0.5 * p.tau1, 2.0 * p.tau1))
     assert channel_probabilities(late)[(1, 0)] >= 1e3 * channel_probabilities(early)[(1, 0)]
 
 
@@ -123,8 +127,10 @@ def test_first_order_grows_after_arrival():
 
 def test_second_order_zero_coupling(reduced_collinear, reduced_grid):
     p = replace(reduced_collinear, lam=0.0)
-    run, _, _ = pt.converged_dyson_run(p, 1.5 * p.tau2, form_factor_pair(p, reduced_grid, 1),
-                                       reduced_grid, n_max=1)
+    t = 1.5 * p.tau2
+    states, _ = pt.converged_dyson_run(p, reduced_grid, form_factor_pair(p, reduced_grid, 1), 1,
+                                       None, (t,), 1e-3)
+    run = states[t]
     assert np.all(run.amplitudes[1, 1] == 0.0)
     assert channel_probabilities(run)[(1, 1)] == 0.0
 
@@ -135,8 +141,9 @@ def test_second_order_lambda_fourth_power(reduced_collinear, reduced_grid):
     t = 1.5 * p.tau2
     probs = {}
     for lam in (5e-4, 1e-3, 3e-3):
-        run, _, _ = pt.converged_dyson_run(replace(p, lam=lam), t, ff, reduced_grid, n_max=1)
-        probs[lam] = channel_probabilities(run)[(1, 1)]
+        states, _ = pt.converged_dyson_run(replace(p, lam=lam), reduced_grid, ff, 1, None, (t,),
+                                           1e-3)
+        probs[lam] = channel_probabilities(states[t])[(1, 1)]
     lams = sorted(probs)
     for lo, hi in [(lams[0], lams[1]), (lams[0], lams[2]), (lams[1], lams[2])]:
         slope = math.log(probs[hi] / probs[lo]) / math.log(hi / lo)
@@ -149,8 +156,9 @@ def test_second_order_ordering_dominance(reduced_collinear, reduced_grid):
     p = reduced_collinear
     t = 1.5 * p.tau2
     ff = form_factor_pair(p, reduced_grid, 1)
-    run, _, halving = pt.converged_dyson_run(p, t, ff, reduced_grid, n_max=1)
-    ref = _reference(p, t, ff, reduced_grid, 1, halving[-1]["dt"])
+    states, record = pt.converged_dyson_run(p, reduced_grid, ff, 1, None, (t,), 1e-3)
+    run = states[t]
+    ref = _reference(p, t, ff, reduced_grid, 1, record["halving"][-1]["dt"])
     p12 = _norm_sq(ref["c12"][1, 1], reduced_grid)
     p21 = _norm_sq(ref["c21"][1, 1], reduced_grid)
     assert p21 > 0
@@ -229,7 +237,8 @@ def test_dyson_run_matches_reference_kernel(case, shape, n_max, hbar, dt):
     t = 1.5 * p.tau2
     grid = suggest_grid(p, t)
     ff = form_factor_pair(p, grid, n_max, shape)
-    run, _ = pt.dyson_run(p, t, ff, grid, n_max, dt)
+    states, _ = pt.dyson_run(p, t, ff, grid, n_max, dt)
+    run = states[t]
     _assert_probabilities_match(run, _reference(p, t, ff, grid, n_max, dt), grid)
 
     # amplitudes, phases included, to 1e-12 of each channel's peak, at every
@@ -258,9 +267,11 @@ def test_decimated_dyson_run_matches_reference_on_the_grid_of_record(case):
     t = 1.5 * p.tau2
     grid = suggest_grid(p, t, 8192)
     ff = form_factor_pair(p, grid, 2)
-    run, _, halving = pt.converged_dyson_run(p, t, ff, grid, 2, 0.4, rtol=1.0)
-    assert [h["dt"] for h in halving] == [t / math.ceil(t / 0.4), t / math.ceil(t / 0.2)]
-    assert run.grid == grid and run.window["points"] < grid.n_points
+    states, record = pt.converged_dyson_run(p, grid, ff, 2, 0.4, (t,), 1.0)
+    run = states[t]
+    assert [h["dt"] for h in record["halving"]] == [t / math.ceil(t / 0.4),
+                                                    t / math.ceil(t / 0.2)]
+    assert run.grid == grid and record["points"] < grid.n_points
     ref = _reference(p, t, ff, grid, 2, 0.2)
     _assert_probabilities_match(run, ref, grid)
     for label, err in _field_errors(run, ref).items():
@@ -311,7 +322,7 @@ def test_dyson_run_bitwise_under_short_switch_interval(reduced_collinear, reduce
         fast, _ = pt.dyson_run(*args)
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(fast.amplitudes, base.amplitudes)
+    assert np.array_equal(fast[args[1]].amplitudes, base[args[1]].amplitudes)
 
 
 def test_dyson_run_worker_failure_leaves_the_call(reduced_collinear, reduced_grid, monkeypatch):
@@ -388,7 +399,7 @@ def test_non_finite_pass_raises_norm_drift(reduced_collinear, reduced_grid, monk
     runs = []
     monkeypatch.setattr(pt, "dyson_run", lambda *a, **k: runs.append(a) or dyson_run(*a, **k))
     with pytest.raises(NormDriftError, match="non-finite") as info:
-        pt.converged_dyson_run(p, 1.5 * p.tau2, ff, reduced_grid, n_max=2)
+        pt.converged_dyson_run(p, reduced_grid, ff, 2, None, (1.5 * p.tau2,), 1e-3)
     assert len(runs) == 1
     err = info.value
     assert err.t == 1.5 * p.tau2 and err.n_max == 2 and not math.isfinite(err.norm)
@@ -452,17 +463,15 @@ def test_non_finite_joint_block_raises_at_next_requested_time(reduced_collinear,
 
 def test_snapshot_equals_one_time_run(reduced_collinear, reduced_grid):
     # the segment up to the first requested time is the one-time run op for
-    # op; the last requested time is the final state itself
+    # op; the pass forms one state at each time, in time order, the final
+    # one among them
     p = reduced_collinear
     ff = form_factor_pair(p, reduced_grid, 2)
     t_mid, t_end = 0.75 * p.tau2, 1.5 * p.tau2
     direct, _ = pt.dyson_run(p, t_mid, ff, reduced_grid, 2, 0.2)
-    final, snapshots = pt.dyson_run(p, t_end, ff, reduced_grid, 2, 0.2,
-                                    snapshot_times=(t_mid, t_end))
-    assert snapshots.keys() == {t_mid, t_end}
-    assert snapshots[t_mid].t == t_mid and final.t == t_end
-    assert np.array_equal(snapshots[t_mid].amplitudes, direct.amplitudes)
-    assert snapshots[t_end] is final
+    states, _ = pt.dyson_run(p, t_end, ff, reduced_grid, 2, 0.2, snapshot_times=(t_end, t_mid))
+    assert [(t, s.t) for t, s in states.items()] == [(t_mid, t_mid), (t_end, t_end)]
+    assert np.array_equal(states[t_mid].amplitudes, direct[t_mid].amplitudes)
     with pytest.raises(ValueError, match="snapshot times"):
         pt.dyson_run(p, t_mid, ff, reduced_grid, 2, 0.2, snapshot_times=(t_end,))
 
@@ -474,11 +483,11 @@ def test_converged_run_one_pass_for_every_time(reduced_collinear, reduced_grid, 
     monkeypatch.setattr(pt, "dyson_run", lambda *a, **k: calls.append(a) or dyson_run(*a, **k))
     times = (0.75 * p.tau2, 1.5 * p.tau2)
     rtol = 1e-3
-    final, snapshots, halving = pt.converged_dyson_run(
-        p, times[-1], form_factor_pair(p, reduced_grid, 1), reduced_grid, n_max=1, dt=0.4,
-        rtol=rtol, snapshot_times=times)
+    states, record = pt.converged_dyson_run(p, reduced_grid, form_factor_pair(p, reduced_grid, 1),
+                                            1, 0.4, times, rtol)
+    halving = record["halving"]
     assert len(calls) >= 2
-    assert snapshots.keys() == set(times) and snapshots[times[-1]] is final
+    assert [(t, s.t) for t, s in states.items()] == [(t, t) for t in times]
     # one entry per pass and time, ordered by time, then pass
     assert [h["t"] for h in halving] == [t for t in times for _ in calls]
     for t in times:
@@ -550,15 +559,16 @@ def test_converged_run_drops_previous_pass_fields(reduced_collinear, reduced_gri
     def tracked(*args, **kwargs):
         gc.collect()
         assert all(ref() is None for ref in refs), "an earlier pass's amplitudes are alive"
-        final, snapshots = dyson_run(*args, **kwargs)
-        refs.append(weakref.ref(final.amplitudes))
-        return final, snapshots
+        states, record = dyson_run(*args, **kwargs)
+        refs.extend(weakref.ref(s.amplitudes) for s in states.values())
+        return states, record
 
     monkeypatch.setattr(pt, "dyson_run", tracked)
     monkeypatch.setattr(pt, "MAX_HALVINGS", 2)
+    times = (0.75 * p.tau2, 1.5 * p.tau2)
     with pytest.raises(QuadratureError):
-        pt.converged_dyson_run(p, 1.5 * p.tau2, ff, reduced_grid, 1, 0.4, rtol=0.0)
-    assert len(refs) == 3
+        pt.converged_dyson_run(p, reduced_grid, ff, 1, 0.4, times, 0.0)
+    assert len(refs) == 3 * len(times)
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +603,9 @@ def test_histories_parity(reduced_opposite, reduced_grid):
     # history agrees
     p = reduced_opposite
     t = 1.5 * p.tau2
-    base, _, _ = pt.converged_dyson_run(p, t, form_factor_pair(p, reduced_grid, 2),
-                                        reduced_grid, n_max=2)
-    reflected, _, _ = pt.converged_dyson_run(mirrored(p), t,
-                                             form_factor_pair(mirrored(p), reduced_grid, 2),
-                                             reduced_grid, n_max=2)
+    base, reflected = (pt.converged_dyson_run(q, reduced_grid, form_factor_pair(q, reduced_grid, 2),
+                                              2, None, (t,), 1e-3)[0][t]
+                       for q in (p, mirrored(p)))
     a, b = channel_probabilities(base), channel_probabilities(reflected)
     assert a.keys() == b.keys()
     for key in a:
@@ -615,8 +623,8 @@ def test_quadrature_convergence_error(reduced_collinear, reduced_grid, monkeypat
     p = reduced_collinear
     monkeypatch.setattr(pt, "MAX_HALVINGS", 1)
     with pytest.raises(QuadratureError):
-        pt.converged_dyson_run(p, p.tau2, form_factor_pair(p, reduced_grid, 1), reduced_grid,
-                               n_max=1, rtol=0.0)
+        pt.converged_dyson_run(p, reduced_grid, form_factor_pair(p, reduced_grid, 1), 1, None,
+                               (p.tau2,), 0.0)
 
 
 def test_converged_run_reports_step(reduced_collinear, reduced_grid, monkeypatch):
@@ -624,8 +632,9 @@ def test_converged_run_reports_step(reduced_collinear, reduced_grid, monkeypatch
     calls = []
     dyson_run = pt.dyson_run
     monkeypatch.setattr(pt, "dyson_run", lambda *a, **k: calls.append(a) or dyson_run(*a, **k))
-    _, _, halving = pt.converged_dyson_run(p, p.tau2, form_factor_pair(p, reduced_grid, 1),
-                                           reduced_grid, n_max=1)
+    _, record = pt.converged_dyson_run(p, reduced_grid, form_factor_pair(p, reduced_grid, 1), 1,
+                                       None, (p.tau2,), 1e-3)
+    halving = record["halving"]
     assert 0.0 < halving[-1]["dt"] < pt.default_duhamel_step(p)
     # one halving entry per pass, each step half the last, the last accepted
     assert len(halving) == len(calls) >= 2
