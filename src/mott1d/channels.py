@@ -40,12 +40,12 @@ amplitude), and a band at each end.  It is periodic in its own length, and
 its kinetic factor is the exact spectral phase on its own wavenumbers.  Every
 ``every`` composed steps the bands' amplitude g = f s moves out of the
 window, where s is an erf ramp from 0 in the core to 1 at the window's ends,
-into one full-grid k-space accumulator per channel row:
-A += exp(+i omega t) FFT(g on the grid), omega = hbar k^2/2M + E/hbar, with
-t the window's time.  That is exact free flight, so the state at a requested
-time is the window on the grid plus ifft(exp(-i omega t) A).  At entry the
-part of the state off the window goes into A, so nothing is dropped.  The
-band's constants follow from the budget and the run's scales, with
+into a full-grid k-space accumulator stack, a row per channel, all rows at
+once: A += exp(+i omega t) FFT(g on the grid), omega = hbar k^2/2M + E/hbar,
+with t the window's time.  That is exact free flight, so the state at a
+requested time is the window on the grid plus ifft(exp(-i omega t) A).  The
+entry is the first carry, of the state off the window: nothing is dropped.
+The band's constants follow from the budget and the run's scales, with
 z = ``BUDGET_WIDTHS`` the widths at which a Gaussian falls to the budget:
 
 * the ramp's Gaussian width is w = sqrt(hbar T / M) / 2 for a run of length
@@ -72,9 +72,9 @@ slabs, so their overlap holds to the budget.  The in-run checks therefore
 read the whole state's norms with no transform, and each requested time's
 check reads the state as it is formed.
 
-Each stage runs on the calling thread and transforms its rows in place
-(numpy's ``out=``) in ``evolve``'s private copy of the window, so a stage
-allocates no spectrum.
+Each stage and each carry transforms the whole stack in place (numpy's
+``out=``): a stage in ``evolve``'s private copy of the window, a carry in
+one full-grid buffer for g, so neither allocates a spectrum.
 
 Both engines step on the coarsest grid of the same box that holds the
 band (Fourier-grid sampling: Kosloff and Kosloff, J. Comput. Phys. 52, 35,
@@ -462,40 +462,41 @@ def _couple_points(f3: np.ndarray, slabs1: Slabs, slabs2: Slabs) -> None:
 def _re_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Re sum conj(u) v along the last axis, which must be contiguous: one
     pass over the real views, with no temporary array and no BLAS call,
-    whose threads would spin beside the engine's."""
+    whose woken threads spin on beside PT's worker (see core.l2_norm)."""
     return np.einsum("...i,...i->...", u.view(np.float64), v.view(np.float64))
 
 
-def _carry_rows(f: np.ndarray, a: np.ndarray, scratch: np.ndarray, start: int,
-                bands: list[Band], plus: np.ndarray, energy: np.ndarray,
-                carried: np.ndarray, overlap: np.ndarray) -> float:
-    """Move each row's band amplitude g = f s out of the window into its
-    accumulator, a += exp(+i omega t) FFT(embed(g)), through ``scratch``.
-    Per row and as sums over points, ``carried`` (the carried part's |c|^2)
-    gains |g|^2 + 2 Re<g, c> and ``overlap`` (Re<f, c>) gains
-    Re<f - g, g> - Re<g, c>; the spectral sum over N wavenumbers gives
-    <g, c> times N.  Returns the outer bands' sum |f|^2 before the carry."""
-    n = a.shape[1]
-    outer_sq = 0.0
-    for i, (row, acc, e) in enumerate(zip(f, a, energy)):
-        scratch[:] = 0.0
-        piece_sq = kept_piece = 0.0
-        for span, ramp, outer in bands:
-            outer_sq += _re_dot(row[outer], row[outer])
-            band = row[span]
-            piece = band * ramp
-            band -= piece
-            piece_sq += _re_dot(piece, piece)
-            kept_piece += _re_dot(band, piece)
-            scratch[start + span.start:start + span.stop] = piece
-        np.fft.fft(scratch, out=scratch)
-        scratch *= plus
-        scratch *= e
-        piece_carried = _re_dot(scratch, acc) / n
-        acc += scratch
-        carried[i] += piece_sq + 2.0 * piece_carried
-        overlap[i] += kept_piece - piece_carried
-    return outer_sq
+def _split_bands(f: np.ndarray, g: np.ndarray, start: int, bands: list[Band]
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Move the bands' amplitude g = f s out of the window ``f`` into ``g``,
+    zero elsewhere.  Returns each row's |g|^2 and Re<f - g, g>, and the outer
+    bands' sum |f|^2 before the move, row by row and band by band in a row."""
+    g[:] = 0.0
+    outer_sq, piece_sq, kept = [], 0.0, 0.0
+    for span, ramp, outer in bands:
+        outer_sq.append(_re_dot(f[:, outer], f[:, outer]))
+        band = f[:, span]
+        piece = np.multiply(band, ramp, out=g[:, start + span.start:start + span.stop])
+        band -= piece
+        piece_sq = piece_sq + _re_dot(piece, piece)
+        kept = kept + _re_dot(band, piece)
+    return piece_sq, kept, sum(sq for row in zip(*outer_sq) for sq in row)
+
+
+def _carry(g: np.ndarray, piece_sq: np.ndarray, kept: np.ndarray | float, a: np.ndarray,
+           plus: np.ndarray, energy: np.ndarray, carried: np.ndarray, overlap: np.ndarray) -> None:
+    """a += exp(+i omega t) FFT(g), g the amplitude moved out of the window
+    on the grid, transformed in place.  Per row, as sums over points,
+    ``carried`` (the carried part's |c|^2) gains ``piece_sq`` (|g|^2) +
+    2 Re<g, c> and ``overlap`` (Re<f, c>) gains ``kept`` (Re<f - g, g>) -
+    Re<g, c>; the spectral sum over N wavenumbers gives <g, c> times N."""
+    np.fft.fft(g, axis=-1, out=g)
+    g *= plus
+    g *= energy[:, None]
+    piece_carried = _re_dot(g, a) / a.shape[1]
+    a += g
+    carried += piece_sq + 2.0 * piece_carried
+    overlap += kept - piece_carried
 
 
 def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
@@ -506,12 +507,13 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
 
     From state.t to each snapshot time in turn, and on to t_final, it takes
     the fewest equal steps h no longer than ``config.dt``, so it lands
-    exactly on each.  Each step is the Strang steps S(W1 h) S(W0 h)
-    S(W1 h), whose adjacent kinetic halves merge.  Unitary to rounding: the
-    kinetic factor is an exact spectral phase and each oscillator's coupling
-    factor an exact Hermitian exponential, for the negative W0 too.  The
-    steps act on a window of the grid and amplitude that leaves it is
-    carried exactly in k-space (module docstring).  The state's health is
+    exactly on each.  Each step is the Strang steps S(W1 h) S(W0 h) S(W1 h),
+    whose adjacent kinetic halves merge.  Unitary to rounding: the kinetic
+    factor is an exact spectral phase and each oscillator's coupling factor
+    an exact Hermitian exponential, for the negative W0 too.  The steps act
+    on a window of the grid; the amplitude that leaves it, and at entry the
+    state's part off it, is carried exactly in k-space into one accumulator
+    stack, all rows in one carry (module docstring).  The state's health is
     checked every ``HEALTH_STRIDE`` steps of the whole run, at every
     snapshot and at t_final, and the run stops at the first failed check:
     TruncationError when the top oscillator shell holds more norm than
@@ -522,8 +524,8 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     overlap with the window as of the last carry (module docstring), read
     just after the kinetic factor that joins two steps, whose per-channel
     norms are those at the step boundary (the kinetic factor is a unitary
-    phase on each channel); the checks at the requested times from the
-    state as formed.
+    phase on each channel); the checks at the requested times from the state
+    as formed.
 
     ``form_factors`` are both oscillators' tables on the state's grid, at
     truncation ``config.n_max`` or above (only the leading block is read).
@@ -572,14 +574,14 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     slabs1 = _coupling_slabs(params, ff1, e1, taus, on1[start:stop], start)
     slabs2 = _coupling_slabs(params, ff2, e2, taus, on2[start:stop], start)
 
-    # the window's private copy, and the carried amplitude in k-space; per
-    # row, the carried part's sum |c|^2 and Re<f, c>, its overlap with the
-    # window, as sums over points
+    # the window's private copy, the carried amplitude in k-space and the
+    # amplitude g on its way there; per row, the carried part's sum |c|^2
+    # and Re<f, c>, its overlap with the window, as sums over points
     f = f0[:, start:stop].copy()
     f3 = f.reshape(n_lvl, n_lvl, points)
-    a = np.empty((rows, grid.n_points), dtype=np.complex128)
-    scratch = np.empty(grid.n_points, dtype=np.complex128)
-    carried = np.empty(rows)
+    a = np.zeros((rows, grid.n_points), dtype=np.complex128)
+    g = np.empty_like(a)
+    carried = np.zeros(rows)
     overlap = np.zeros(rows)
     wavenumbers = 2.0 * np.pi * np.fft.fftfreq(points, d=grid.dx)
 
@@ -599,15 +601,9 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
     parts = list(zip(slabs1, slabs2))
     stages = dict(zip(steps, zip(parts[0::2], parts[1::2])))
 
-    # nothing is dropped: a = exp(+i omega t) FFT(f0 off the window), and
-    # carried its sum |f0|^2, row by row
-    plus, energy = at(state.t)
-    for i, (acc, row, e) in enumerate(zip(a, f0, energy)):
-        acc[:start], acc[start:stop], acc[stop:] = row[:start], 0.0, row[stop:]
-        carried[i] = _re_dot(acc, acc)
-        np.fft.fft(acc, out=acc)
-        acc *= plus
-        acc *= e
+    # the entry state's part off the window is the first carry: nothing is dropped
+    g[:, :start], g[:, start:stop], g[:, stop:] = f0[:, :start], 0.0, f0[:, stop:]
+    _carry(g, _re_dot(g, g), 0.0, a, *at(state.t), carried, overlap)
 
     at_time: dict[float, ChannelState] = {}
     step = 0  # composed steps over the whole run
@@ -631,21 +627,21 @@ def evolve(state: ChannelState, params: ModelParams, config: PropagatorConfig,
             _couple_points(f3, *outer)
             _kinetic_rows(f, *(edge if k == n_steps else seam))
             if bands and step % every == 0:
+                piece_sq, kept, outer_sq = _split_bands(f, g, start, bands)
                 at_carry = at(end if k == n_steps else start_t + (k + 0.5 * W1) * h)
-                outer_sq = _carry_rows(f, a, scratch, start, bands, *at_carry, carried, overlap)
+                _carry(g, piece_sq, kept, a, *at_carry, carried, overlap)
                 band_norm_max = max(band_norm_max, outer_sq * grid.dx)
             if step % HEALTH_STRIDE == 0 and k < n_steps:
                 _health_check(start_t + k * h,
                               (_re_dot(f, f) + carried + 2.0 * overlap) * grid.dx, config, norm0)
         # a new state at each requested time, embed(f) + ifft(exp(-i omega
-        # t) a) row by row, formed in a at the end, and checked as formed
+        # t) a), formed in a at the end, and checked as formed
         out = a if end == t_final else np.empty_like(a)
         minus, energy = at(-end)
-        for o, row, acc, e in zip(out, f, a, energy):
-            np.multiply(acc, minus, out=o)
-            o *= e
-            np.fft.ifft(o, out=o)
-            o[start:stop] += row
+        np.multiply(a, minus, out=out)
+        out *= energy[:, None]
+        np.fft.ifft(out, axis=-1, out=out)
+        out[:, start:stop] += f
         at_time[end] = ChannelState(end, grid, out.reshape(n_lvl, n_lvl, grid.n_points))
         _health_check(end, _re_dot(out, out) * grid.dx, config, norm0)
     return at_time, {"segments": [{"t": end, "dt": (end - t0) / n, "steps": n}

@@ -201,7 +201,7 @@ class SpatialGrid:
 def l2_norm(values: np.ndarray, dx: float) -> float:
     """sqrt(sum |values|^2 dx) over every entry of ``values``."""
     # not np.vdot: a BLAS call would wake BLAS threads that then spin beside
-    # the two-thread engines' threads
+    # PT's worker, the one thread an engine starts besides the caller
     return math.sqrt(float(np.sum(np.abs(values) ** 2)) * dx)
 
 

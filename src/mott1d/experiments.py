@@ -170,6 +170,8 @@ class ScenarioSpec:
             raise ValueError("targets must not be empty")
         if self.times is not None and not self.times:
             raise ValueError("times must not be empty; None means (1.5 * tau2,)")
+        if self.times is not None and any(not t > 0 for t in self.times):
+            raise ValueError(f"scenario.times must be positive, got {list(self.times)}")
         if self.times is not None and len(set(self.times)) < len(self.times):
             raise ValueError(f"scenario.times must not repeat a time, got {list(self.times)}")
         for tgt in self.targets:

@@ -271,6 +271,50 @@ def test_kinetic_rows_in_place_equals_out_of_place(part):
     assert np.array_equal(f, expected)
 
 
+def test_stacked_carry_equals_the_row_by_row_carry():
+    # a carry moves every row's bands into the accumulator stack at once;
+    # each row's arithmetic is that of a carry of the row alone, so every
+    # amplitude, norm and overlap must read bit for bit as the row-by-row
+    # reference below, and the outer bands' sum must be taken row by row
+    # and, within a row, band by band
+    rng = np.random.default_rng(33)
+    rows, n_points, start, points = 9, 2048, 600, 800
+
+    def noise(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # rows of unequal size, as channel rows are, so that the order of a sum shows
+    f, a = noise(rows, points) * np.logspace(0.0, -8.0, rows)[:, None], noise(rows, n_points)
+    carried, overlap = rng.uniform(0.0, 1.0, rows), rng.uniform(-0.1, 0.1, rows)
+    plus = np.exp(1j * rng.uniform(-np.pi, np.pi, n_points))
+    energy = np.exp(1j * rng.uniform(-np.pi, np.pi, rows))
+    bands = [(slice(0, 100), np.linspace(1.0, 0.0, 100), slice(0, 50)),
+             (slice(700, 800), np.linspace(0.0, 1.0, 100), slice(751, 800))]
+    got = [x.copy() for x in (f, a, carried, overlap)]
+    g = np.empty_like(a)
+    piece_sq, kept, outer_sq = ch._split_bands(got[0], g, start, bands)
+    ch._carry(g, piece_sq, kept, got[1], plus, energy, *got[2:])
+    want_outer = 0.0
+    for i, (row, acc) in enumerate(zip(f, a)):
+        embedded = np.zeros(n_points, dtype=complex)
+        row_sq = row_kept = 0.0
+        for span, ramp, outer in bands:
+            want_outer += ch._re_dot(row[outer], row[outer])
+            piece = row[span] * ramp
+            row[span] -= piece
+            row_sq += ch._re_dot(piece, piece)
+            row_kept += ch._re_dot(row[span], piece)
+            embedded[start + span.start:start + span.stop] = piece
+        embedded = np.fft.fft(embedded) * plus * energy[i]
+        piece_carried = ch._re_dot(embedded, acc) / n_points
+        acc += embedded
+        carried[i] += row_sq + 2.0 * piece_carried
+        overlap[i] += row_kept - piece_carried
+    assert outer_sq == want_outer
+    for have, want in zip(got, (f, a, carried, overlap)):
+        assert np.array_equal(have, want)
+
+
 @pytest.mark.parametrize("hbar", [1.0, 0.5])
 @pytest.mark.parametrize("lambda0", [1e-3, 0.05])
 @pytest.mark.parametrize("n_max", [1, 3])
@@ -595,6 +639,44 @@ def test_breach_after_a_carry_reads_the_whole_states_top_shell(reduced_collinear
                   replace(config, top_shell_threshold=threshold), t_final, ff)
     assert info.value.t == last
     assert info.value.norm == pytest.approx(top[last], rel=1e-9)
+
+
+@pytest.mark.parametrize("lambda0", [1e-3, 0.05])
+@pytest.mark.parametrize("case", ["collinear", "opposite"])
+def test_in_run_norms_are_the_formed_states_row_by_row(case, lambda0, tables, monkeypatch):
+    # an in-run check reads each row's squared norm from the window and the
+    # carried part's norm and overlap as of the last carry, with no
+    # transform; after a carry that must be the row's squared norm in the
+    # state a run that asks for that time forms.  The total norm alone
+    # would pass a mix-up of rows in the carried stack.  t_final is a
+    # multiple of dt, so both runs take the same steps
+    p = ex.default_params(case, epsilon=0.2, lambda0=lambda0)
+    config = ch.PropagatorConfig(dt=0.5, n_max=2, top_shell_threshold=1.0)
+    t_final = config.dt * round(1.5 * p.tau2 / config.dt)
+    grid = suggest_grid(p, t_final, n_points=2048)
+    ff = tables(p, grid, config.n_max)
+    events = []
+    check, carry = ch._health_check, ch._carry
+
+    def spy_check(t, sq, *args):
+        events.append((t, sq.copy()))
+        check(t, sq, *args)
+
+    def spy_carry(*args):
+        events.append(None)
+        carry(*args)
+
+    monkeypatch.setattr(ch, "_health_check", spy_check)
+    monkeypatch.setattr(ch, "_carry", spy_carry)
+    ch.evolve(ch.initialize_channels(p, grid, config.n_max), p, config, t_final, ff)
+    # the entry is the first carry; the last check reads the state at t_final
+    after = [e for e in events[events.index(None, 1):] if e is not None][:-1]
+    assert len(after) >= 3
+    for t, sq in (after[0], after[len(after) // 2], after[-1]):
+        seen, _ = ch.evolve(ch.initialize_channels(p, grid, config.n_max), p, config, t_final,
+                            ff, snapshot_times=[t])
+        formed = np.sum(np.abs(seen[t].amplitudes) ** 2, axis=-1).reshape(-1) * grid.dx
+        np.testing.assert_allclose(sq, formed, rtol=0, atol=1e-13)
 
 
 def test_free_run_past_the_window_matches_analytic(reduced_collinear, reduced_grid, tables):

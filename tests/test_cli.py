@@ -160,6 +160,9 @@ def test_type_errors_are_reported(tmp_path):
     ({"numerics": {"top_shell_threshold": -1}}, "numerics.top_shell_threshold"),
     # a repeat would be solved once, reported once and listed twice
     ({"scenario": {"times": [20, 20.0]}}, "scenario.times must not repeat"),
+    # a time that is not positive is caught before the form factors are built
+    ({"scenario": {"times": [0]}}, "scenario.times must be positive"),
+    ({"scenario": {"times": [-5, 30]}}, "scenario.times must be positive"),
     # a repeat would write its field file twice and list it twice
     ({"output": {"density_channels": [[1, 0], [1, 0]]}},
      "output.density_channels must not repeat"),
@@ -168,7 +171,8 @@ def test_type_errors_are_reported(tmp_path):
         "density_channels-above-n_max", "targets-above-n_max", "snapshot-pt",
         "snapshot-string", "removed-t_factor", "removed-lambda_values", "removed-x_max",
         "dt_oracle-zero", "dt_duhamel-negative", "pt_rtol-negative",
-        "top_shell_threshold-negative", "times-repeated", "density_channels-repeated"])
+        "top_shell_threshold-negative", "times-repeated", "times-zero", "times-negative",
+        "density_channels-repeated"])
 def test_list_keys_must_be_lists(tmp_path, overrides, match):
     path = write_config(tmp_path, **overrides)
     with pytest.raises(cli.ConfigError, match=match):
